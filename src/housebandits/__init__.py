@@ -4,120 +4,13 @@ A simulation library and CLI covering offline core-matching mechanisms,
 a collision-model bandit environment over the same markets, one
 decentralized and one centralized learning protocol, instance
 generators, and a seeded Monte Carlo harness that measures per-player
-regret against closed-form bound curves.
+regret against closed-form bound curves. Import names from the
+submodules (housebandits.market, .env, .instances, .centralized,
+.decentralized, .harness, .cli).
 """
 
 from .errors import HousebanditsError, InputError, RuntimeFailure
 
 __version__ = "0.1.0"
 
-from .centralized import IndexState, platform_round, rank_by_index, submitted_rankings
-from .decentralized import (
-    DecentralizedPlayer,
-    ExplorationStats,
-    PlayerView,
-    commit_cascade,
-    confidence_bounds,
-    entry_round_bound,
-    schedule_of,
-    sub_phase_end,
-    try_extract_ranking,
-)
-from .env import (
-    ABSTAIN,
-    MarketEnv,
-    RegretLedger,
-    RoundOutcome,
-    iter_trace_csv,
-    resolve_round,
-    sample_reward,
-)
-from .harness import (
-    AggregateReport,
-    EpisodeTrace,
-    ExperimentConfig,
-    default_checkpoints,
-    export,
-    monte_carlo,
-    run_episode,
-    theoretical_bounds,
-)
-from .instances import (
-    GeneratorConfig,
-    generate,
-    is_sttcb,
-    lower_bound_instance,
-    random_instance,
-    sttcb_instance,
-)
-from .market import (
-    Coalition,
-    MarketInstance,
-    Matching,
-    core_oracle_bruteforce,
-    find_blocking_coalition,
-    load_instance,
-    load_matching,
-    min_gap,
-    ranking_from_utilities,
-    save_instance,
-    save_matching,
-    ttc,
-    validate_instance,
-    yrmh_igyt,
-)
-
-__all__ = [
-    "ABSTAIN",
-    "AggregateReport",
-    "Coalition",
-    "DecentralizedPlayer",
-    "EpisodeTrace",
-    "ExperimentConfig",
-    "ExplorationStats",
-    "GeneratorConfig",
-    "HousebanditsError",
-    "IndexState",
-    "InputError",
-    "MarketEnv",
-    "MarketInstance",
-    "Matching",
-    "PlayerView",
-    "RegretLedger",
-    "RoundOutcome",
-    "RuntimeFailure",
-    "commit_cascade",
-    "confidence_bounds",
-    "core_oracle_bruteforce",
-    "default_checkpoints",
-    "entry_round_bound",
-    "export",
-    "find_blocking_coalition",
-    "generate",
-    "is_sttcb",
-    "iter_trace_csv",
-    "load_instance",
-    "load_matching",
-    "lower_bound_instance",
-    "min_gap",
-    "monte_carlo",
-    "platform_round",
-    "random_instance",
-    "rank_by_index",
-    "ranking_from_utilities",
-    "resolve_round",
-    "run_episode",
-    "sample_reward",
-    "save_instance",
-    "save_matching",
-    "schedule_of",
-    "sttcb_instance",
-    "sub_phase_end",
-    "submitted_rankings",
-    "theoretical_bounds",
-    "try_extract_ranking",
-    "ttc",
-    "validate_instance",
-    "yrmh_igyt",
-    "__version__",
-]
+__all__ = ["HousebanditsError", "InputError", "RuntimeFailure", "__version__"]

@@ -14,23 +14,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .env import MarketEnv, RoundOutcome
+from .env import ArmStats, MarketEnv, RoundOutcome
 from .market import Matching, Ranking, ttc
-
-
-class IndexState:
-    """Per-player empirical means and pull counts over all arms."""
-
-    __slots__ = ("means", "counts")
-
-    def __init__(self, n: int):
-        self.means = [0.0] * n
-        self.counts = [0] * n
-
-    def update(self, arm: int, reward: float) -> None:
-        c = self.counts[arm]
-        self.means[arm] = (self.means[arm] * c + reward) / (c + 1)
-        self.counts[arm] = c + 1
 
 
 def index(mean: float, count: int, t: int) -> float:
@@ -48,7 +33,7 @@ def rank_by_index(indices: Sequence[float]) -> Ranking:
     return tuple(sorted(range(len(indices)), key=lambda j: (-indices[j], j)))
 
 
-def submitted_rankings(states: Sequence[IndexState], t: int) -> tuple[Ranking, ...]:
+def submitted_rankings(states: Sequence[ArmStats], t: int) -> tuple[Ranking, ...]:
     rankings = []
     for st in states:
         means = st.means
@@ -59,7 +44,7 @@ def submitted_rankings(states: Sequence[IndexState], t: int) -> tuple[Ranking, .
 
 
 def platform_round(
-    states: Sequence[IndexState], t: int, env: MarketEnv
+    states: Sequence[ArmStats], t: int, env: MarketEnv
 ) -> tuple[Matching, RoundOutcome]:
     """One full platform round: collect rankings, match via top trading
     cycles, pull the assigned arms, then fold the observed rewards into

@@ -15,8 +15,10 @@ from pathlib import Path
 
 from . import __version__
 from .decentralized import entry_round_bound
+from .env import SAMPLING_FAMILIES, write_csv
 from .errors import ConfigInvalidError, InputError, RuntimeFailure
 from .harness import (
+    ALGORITHMS,
     ExperimentConfig,
     default_checkpoints,
     export,
@@ -27,12 +29,12 @@ from .harness import (
 from .instances import GENERATOR_FAMILIES, GeneratorConfig, generate
 from .market import (
     MAX_ORACLE_N,
+    REWARD_MODELS,
     MarketInstance,
     core_oracle_bruteforce,
     load_instance,
     save_instance,
     save_matching,
-    ttc,
     yrmh_igyt,
 )
 
@@ -75,7 +77,7 @@ def _read_instance(path: str) -> MarketInstance:
         return load_instance(path)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot read instance {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalidError(f"instance {path} is not valid JSON: {exc}") from exc
 
 
@@ -85,7 +87,7 @@ def _read_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalidError(f"config {path} must hold a JSON object")
@@ -98,15 +100,16 @@ _CONFIG_KEYS = {
     "horizon",
     "seeds",
     "reward_family",
-    "trace",
     "checkpoints",
     "instance_id",
 }
 
 
-def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> ExperimentConfig:
+def build_experiment(
+    args: argparse.Namespace, need_many_seeds: bool, trace: bool = False
+) -> ExperimentConfig:
     """Merge an optional JSON config file with CLI flags; explicit
-    flags win over config values."""
+    flags win over config values. trace keeps the per-round rows."""
     raw: dict = {}
     if args.config:
         raw = _read_config_file(args.config)
@@ -114,14 +117,18 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> Experim
         if unknown:
             raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
     instance_path = args.instance or raw.get("instance")
-    if not instance_path:
-        raise ConfigInvalidError("an instance file is required (--instance or config)")
+    if not instance_path or not isinstance(instance_path, str):
+        raise ConfigInvalidError("an instance file path is required (--instance or config)")
     algorithm = args.algo or raw.get("algorithm")
-    if not algorithm:
-        raise ConfigInvalidError("an algorithm is required (--algo or config)")
+    if not algorithm or not isinstance(algorithm, str):
+        raise ConfigInvalidError("an algorithm name is required (--algo or config)")
     horizon = args.horizon if args.horizon is not None else raw.get("horizon")
     if horizon is None:
         raise ConfigInvalidError("a horizon is required (--horizon or config)")
+    try:
+        horizon = int(horizon)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}") from exc
     if args.seeds is not None:
         seeds = parse_seeds(args.seeds)
     elif "seeds" in raw:
@@ -138,21 +145,26 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> Experim
     if args.checkpoints is not None:
         checkpoints = parse_checkpoints(args.checkpoints)
     elif "checkpoints" in raw:
-        checkpoints = tuple(raw["checkpoints"])
+        cps_raw = raw["checkpoints"]
+        if not isinstance(cps_raw, list) or not all(isinstance(c, int) for c in cps_raw):
+            raise ConfigInvalidError("config checkpoints must be a list of integers")
+        checkpoints = tuple(cps_raw)
     else:
         checkpoints = None
     family = args.family or raw.get("reward_family")
-    trace = bool(args.trace) or bool(raw.get("trace"))
+    instance_id = raw.get("instance_id", Path(instance_path).stem)
+    if not isinstance(instance_id, str):
+        raise ConfigInvalidError(f"config instance_id must be a string, got {instance_id!r}")
     instance = _read_instance(instance_path)
     return ExperimentConfig(
         instance=instance,
         algorithm=algorithm,
-        horizon=int(horizon),
+        horizon=horizon,
         seeds=seeds,
         reward_family=family,
         trace=trace,
         checkpoints=checkpoints,
-        instance_id=raw.get("instance_id", Path(instance_path).stem),
+        instance_id=instance_id,
     )
 
 
@@ -177,7 +189,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_experiment(args, need_many_seeds=False)
+    config = build_experiment(args, need_many_seeds=False, trace=bool(args.trace))
     trace = run_episode(config, config.seeds[0])
     for i in range(config.instance.n):
         print(
@@ -187,7 +199,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if trace.stats:
         print(f"stats: {json.dumps(trace.stats, sort_keys=True)}")
     if args.trace:
-        _write_trace(trace, args.trace)
+        try:
+            write_csv(args.trace, trace.trace_columns, trace.trace_rows)
+        except OSError as exc:
+            raise ConfigInvalidError(f"cannot write {args.trace}: {exc}") from exc
         print(f"trace written to {args.trace}")
     if args.snapshots:
         if trace.player_snapshots is None:
@@ -200,17 +215,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigInvalidError(f"cannot write {args.snapshots}: {exc}") from exc
         print(f"snapshots written to {args.snapshots}")
     return 0
-
-
-def _write_trace(trace, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(trace.trace_columns) + "\n")
-            for row in trace.trace_rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-                fh.write("\n")
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
@@ -261,6 +265,9 @@ def cmd_mechanisms(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    min_horizon = ALGORITHMS[args.algo].min_horizon
+    if args.horizon < min_horizon:
+        raise ConfigInvalidError(f"{args.algo} needs horizon >= {min_horizon}, got {args.horizon}")
     instance = _read_instance(args.instance)
     checkpoints = (
         parse_checkpoints(args.checkpoints)
@@ -285,15 +292,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--instance", help="instance JSON file")
-    sub.add_argument(
-        "--algo", choices=("decentralized-etc", "centralized-ucb", "oracle-fixed")
-    )
+    sub.add_argument("--algo", choices=tuple(ALGORITHMS))
     sub.add_argument("--horizon", type=int)
     sub.add_argument("--seeds", help="comma list; a:b expands to range(a, b)")
     sub.add_argument("--checkpoints", help="comma list of snapshot rounds")
     sub.add_argument(
         "--family",
-        choices=("gaussian", "bernoulli", "deterministic"),
+        choices=SAMPLING_FAMILIES,
         help="override the instance's reward family",
     )
 
@@ -315,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--distinguished", type=int, help="1-based distinguished player (lower-bound)"
     )
     gen.add_argument("--seed", type=int, help="generator seed")
-    gen.add_argument(
-        "--reward-model", default="gaussian", choices=("gaussian", "bernoulli")
-    )
+    gen.add_argument("--reward-model", default="gaussian", choices=REWARD_MODELS)
     gen.add_argument("--out", required=True, help="output instance JSON path")
     gen.set_defaults(func=cmd_gen)
 
@@ -329,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = subs.add_parser("mc", help="Monte Carlo aggregate over seeds")
     _add_experiment_flags(mc)
-    mc.add_argument("--trace", action="store_true", help=argparse.SUPPRESS)
     mc.add_argument("--out", required=True, help="output path prefix (.csv/.json appended)")
     mc.set_defaults(func=cmd_mc)
 
@@ -340,11 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = subs.add_parser("bounds", help="print closed-form regret bound curves")
     bounds.add_argument("--instance", required=True)
-    bounds.add_argument(
-        "--algo",
-        required=True,
-        choices=("decentralized-etc", "centralized-ucb", "oracle-fixed"),
-    )
+    bounds.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     bounds.add_argument("--horizon", required=True, type=int)
     bounds.add_argument("--checkpoints", help="comma list of rounds to evaluate")
     bounds.set_defaults(func=cmd_bounds)

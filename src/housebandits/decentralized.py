@@ -35,9 +35,9 @@ remaining round; uncommitted bystanders abstain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+from .env import ArmStats
 from .errors import DesyncError
 from .market import Ranking
 
@@ -54,34 +54,6 @@ class PlayerView(NamedTuple):
     reward: float
     collided: bool
     own_applicants: tuple[int, ...]
-
-
-@dataclass
-class ExplorationStats:
-    """Per-arm empirical means and pull counts against a known horizon."""
-
-    means: list[float]
-    counts: list[int]
-    horizon: int
-
-    @classmethod
-    def fresh(cls, n: int, horizon: int) -> "ExplorationStats":
-        return cls(means=[0.0] * n, counts=[0] * n, horizon=horizon)
-
-    def update(self, arm: int, reward: float) -> None:
-        c = self.counts[arm]
-        self.means[arm] = (self.means[arm] * c + reward) / (c + 1)
-        self.counts[arm] = c + 1
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Position of a phase-1 round: sub-phase index, stage, and the
-    1-based offset inside the stage."""
-
-    ell: int
-    stage: str
-    offset: int
 
 
 def sub_phase_end(ell: int, n: int) -> int:
@@ -107,29 +79,13 @@ def entry_round_bound(n: int, horizon: int, gap: float) -> int:
     return sub_phase_end(ell, n)
 
 
-def schedule_of(t: int, n: int) -> Schedule:
-    """Map a global round t >= 1 to its phase-1 stage position."""
-    if t < 1:
-        raise DesyncError(f"rounds are 1-based, got {t}")
-    start = 0
-    ell = 1
-    while True:
-        block = 2**ell
-        if t <= start + block:
-            return Schedule(ell=ell, stage=EXPLORE, offset=t - start)
-        if t <= start + block + n:
-            return Schedule(ell=ell, stage=COMMUNICATE, offset=t - start - block)
-        start += block + n
-        ell += 1
-
-
 def confidence_bounds(mean: float, count: int, horizon: int) -> tuple[float, float]:
     """Symmetric confidence interval with radius sqrt(6 ln T / max(count, 1))."""
     radius = math.sqrt(6.0 * math.log(horizon) / max(count, 1))
     return mean - radius, mean + radius
 
 
-def try_extract_ranking(stats: ExplorationStats) -> Ranking | None:
+def try_extract_ranking(stats: ArmStats, horizon: int) -> Ranking | None:
     """Certified ranking, or None.
 
     Sort arms by empirical mean (descending) and accept iff for every
@@ -138,14 +94,12 @@ def try_extract_ranking(stats: ExplorationStats) -> Ranking | None:
     pointless: pairwise-disjoint intervals admit exactly this order.
     """
     means = stats.means
-    n = len(means)
-    order = sorted(range(n), key=lambda j: (-means[j], j))
-    log_term = 6.0 * math.log(stats.horizon)
     counts = stats.counts
+    order = sorted(range(len(means)), key=lambda j: (-means[j], j))
     for a, b in zip(order, order[1:]):
-        radius_a = math.sqrt(log_term / max(counts[a], 1))
-        radius_b = math.sqrt(log_term / max(counts[b], 1))
-        if not means[a] - radius_a > means[b] + radius_b:
+        lower_a = confidence_bounds(means[a], counts[a], horizon)[0]
+        upper_b = confidence_bounds(means[b], counts[b], horizon)[1]
+        if not lower_a > upper_b:
             return None
     return tuple(order)
 
@@ -162,12 +116,13 @@ class DecentralizedPlayer:
         self.id = player_id
         self.n = n
         self.horizon = horizon
-        self.stats = ExplorationStats.fresh(n, horizon)
+        self.stats = ArmStats(n)
         self.phase = 1
         self.t = 0
+        # the phase-1 schedule: sub-phase, stage, rounds left in the stage
         self.ell = 1
         self.stage = EXPLORE
-        self.stage_left = 2  # rounds remaining in the current stage
+        self.stage_left = 2
         self.p_flag = False
         self.sigma: Ranking | None = None
         self.pending_entry = False
@@ -243,7 +198,8 @@ class DecentralizedPlayer:
         return action
 
     def _best_available(self) -> int:
-        assert self.sigma is not None
+        if self.sigma is None:
+            raise DesyncError(f"player {self.id} is in phase 2 without a certified ranking")
         for arm in self.sigma:
             if arm in self.available:
                 return arm
@@ -267,7 +223,7 @@ class DecentralizedPlayer:
             self.stage_left -= 1
             if self.stage_left == 0:
                 # end of the exploration block: refresh the certificate
-                extracted = try_extract_ranking(self.stats)
+                extracted = try_extract_ranking(self.stats, self.horizon)
                 self.p_flag = extracted is not None
                 if extracted is not None:
                     self.sigma = extracted
@@ -283,7 +239,11 @@ class DecentralizedPlayer:
             if self.pending_entry:
                 self.phase = 2
                 self.t1 = t
-                assert t == sub_phase_end(self.ell, self.n)
+                if t != sub_phase_end(self.ell, self.n):
+                    raise DesyncError(
+                        f"player {self.id} entered phase 2 at round {t}, "
+                        f"not at the end of sub-phase {self.ell}"
+                    )
             else:
                 self.ell += 1
                 self.stage = EXPLORE

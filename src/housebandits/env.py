@@ -19,11 +19,11 @@ yields the exact same stream as drawing one block per round.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EntryOutOfRangeError, MeanOutOfRangeError, RoundOutOfRangeError
+from .errors import EntryOutOfRangeError, RoundOutOfRangeError
 from .market import MarketInstance
 
 # The abstain action: a proposal slot holding None instead of an arm.
@@ -72,84 +72,27 @@ class RoundOutcome:
         return self._applicants[arm]
 
 
-def sample_reward(family: str, mean: float, rng: np.random.Generator) -> float:
-    """One reward draw. Gaussian adds a unit-variance normal to the
-    mean; Bernoulli returns 1 with probability mean; deterministic
-    returns the mean itself."""
-    if family == "gaussian":
-        return float(mean + rng.standard_normal())
-    if family == "bernoulli":
-        if not 0.0 <= mean <= 1.0:
-            raise MeanOutOfRangeError(f"Bernoulli mean must lie in [0, 1], got {mean}")
-        return float(rng.random() < mean)
-    if family == "deterministic":
-        return float(mean)
-    raise EntryOutOfRangeError(f"unknown reward family {family!r}")
+class ArmStats:
+    """One player's empirical mean and pull count per arm."""
 
+    __slots__ = ("means", "counts")
 
-def _resolve(proposals, utilities, n, family, noise_row):
-    matched: list[int | None] = [None] * n
-    rewards = [0.0] * n
-    collided = [False] * n
-    applicants: list[list[int]] = [[] for _ in range(n)]
-    for i, arm in enumerate(proposals):
-        if arm is ABSTAIN:
-            continue
-        if not 0 <= arm < n:
-            raise EntryOutOfRangeError(f"player {i} proposed invalid arm {arm}")
-        applicants[arm].append(i)
-    for arm, apps in enumerate(applicants):
-        if len(apps) == 1:
-            i = apps[0]
-            matched[i] = arm
-            mean = utilities[i][arm]
-            if family == "gaussian":
-                rewards[i] = mean + noise_row[i]
-            elif family == "bernoulli":
-                rewards[i] = 1.0 if noise_row[i] < mean else 0.0
-            else:
-                rewards[i] = mean
-        elif len(apps) > 1:
-            for i in apps:
-                collided[i] = True
-    return RoundOutcome(
-        proposals=tuple(proposals),
-        matched=tuple(matched),
-        rewards=tuple(rewards),
-        collided=tuple(collided),
-        applicant_counts=tuple(len(a) for a in applicants),
-        applicants=tuple(tuple(a) for a in applicants),
-    )
+    def __init__(self, n: int):
+        self.means = [0.0] * n
+        self.counts = [0] * n
 
-
-def resolve_round(
-    proposals: Sequence[int | None],
-    instance: MarketInstance,
-    rng: np.random.Generator,
-    family: str | None = None,
-) -> RoundOutcome:
-    """Resolve one round, consuming one block of n variates from rng
-    for a stochastic family (none for deterministic)."""
-    n = instance.n
-    if len(proposals) != n:
-        raise EntryOutOfRangeError(f"expected {n} proposal slots, got {len(proposals)}")
-    fam = instance.reward_model if family is None else family
-    if fam not in SAMPLING_FAMILIES:
-        raise EntryOutOfRangeError(f"unknown reward family {fam!r}")
-    if fam == "gaussian":
-        noise = rng.standard_normal(n)
-    elif fam == "bernoulli":
-        noise = rng.random(n)
-    else:
-        noise = None
-    return _resolve(proposals, instance.utilities.tolist(), n, fam, noise)
+    def update(self, arm: int, reward: float) -> None:
+        c = self.counts[arm]
+        self.means[arm] = (self.means[arm] * c + reward) / (c + 1)
+        self.counts[arm] = c + 1
 
 
 class MarketEnv:
     """Sequential episode driver: seeded rng plus a round counter.
 
-    step() is equivalent to resolve_round on a shared generator; noise
-    blocks are pregenerated in chunks purely for speed.
+    Noise blocks are pregenerated in chunks purely for speed; the stream
+    equals one rng.standard_normal(n) (Gaussian) or rng.random(n)
+    (Bernoulli) draw per round.
     """
 
     def __init__(self, instance: MarketInstance, seed: int, family: str | None = None):
@@ -179,8 +122,47 @@ class MarketEnv:
         return row
 
     def step(self, proposals: Sequence[int | None]) -> RoundOutcome:
+        """Resolve one round of proposals (one slot per player, an arm
+        or ABSTAIN), consuming one noise block."""
+        n = self.instance.n
+        if len(proposals) != n:
+            raise EntryOutOfRangeError(f"expected {n} proposal slots, got {len(proposals)}")
         self.t += 1
-        return _resolve(proposals, self._u, self.instance.n, self.family, self._next_noise())
+        noise_row = self._next_noise()
+        family = self.family
+        utilities = self._u
+        matched: list[int | None] = [None] * n
+        rewards = [0.0] * n
+        collided = [False] * n
+        applicants: list[list[int]] = [[] for _ in range(n)]
+        for i, arm in enumerate(proposals):
+            if arm is ABSTAIN:
+                continue
+            if not 0 <= arm < n:
+                raise EntryOutOfRangeError(f"player {i} proposed invalid arm {arm}")
+            applicants[arm].append(i)
+        for arm, apps in enumerate(applicants):
+            if len(apps) == 1:
+                i = apps[0]
+                matched[i] = arm
+                mean = utilities[i][arm]
+                if family == "gaussian":
+                    rewards[i] = mean + noise_row[i]
+                elif family == "bernoulli":
+                    rewards[i] = 1.0 if noise_row[i] < mean else 0.0
+                else:
+                    rewards[i] = mean
+            elif len(apps) > 1:
+                for i in apps:
+                    collided[i] = True
+        return RoundOutcome(
+            proposals=tuple(proposals),
+            matched=tuple(matched),
+            rewards=tuple(rewards),
+            collided=tuple(collided),
+            applicant_counts=tuple(len(a) for a in applicants),
+            applicants=tuple(tuple(a) for a in applicants),
+        )
 
 
 class RegretLedger:
@@ -189,9 +171,9 @@ class RegretLedger:
     Pseudo-regret accumulates the mean shortfall
     U(i, core(i)) - (U(i, matched arm) if matched else 0),
     realized regret accumulates U(i, core(i)) - X_i(t). Trace mode
-    additionally keeps one row per (round, player) for CSV export and
-    mid-episode queries; extra_columns lets a caller append per-round
-    values (each repeated on that round's player rows).
+    additionally keeps one row per (round, player) in rows, for
+    write_csv and mid-episode queries; extra_columns lets a caller
+    append per-round values (each repeated on that round's player rows).
     """
 
     def __init__(self, instance: MarketInstance, trace: bool = False,
@@ -206,7 +188,7 @@ class RegretLedger:
         self.realized = [0.0] * self.n
         self.trace = trace
         self.extra_columns = extra_columns
-        self._rows: list[tuple] = []
+        self.rows: list[tuple] = []
 
     def record(self, outcome: RoundOutcome, extra: tuple = ()) -> None:
         self.t += 1
@@ -231,7 +213,7 @@ class RegretLedger:
             collided = outcome.collided
             for i in range(self.n):
                 arm = matched[i]
-                self._rows.append(
+                self.rows.append(
                     (
                         t,
                         i + 1,
@@ -256,31 +238,14 @@ class RegretLedger:
             raise RoundOutOfRangeError(f"round {t} not recorded (current round {self.t})")
         if not self.trace:
             raise RoundOutOfRangeError("mid-episode queries need trace mode")
-        row = self._rows[(t - 1) * self.n + i]
+        row = self.rows[(t - 1) * self.n + i]
         return row[7] if realized else row[6]
 
-    def trace_rows(self) -> list[tuple]:
-        return list(self._rows)
 
-    def write_trace_csv(self, path: str | Path) -> None:
-        if not self.trace:
-            raise RoundOutOfRangeError("trace mode disabled; nothing to export")
-        header = TRACE_COLUMNS + self.extra_columns
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in self._rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def iter_trace_csv(path: str | Path) -> Iterator[dict]:
-    """Tiny reader for trace CSVs, mainly for tests."""
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        yield from csv.DictReader(fh)
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and one line per row; floats as repr, so values
+    round-trip exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([repr(v) if isinstance(v, float) else str(v) for v in row]) + "\n")

@@ -58,10 +58,6 @@ class EmptyCoreError(RuntimeFailure):
 
 # --- environment ---------------------------------------------------------
 
-class MeanOutOfRangeError(InputError):
-    """Bernoulli reward requested with a mean outside [0, 1]."""
-
-
 class RoundOutOfRangeError(InputError):
     """Query for a round the ledger has not recorded (or has not kept)."""
 

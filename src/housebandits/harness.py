@@ -14,18 +14,17 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .centralized import IndexState, platform_round
+from .centralized import platform_round
 from .decentralized import DecentralizedPlayer, PlayerView, commit_cascade
-from .env import SAMPLING_FAMILIES, TRACE_COLUMNS, MarketEnv, RegretLedger
-from .errors import ConfigInvalidError
+from .env import SAMPLING_FAMILIES, TRACE_COLUMNS, ArmStats, MarketEnv, RegretLedger
+from .errors import ConfigInvalidError, DesyncError
 from .market import MarketInstance
 
 log = logging.getLogger(__name__)
-
-ALGORITHMS = ("decentralized-etc", "centralized-ucb", "oracle-fixed")
 
 DEFAULT_CHECKPOINT_GRID = (100, 1_000, 10_000, 100_000)
 
@@ -66,12 +65,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigInvalidError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
+                f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}"
             )
-        if self.horizon < 1:
-            raise ConfigInvalidError(f"horizon must be >= 1, got {self.horizon}")
-        if self.algorithm == "decentralized-etc" and self.horizon < 2:
-            raise ConfigInvalidError("decentralized-etc needs horizon >= 2")
+        min_horizon = ALGORITHMS[self.algorithm].min_horizon
+        if self.horizon < min_horizon:
+            raise ConfigInvalidError(
+                f"{self.algorithm} needs horizon >= {min_horizon}, got {self.horizon}"
+            )
         if not self.seeds:
             raise ConfigInvalidError("seed list must not be empty")
         if self.reward_family is not None and self.reward_family not in SAMPLING_FAMILIES:
@@ -113,20 +113,11 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeTrace:
     instance = config.instance
     horizon = config.horizon
     cps = config.effective_checkpoints()
-    cp_set = set(cps)
+    spec = ALGORITHMS[config.algorithm]
     env = MarketEnv(instance, seed, family=config.reward_family)
+    ledger = RegretLedger(instance, trace=config.trace, extra_columns=spec.extra_columns)
     snaps: dict[int, tuple[float, ...]] = {}
-    snapshots = None
-    if config.algorithm == "oracle-fixed":
-        ledger = RegretLedger(instance, trace=config.trace)
-        _run_oracle_fixed(instance, env, ledger, horizon, cp_set, snaps)
-        stats = {}
-    elif config.algorithm == "centralized-ucb":
-        ledger = RegretLedger(instance, trace=config.trace, extra_columns=("matching_is_core",))
-        stats = _run_centralized(instance, env, ledger, horizon, cp_set, snaps)
-    else:
-        ledger = RegretLedger(instance, trace=config.trace)
-        stats, snapshots = _run_decentralized(instance, env, ledger, horizon, cp_set, snaps)
+    stats, snapshots = spec.run(instance, env, ledger, horizon, set(cps), snaps)
     return EpisodeTrace(
         algorithm=config.algorithm,
         seed=seed,
@@ -136,10 +127,16 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeTrace:
         final_pseudo=tuple(ledger.pseudo),
         final_realized=tuple(ledger.realized),
         stats=stats,
-        trace_rows=ledger.trace_rows() if config.trace else None,
+        trace_rows=ledger.rows if config.trace else None,
         trace_columns=TRACE_COLUMNS + ledger.extra_columns if config.trace else None,
         player_snapshots=snapshots,
     )
+
+
+# Episode runners: (instance, env, ledger, horizon, checkpoint set,
+# snapshot dict to fill) -> (stats, player snapshots or None). The
+# per-round calls go through this module's globals, so they can be
+# swapped at run time.
 
 
 def _run_oracle_fixed(instance, env, ledger, horizon, cp_set, snaps):
@@ -148,11 +145,12 @@ def _run_oracle_fixed(instance, env, ledger, horizon, cp_set, snaps):
         ledger.record(env.step(proposals))
         if t in cp_set:
             snaps[t] = tuple(ledger.pseudo)
+    return {}, None
 
 
 def _run_centralized(instance, env, ledger, horizon, cp_set, snaps):
     n = instance.n
-    states = [IndexState(n) for _ in range(n)]
+    states = [ArmStats(n) for _ in range(n)]
     core = instance.core.assignment
     core_rounds = 0
     core_rounds_second_half = 0
@@ -167,11 +165,12 @@ def _run_centralized(instance, env, ledger, horizon, cp_set, snaps):
         ledger.record(outcome, extra=(int(is_core),) if ledger.trace else ())
         if t in cp_set:
             snaps[t] = tuple(ledger.pseudo)
-    return {
+    stats = {
         "core_match_rounds": core_rounds,
         "core_match_rounds_second_half": core_rounds_second_half,
         "second_half_rounds": horizon - half,
     }
+    return stats, None
 
 
 def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
@@ -192,7 +191,8 @@ def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
             p.observe(t, PlayerView(matched[i], rewards[i], collided[i], outcome.owner_view(i)))
         if in_phase2:
             # committed pulls and chain requests target disjoint arm sets
-            assert not any(collided), f"phase-2 collision at round {t}"
+            if any(collided):
+                raise DesyncError(f"phase-2 collision at round {t}")
             commit_cascade(players, flags)
         for i, p in enumerate(players):
             if p.committed is not None and t > p.commit_round:
@@ -203,7 +203,8 @@ def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
         if t in cp_set:
             snaps[t] = tuple(ledger.pseudo)
     t1 = players[0].t1
-    assert all(p.t1 == t1 for p in players), "players disagree on the entry round"
+    if any(p.t1 != t1 for p in players):
+        raise DesyncError(f"players disagree on the entry round: {[p.t1 for p in players]}")
     stats = {
         "entry_round": t1,
         "commit_rounds": [p.commit_round for p in players],
@@ -268,42 +269,42 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
         mean_regret=tuple(mean_rows),
         stderr=tuple(stderr_rows),
         bounds=tuple(bound_rows),
-        telemetry=_aggregate_telemetry(config, traces),
+        telemetry=ALGORITHMS[config.algorithm].telemetry(traces),
     )
 
 
-def _aggregate_telemetry(config: ExperimentConfig, traces: list[EpisodeTrace]) -> dict:
-    if config.algorithm == "centralized-ucb":
-        frac = [
-            tr.stats["core_match_rounds_second_half"] / tr.stats["second_half_rounds"]
-            for tr in traces
-        ]
-        return {
-            "mean_core_match_fraction_second_half": float(np.mean(frac)),
-        }
-    if config.algorithm == "decentralized-etc":
-        entries = [tr.stats["entry_round"] for tr in traces]
-        entered = [e for e in entries if e is not None]
-        committed_core = 0
-        committed_total = 0
-        post_rounds = 0
-        post_core = 0
-        for tr in traces:
-            committed_total += sum(r is not None for r in tr.stats["commit_rounds"])
-            committed_core += sum(tr.stats["committed_is_core"])
-            post_rounds += sum(tr.stats["post_commit_rounds"])
-            post_core += sum(tr.stats["post_commit_core_rounds"])
-        return {
-            "episodes_entering_phase2": len(entered),
-            "mean_entry_round": float(np.mean(entered)) if entered else None,
-            "player_commitments": committed_total,
-            "player_commitments_to_core": committed_core,
-            "post_commit_rounds": post_rounds,
-            "post_commit_core_rounds": post_core,
-            # vacuously 1.0 when no post-commitment rounds exist
-            "post_commit_core_fraction": (post_core / post_rounds) if post_rounds else 1.0,
-        }
-    return {}
+def _centralized_telemetry(traces: list[EpisodeTrace]) -> dict:
+    frac = [
+        tr.stats["core_match_rounds_second_half"] / tr.stats["second_half_rounds"]
+        for tr in traces
+    ]
+    return {
+        "mean_core_match_fraction_second_half": float(np.mean(frac)),
+    }
+
+
+def _decentralized_telemetry(traces: list[EpisodeTrace]) -> dict:
+    entries = [tr.stats["entry_round"] for tr in traces]
+    entered = [e for e in entries if e is not None]
+    committed_core = 0
+    committed_total = 0
+    post_rounds = 0
+    post_core = 0
+    for tr in traces:
+        committed_total += sum(r is not None for r in tr.stats["commit_rounds"])
+        committed_core += sum(tr.stats["committed_is_core"])
+        post_rounds += sum(tr.stats["post_commit_rounds"])
+        post_core += sum(tr.stats["post_commit_core_rounds"])
+    return {
+        "episodes_entering_phase2": len(entered),
+        "mean_entry_round": float(np.mean(entered)) if entered else None,
+        "player_commitments": committed_total,
+        "player_commitments_to_core": committed_core,
+        "post_commit_rounds": post_rounds,
+        "post_commit_core_rounds": post_core,
+        # vacuously 1.0 when no post-commitment rounds exist
+        "post_commit_core_fraction": (post_core / post_rounds) if post_rounds else 1.0,
+    }
 
 
 def theoretical_bounds(instance: MarketInstance, horizon: int, algorithm: str) -> list[float]:
@@ -320,33 +321,71 @@ def theoretical_bounds(instance: MarketInstance, horizon: int, algorithm: str) -
     """
     if horizon < 1:
         raise ConfigInvalidError(f"bounds need horizon >= 1, got {horizon}")
+    if algorithm not in ALGORITHMS:
+        raise ConfigInvalidError(f"no bound curve for algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm].bound(instance, math.log(horizon))
+
+
+def _finite_gap(instance: MarketInstance) -> bool:
+    """Whether the exploration terms apply; logs the 1x1 case."""
+    if math.isinf(instance.min_gap):
+        log.warning("min gap is infinite (1x1 market); bound keeps only the constant term")
+        return False
+    return True
+
+
+def _decentralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
     n = instance.n
     u = instance.utilities
     core = instance.core.assignment
     gap = instance.min_gap
-    log_t = math.log(horizon)
-    if algorithm == "oracle-fixed":
-        return [0.0] * n
-    if math.isinf(gap):
-        log.warning("min gap is infinite (1x1 market); bound keeps only the constant term")
-    if algorithm == "decentralized-etc":
-        if math.isinf(gap):
-            rounds_term = 3.0 * n * n
-        else:
-            explore = 192.0 * n * log_t / (gap * gap)
-            nested = n * math.log(explore) if explore > 1.0 else 0.0
-            rounds_term = explore + max(nested, 0.0) + 3.0 * n * n
-        return [rounds_term * float(u[i, core[i]]) for i in range(n)]
-    if algorithm == "centralized-ucb":
-        pulls_term = 5.0 * n * n
-        if not math.isinf(gap):
-            pulls_term += 12.0 * n * log_t / (gap * gap)
-        out = []
-        for i in range(n):
-            worst = max(max(0.0, float(u[i, core[i]] - u[i, j])) for j in range(n))
-            out.append(worst * pulls_term)
-        return out
-    raise ConfigInvalidError(f"no bound curve for algorithm {algorithm!r}")
+    if _finite_gap(instance):
+        explore = 192.0 * n * log_t / (gap * gap)
+        nested = n * math.log(explore) if explore > 1.0 else 0.0
+        rounds_term = explore + max(nested, 0.0) + 3.0 * n * n
+    else:
+        rounds_term = 3.0 * n * n
+    return [rounds_term * float(u[i, core[i]]) for i in range(n)]
+
+
+def _centralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
+    n = instance.n
+    u = instance.utilities
+    core = instance.core.assignment
+    gap = instance.min_gap
+    pulls_term = 5.0 * n * n
+    if _finite_gap(instance):
+        pulls_term += 12.0 * n * log_t / (gap * gap)
+    out = []
+    for i in range(n):
+        worst = max(max(0.0, float(u[i, core[i]] - u[i, j])) for j in range(n))
+        out.append(worst * pulls_term)
+    return out
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """Everything the harness and the CLI know about one algorithm."""
+
+    run: Callable  # episode runner, see _run_oracle_fixed
+    bound: Callable[[MarketInstance, float], list[float]]  # (instance, ln T) -> per player
+    telemetry: Callable[[list[EpisodeTrace]], dict]  # cross-seed summary for the report
+    extra_columns: tuple[str, ...] = ()  # per-round trace columns after TRACE_COLUMNS
+    min_horizon: int = 1
+
+
+ALGORITHMS = {
+    "decentralized-etc": Algorithm(
+        _run_decentralized, _decentralized_bound, _decentralized_telemetry, min_horizon=2
+    ),
+    "centralized-ucb": Algorithm(
+        _run_centralized, _centralized_bound, _centralized_telemetry,
+        extra_columns=("matching_is_core",),
+    ),
+    "oracle-fixed": Algorithm(
+        _run_oracle_fixed, lambda instance, log_t: [0.0] * instance.n, lambda traces: {}
+    ),
+}
 
 
 def export(report: AggregateReport, csv_path: str | Path, json_path: str | Path) -> None:

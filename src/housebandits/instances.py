@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalidError, InfeasibleDeltaError, InfeasibleGapFloorError
+from .errors import (
+    ConfigInvalidError,
+    InfeasibleDeltaError,
+    InfeasibleGapFloorError,
+    RuntimeFailure,
+)
 from .market import MarketInstance, validate_instance
 
 GENERATOR_FAMILIES = ("random", "sttcb", "lower-bound")
@@ -123,7 +128,8 @@ def sttcb_instance(
         row[[other_arms[k] for k in rng.permutation(n - 1)]] = others
         rows.append(row)
     instance = validate_instance(np.array(rows), reward_model)
-    assert is_sttcb(instance), "constructed instance must be single-cycle with top = core"
+    if not is_sttcb(instance):
+        raise RuntimeFailure("constructed instance must be single-cycle with top = core")
     return instance
 
 
@@ -156,7 +162,8 @@ def lower_bound_instance(n: int, delta: float, i_star: int) -> MarketInstance:
         for j in range(n):
             u[i, j] = 0.5 if j == top_arm else off + TIE_BREAK_EPS * (j + 1)
     instance = validate_instance(u, "bernoulli")
-    assert is_sttcb(instance)
+    if not is_sttcb(instance):
+        raise RuntimeFailure("lower-bound instance must be single-cycle with top = core")
     return instance
 
 

@@ -30,6 +30,7 @@ from .errors import (
     NonSquareMatrixError,
     NonUniqueCoreError,
     OracleTooLargeError,
+    RuntimeFailure,
     TiedPreferenceError,
 )
 
@@ -160,7 +161,10 @@ def validate_instance(utilities: Iterable, reward_model: str = "gaussian") -> Ma
     Rejects non-square matrices, entries outside [0, 1] (or non-finite),
     duplicate values within a row, and unknown reward models.
     """
-    u = np.array(utilities, dtype=float)
+    try:
+        u = np.array(utilities, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise NonSquareMatrixError(f"utilities must be a square matrix of numbers: {exc}") from exc
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
         raise NonSquareMatrixError(f"utilities must be square and non-empty, got shape {u.shape}")
     if not np.all(np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
@@ -202,7 +206,7 @@ def ttc(rankings: Sequence[Ranking]) -> Matching:
     while remaining:
         iterations += 1
         if iterations > n:
-            raise RuntimeError("ttc failed to terminate in n iterations")
+            raise RuntimeFailure("ttc failed to terminate in n iterations")
         point: dict[int, int] = {}
         for i in remaining:
             c = cursor[i]
@@ -300,10 +304,9 @@ def yrmh_igyt(rankings: Sequence[Ranking]) -> SerialDictatorshipResult:
 # --- core membership ------------------------------------------------------
 
 
-def find_blocking_coalition(
-    utilities: np.ndarray, matching: Matching, max_n: int = MAX_ORACLE_N
-) -> Coalition | None:
-    """Search for a coalition that blocks the matching, smallest first.
+def find_blocking_coalition(utilities: np.ndarray, matching: Matching) -> Coalition | None:
+    """A coalition that blocks the matching, or None iff the matching is
+    the core matching.
 
     A coalition blocks when it can reallocate its own endowments so
     that no member is worse off and at least one member is strictly
@@ -311,43 +314,39 @@ def find_blocking_coalition(
     blocking notion under which the core is the single matching that
     top trading cycles produces). Members who do not improve must be
     handed exactly the arm they already hold, since any other arm of
-    equal value cannot exist in a strict market.
+    equal value cannot exist in a strict market; rows must be strict
+    (TiedPreferenceError otherwise).
 
-    Any blocking coalition contains a blocking trade cycle: decompose
-    its reallocation into permutation cycles and keep one containing a
-    strict improver. Enumerating cyclic coalitions is therefore
-    exhaustive for existence. Returns None iff the matching is the core
-    matching.
+    Any blocking coalition contains a blocking trade cycle, so the
+    witness returned is always one cycle: each member takes the
+    endowment of the next, listed from the smallest member. The search
+    is the digraph search of _blocking_search, polynomial in n.
     """
-    u = np.asarray(utilities, dtype=float)
-    n = u.shape[0]
-    if n > max_n:
-        raise OracleTooLargeError(f"blocking search limited to n <= {max_n}, got {n}")
-    base = [u[i, matching.arm_of(i)] for i in range(n)]
-    players = range(n)
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(players, k):
-            first = subset[0]
-            # fix the smallest member first so each cycle appears once
-            for rest in itertools.permutations(subset[1:]):
-                cycle = (first,) + rest
-                ok = True
-                strict = False
-                for m in range(k):
-                    # member m takes the endowment of its successor:
-                    # either a strict improvement or its current match
-                    succ = cycle[(m + 1) % k]
-                    if u[cycle[m], succ] > base[cycle[m]]:
-                        strict = True
-                    elif succ != matching.arm_of(cycle[m]):
-                        ok = False
-                        break
-                if ok and strict:
-                    realloc = tuple(
-                        (cycle[m], cycle[(m + 1) % k]) for m in range(k)
-                    )
-                    return Coalition(members=subset, reallocation=realloc)
-    return None
+    rankings, pos = _preference_tables(np.asarray(utilities, dtype=float))
+    found = _blocking_search(rankings, pos, matching.assignment)
+    if found is None:
+        return None
+    held, closing = found
+    if isinstance(held, dict):
+        # mixed cycle: parent links lead from the strict edge's tail
+        # back to its head
+        cycle = [closing]
+        node = held[closing]
+        while node is not None:
+            cycle.append(node)
+            node = held[node]
+        cycle.reverse()
+    else:
+        # strict cycle: the depth-first stack from the node that closed it
+        nodes = [node for node, _ in held]
+        cycle = nodes[nodes.index(closing):]
+    first = cycle.index(min(cycle))
+    cycle = cycle[first:] + cycle[:first]
+    k = len(cycle)
+    return Coalition(
+        members=tuple(sorted(cycle)),
+        reallocation=tuple((cycle[m], cycle[(m + 1) % k]) for m in range(k)),
+    )
 
 
 def core_oracle_bruteforce(utilities: np.ndarray, max_n: int = MAX_ORACLE_N) -> Matching:
@@ -359,16 +358,10 @@ def core_oracle_bruteforce(utilities: np.ndarray, max_n: int = MAX_ORACLE_N) -> 
     n = u.shape[0]
     if n > max_n:
         raise OracleTooLargeError(f"brute-force oracle limited to n <= {max_n}, got {n}")
-    # prefix[i] lists the arms player i strictly prefers to its match,
-    # which is exactly the ranking prefix before the matched arm
-    rankings = [ranking_from_utilities(u, i) for i in range(n)]
-    pos = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for p, j in enumerate(rankings[i]):
-            pos[i][j] = p
+    rankings, pos = _preference_tables(u)
     unblocked: list[tuple[int, ...]] = []
     for perm in itertools.permutations(range(n)):
-        if not _is_blocked(rankings, pos, perm):
+        if _blocking_search(rankings, pos, perm) is None:
             unblocked.append(perm)
             if len(unblocked) > 1:
                 raise NonUniqueCoreError(
@@ -379,11 +372,24 @@ def core_oracle_bruteforce(utilities: np.ndarray, max_n: int = MAX_ORACLE_N) -> 
     return Matching(unblocked[0])
 
 
-def _is_blocked(
+def _preference_tables(u: np.ndarray) -> tuple[list[Ranking], list[list[int]]]:
+    """Rankings plus pos[i][j], the place of arm j in player i's
+    ranking. The arms player i strictly prefers to its match are the
+    ranking prefix before the matched arm."""
+    n = u.shape[0]
+    rankings = [ranking_from_utilities(u, i) for i in range(n)]
+    pos = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for p, j in enumerate(rankings[i]):
+            pos[i][j] = p
+    return rankings, pos
+
+
+def _blocking_search(
     rankings: Sequence[Ranking], pos: Sequence[Sequence[int]], matching: Sequence[int]
-) -> bool:
-    """Existence half of find_blocking_coalition, tuned for the n!
-    enumeration loop.
+) -> tuple | None:
+    """Digraph search for an objection to the matching, tuned for the
+    n! enumeration loop of the oracle.
 
     View the market as a digraph on players with a strict edge i -> j
     whenever player i strictly prefers arm a_j to its matched arm (the
@@ -392,6 +398,14 @@ def _is_blocked(
     owner of that arm). The matching is weakly dominated iff some cycle
     uses at least one strict edge; pure stay cycles are the matching
     itself and object to nothing.
+
+    Returns None when unblocked. Otherwise returns, without further
+    work, what the search holds when it closes a cycle: (stack, node)
+    for a cycle of strict edges, where stack lists (node, edge pointer)
+    along the depth-first path and node is the stacked node the last
+    edge returns to; or (parent, u) for a mixed cycle, where the strict
+    edge u -> v closes and parent maps each node reached from v to its
+    predecessor (v maps to None).
     """
     n = len(matching)
     cut = [pos[i][matching[i]] for i in range(n)]
@@ -413,7 +427,7 @@ def _is_blocked(
                 ptr += 1
                 s = state[nxt]
                 if s == 1:
-                    return True
+                    return stack, nxt
                 if s == 0:
                     stack[-1] = (node, ptr)
                     stack.append((nxt, 0))
@@ -428,17 +442,17 @@ def _is_blocked(
     adjacency = [list(rankings[i][: cut[i]]) + [matching[i]] for i in range(n)]
     for u in range(n):
         for v in rankings[u][: cut[u]]:
-            seen = {v}
+            parent = {v: None}
             frontier = [v]
             while frontier:
                 node = frontier.pop()
                 if node == u:
-                    return True
+                    return parent, u
                 for nxt in adjacency[node]:
-                    if nxt not in seen:
-                        seen.add(nxt)
+                    if nxt not in parent:
+                        parent[nxt] = node
                         frontier.append(nxt)
-    return False
+    return None
 
 
 # --- serialization --------------------------------------------------------

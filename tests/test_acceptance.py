@@ -204,7 +204,7 @@ def test_ac7_environment_statistics():
     for _ in range(50):
         out = env2.step([0, 0])
         ledger.record(out)
-    forced = [r for r in ledger.trace_rows() if r[4] == 1]
+    forced = [r for r in ledger.rows if r[4] == 1]
     cfg = ExperimentConfig(
         swap, "decentralized-etc", 1100, (0,),
         reward_family="deterministic", checkpoints=(1100,), trace=True,

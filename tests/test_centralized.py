@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from housebandits.centralized import IndexState, index, rank_by_index, submitted_rankings
+from housebandits.centralized import index, rank_by_index, submitted_rankings
+from housebandits.env import ArmStats
 from housebandits.harness import ExperimentConfig, monte_carlo, run_episode
 from housebandits.instances import sttcb_instance
 from housebandits.market import validate_instance
@@ -33,7 +34,7 @@ class TestIndex:
         assert by_round == sorted(by_round)
 
     def test_incremental_update(self):
-        st = IndexState(2)
+        st = ArmStats(2)
         st.update(1, 0.9)
         st.update(1, 0.3)
         assert st.means[1] == pytest.approx(0.6)
@@ -51,7 +52,7 @@ class TestRanking:
         assert rank_by_index([0.5, 0.7, 0.5]) == (1, 0, 2)
 
     def test_first_round_everyone_ranks_identically(self):
-        states = [IndexState(3) for _ in range(3)]
+        states = [ArmStats(3) for _ in range(3)]
         assert submitted_rankings(states, 1) == ((0, 1, 2),) * 3
 
 
@@ -64,7 +65,7 @@ class TestRounds:
 
         inst = swap_market()
         env = MarketEnv(inst, seed=0)
-        states = [IndexState(2) for _ in range(2)]
+        states = [ArmStats(2) for _ in range(2)]
         matching, outcome = platform_round(states, 1, env)
         assert matching.assignment == (0, 1)
         assert outcome.matched == (0, 1)
@@ -77,7 +78,7 @@ class TestRounds:
         rng = np.random.default_rng(5)
         inst = sttcb_instance(4, 0.25, rng, "gaussian")
         env = MarketEnv(inst, seed=11)
-        states = [IndexState(4) for _ in range(4)]
+        states = [ArmStats(4) for _ in range(4)]
         for t in range(1, 51):
             matching, outcome = platform_round(states, t, env)
             assert sorted(matching.assignment) == [0, 1, 2, 3]
@@ -90,7 +91,7 @@ class TestRounds:
 
         inst = swap_market()
         env = MarketEnv(inst, seed=0)
-        states = [IndexState(2) for _ in range(2)]
+        states = [ArmStats(2) for _ in range(2)]
         for t in range(1, 11):
             platform_round(states, t, env)
         assert all(sum(st.counts) == 10 for st in states)

@@ -231,3 +231,40 @@ class TestBounds:
             "--horizon", "100", "--checkpoints", "1000",
         ])
         assert code == 2
+
+
+RAGGED_INSTANCE = {"n": 2, "utilities": [[0.1, 0.2], [0.3]], "reward_model": "gaussian"}
+MC_CONFIG = {"algorithm": "oracle-fixed", "horizon": 100, "seeds": [0, 1]}
+MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        (RAGGED_INSTANCE, ["mechanisms", "--instance", "{file}"]),
+        (b"\xff\xfe{}", ["mechanisms", "--instance", "{file}"]),
+        (b"\xff\xfe{}", MC_WITH_CONFIG),
+        ({**MC_CONFIG, "horizon": "ten"}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "checkpoints": ["a"]}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "trace": True}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "algorithm": ["oracle-fixed"]}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "instance_id": 5}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "instance": 5}, ["mc", "--config", "{file}", "--out", "{out}"]),
+        (None, ["bounds", "--instance", "{instance}", "--algo", "decentralized-etc",
+                "--horizon", "1"]),
+    ],
+    ids=["ragged-utilities", "instance-not-utf8", "config-not-utf8", "horizon-not-an-integer",
+         "checkpoint-not-an-integer", "config-trace-key", "algorithm-not-a-string",
+         "instance-id-not-a-string", "instance-not-a-path", "horizon-below-algorithm-minimum"],
+)
+def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
+    args = [a.format(file=path, instance=instance_path, out=tmp_path / "out") for a in argv]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -11,14 +11,13 @@ from housebandits.decentralized import (
     COMMUNICATE,
     EXPLORE,
     DecentralizedPlayer,
-    ExplorationStats,
-    Schedule,
+    PlayerView,
     confidence_bounds,
     entry_round_bound,
-    schedule_of,
     sub_phase_end,
     try_extract_ranking,
 )
+from housebandits.env import ArmStats
 from housebandits.errors import DesyncError
 from housebandits.harness import ExperimentConfig, run_episode
 from housebandits.instances import sttcb_instance
@@ -31,32 +30,47 @@ def swap_market():
 
 
 def reference_schedule(t, n):
-    """Independent prefix-sum walk over explore/communicate blocks."""
+    """Independent prefix-sum walk over explore/communicate blocks:
+    (sub-phase, stage, 1-based offset in the stage) of round t."""
     ell = 1
     while True:
         if t <= 2**ell:
-            return Schedule(ell=ell, stage=EXPLORE, offset=t)
+            return (ell, EXPLORE, t)
         t -= 2**ell
         if t <= n:
-            return Schedule(ell=ell, stage=COMMUNICATE, offset=t)
+            return (ell, COMMUNICATE, t)
         t -= n
         ell += 1
+
+
+def walk_schedule(n, rounds):
+    """Yield (t, (sub-phase, stage, offset)) for rounds 1..rounds, read
+    from a player's own counters before it acts. Zero rewards tie every
+    arm, so the player never certifies and stays in phase 1."""
+    player = DecentralizedPlayer(0, n, 10**7)
+    flags = [True] * n
+    for t in range(1, rounds + 1):
+        length = 2**player.ell if player.stage == EXPLORE else n
+        yield t, (player.ell, player.stage, length - player.stage_left + 1)
+        arm = player.action(t, flags)
+        player.observe(t, PlayerView(arm, 0.0, False, ()))
 
 
 class TestSchedule:
     def test_three_player_layout(self):
         """Hand-unrolled layout for n=3: 2 explore + 3 status rounds,
         then 4 + 3, then 8 + 3."""
-        assert schedule_of(1, 3) == Schedule(1, EXPLORE, 1)
-        assert schedule_of(2, 3) == Schedule(1, EXPLORE, 2)
-        assert schedule_of(3, 3) == Schedule(1, COMMUNICATE, 1)
-        assert schedule_of(5, 3) == Schedule(1, COMMUNICATE, 3)
-        assert schedule_of(6, 3) == Schedule(2, EXPLORE, 1)
-        assert schedule_of(9, 3) == Schedule(2, EXPLORE, 4)
-        assert schedule_of(10, 3) == Schedule(2, COMMUNICATE, 1)
-        assert schedule_of(12, 3) == Schedule(2, COMMUNICATE, 3)
-        assert schedule_of(13, 3) == Schedule(3, EXPLORE, 1)
-        assert schedule_of(23, 3) == Schedule(3, COMMUNICATE, 3)
+        layout = dict(walk_schedule(3, 23))
+        assert layout[1] == (1, EXPLORE, 1)
+        assert layout[2] == (1, EXPLORE, 2)
+        assert layout[3] == (1, COMMUNICATE, 1)
+        assert layout[5] == (1, COMMUNICATE, 3)
+        assert layout[6] == (2, EXPLORE, 1)
+        assert layout[9] == (2, EXPLORE, 4)
+        assert layout[10] == (2, COMMUNICATE, 1)
+        assert layout[12] == (2, COMMUNICATE, 3)
+        assert layout[13] == (3, EXPLORE, 1)
+        assert layout[23] == (3, COMMUNICATE, 3)
 
     def test_sub_phase_end_closed_form(self):
         assert sub_phase_end(1, 3) == 5
@@ -68,24 +82,36 @@ class TestSchedule:
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_matches_prefix_sum_reference(self, n):
-        for t in list(range(1, 2000)) + [10**6, 10**6 + 1]:
-            assert schedule_of(t, n) == reference_schedule(t, n)
+        for t, position in walk_schedule(n, 10**6 + 1):
+            if t < 2000 or t >= 10**6:
+                assert position == reference_schedule(t, n), t
 
     def test_schedule_rejects_nonpositive_round(self):
+        player = DecentralizedPlayer(0, 3, 1000)
         with pytest.raises(DesyncError):
-            schedule_of(0, 3)
+            player.action(0, [True] * 3)
+        with pytest.raises(DesyncError):
+            player.observe(0, PlayerView(None, 0.0, False, ()))
 
     def test_stage_ends_line_up_with_sub_phase_end(self):
         for n in (2, 4):
+            layout = dict(walk_schedule(n, sub_phase_end(11, n) + 1))
             for ell in range(1, 12):
                 end = sub_phase_end(ell, n)
-                assert schedule_of(end, n) == Schedule(ell, COMMUNICATE, n)
-                assert schedule_of(end + 1, n) == Schedule(ell + 1, EXPLORE, 1)
+                assert layout[end] == (ell, COMMUNICATE, n)
+                assert layout[end + 1] == (ell + 1, EXPLORE, 1)
+
+
+def stats_of(means, counts):
+    stats = ArmStats(len(means))
+    stats.means = list(means)
+    stats.counts = list(counts)
+    return stats
 
 
 class TestEstimates:
     def test_incremental_mean_matches_average(self):
-        stats = ExplorationStats.fresh(2, 1000)
+        stats = ArmStats(2)
         stats.update(0, 1.0)
         assert stats.means[0] == 1.0 and stats.counts[0] == 1
         stats.update(0, 0.5)
@@ -109,29 +135,24 @@ class TestEstimates:
 
 class TestExtraction:
     def test_unseen_arm_blocks_certification(self):
-        stats = ExplorationStats(means=[0.9, 0.0], counts=[400, 0], horizon=400)
-        assert try_extract_ranking(stats) is None
+        assert try_extract_ranking(stats_of([0.9, 0.0], [400, 0]), 400) is None
 
     def test_separated_means_certify(self):
         # radius at count 400, horizon 400 is 0.2998; 0.9 - r > 0.1 + r
-        stats = ExplorationStats(means=[0.9, 0.1], counts=[400, 400], horizon=400)
-        assert try_extract_ranking(stats) == (0, 1)
+        assert try_extract_ranking(stats_of([0.9, 0.1], [400, 400]), 400) == (0, 1)
 
     def test_wide_intervals_refuse(self):
         # radius at count 100 is 0.5996; intervals overlap
-        stats = ExplorationStats(means=[0.9, 0.1], counts=[100, 100], horizon=400)
-        assert try_extract_ranking(stats) is None
+        assert try_extract_ranking(stats_of([0.9, 0.1], [100, 100]), 400) is None
 
     def test_one_close_pair_blocks_everything(self):
-        stats = ExplorationStats(
-            means=[0.9, 0.5, 0.48], counts=[10**4, 10**4, 10**4], horizon=10**4
-        )
-        assert try_extract_ranking(stats) is None
+        stats = stats_of([0.9, 0.5, 0.48], [10**4, 10**4, 10**4])
+        assert try_extract_ranking(stats, 10**4) is None
 
     def test_order_follows_means_not_indices(self):
-        stats = ExplorationStats(means=[0.5, 0.9, 0.1], counts=[10**4] * 3, horizon=10**4)
+        stats = stats_of([0.5, 0.9, 0.1], [10**4] * 3)
         # radius 0.0743 at count 1e4; all pairwise gaps >= 0.4
-        assert try_extract_ranking(stats) == (1, 0, 2)
+        assert try_extract_ranking(stats, 10**4) == (1, 0, 2)
 
 
 class TestEntryBound:
@@ -168,6 +189,14 @@ class TestPlayerStateMachine:
         player = DecentralizedPlayer(0, 3, 1000)
         with pytest.raises(DesyncError):
             player.action(2, [True] * 3)
+
+    def test_phase2_without_a_ranking_is_a_desync(self):
+        """An epoch leader that reached phase 2 with no certified
+        ranking has nothing to request: a typed error, also under -O."""
+        player = DecentralizedPlayer(0, 2, 1000)
+        player.phase = 2
+        with pytest.raises(DesyncError, match="without a certified ranking"):
+            player.action(1, [True, True])
 
 
 def zero_noise_swap_episode(trace=False):

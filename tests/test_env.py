@@ -1,6 +1,7 @@
 """Environment tests: collision resolution, reward sampling, regret
 accounting, reproducibility, and trace export."""
 
+import csv
 import math
 
 import numpy as np
@@ -9,19 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from housebandits.env import (
+    _NOISE_CHUNK_ROUNDS,
     ABSTAIN,
+    TRACE_COLUMNS,
     MarketEnv,
     RegretLedger,
-    iter_trace_csv,
-    resolve_round,
-    sample_reward,
+    write_csv,
 )
-from housebandits.errors import (
-    EntryOutOfRangeError,
-    MeanOutOfRangeError,
-    RoundOutOfRangeError,
-)
+from housebandits.errors import EntryOutOfRangeError, RoundOutOfRangeError
 from housebandits.market import validate_instance
+
+
+def resolve(proposals, instance, family=None, seed=0):
+    """One round on a fresh environment."""
+    return MarketEnv(instance, seed, family=family).step(proposals)
+
+
+def draws(instance, arm, rounds, seed, family=None):
+    """Rewards of player 0 pulling one arm alone, round after round."""
+    env = MarketEnv(instance, seed, family=family)
+    return [env.step([arm] + [ABSTAIN] * (instance.n - 1)).rewards[0] for _ in range(rounds)]
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -41,11 +54,11 @@ def tri():
     )
 
 
-# --- resolve_round ----------------------------------------------------------
+# --- round resolution ----------------------------------------------------------
 
 
 def test_resolve_unique_proposals_all_match(swap2):
-    out = resolve_round([0, 1], swap2, np.random.default_rng(0), family="deterministic")
+    out = resolve([0, 1], swap2, family="deterministic")
     assert out.matched == (0, 1)
     assert out.collided == (False, False)
     assert out.rewards == (0.2, 0.3)
@@ -53,7 +66,7 @@ def test_resolve_unique_proposals_all_match(swap2):
 
 
 def test_resolve_collision_blocks_everyone(swap2):
-    out = resolve_round([0, 0], swap2, np.random.default_rng(0))
+    out = resolve([0, 0], swap2)
     assert out.matched == (None, None)
     assert out.collided == (True, True)
     assert out.rewards == (0.0, 0.0)
@@ -61,7 +74,7 @@ def test_resolve_collision_blocks_everyone(swap2):
 
 
 def test_resolve_abstain_is_not_a_collision(tri):
-    out = resolve_round([1, ABSTAIN, 1], tri, np.random.default_rng(0))
+    out = resolve([1, ABSTAIN, 1], tri)
     assert out.collided == (True, False, True)
     assert out.matched == (None, None, None)
     assert out.rewards == (0.0, 0.0, 0.0)
@@ -70,13 +83,23 @@ def test_resolve_abstain_is_not_a_collision(tri):
 
 def test_resolve_rejects_bad_arm(swap2):
     with pytest.raises(EntryOutOfRangeError):
-        resolve_round([0, 2], swap2, np.random.default_rng(0))
+        resolve([0, 2], swap2)
     with pytest.raises(EntryOutOfRangeError):
-        resolve_round([0], swap2, np.random.default_rng(0))
+        resolve([0, -1], swap2)
+
+
+@pytest.mark.parametrize("proposals", [[0], [0, 1, ABSTAIN], []])
+def test_step_rejects_wrong_number_of_slots(swap2, proposals):
+    """A short vector is not read as abstentions, nor a long one
+    truncated; the round counter does not move."""
+    env = MarketEnv(swap2, seed=0)
+    with pytest.raises(EntryOutOfRangeError):
+        env.step(proposals)
+    assert env.t == 0
 
 
 def test_owner_view_carries_identities(tri):
-    out = resolve_round([1, ABSTAIN, 1], tri, np.random.default_rng(0))
+    out = resolve([1, ABSTAIN, 1], tri)
     assert out.owner_view(1) == (0, 2)
     assert out.owner_view(0) == ()
     # identity sets are not part of the public per-player fields
@@ -88,8 +111,8 @@ def test_collision_structure_is_permutation_symmetric(tri):
     proposals = [1, ABSTAIN, 1]
     perm = [2, 0, 1]  # player i of the permuted round is player perm[i]
     permuted = [proposals[perm[i]] for i in range(3)]
-    a = resolve_round(proposals, tri, np.random.default_rng(0))
-    b = resolve_round(permuted, tri, np.random.default_rng(0))
+    a = resolve(proposals, tri)
+    b = resolve(permuted, tri)
     for i in range(3):
         assert b.matched[i] == a.matched[perm[i]]
         assert b.collided[i] == a.collided[perm[i]]
@@ -109,7 +132,7 @@ def test_resolve_matches_at_most_one_player_per_arm(proposals):
             ]
         )
     )
-    out = resolve_round(proposals, inst, np.random.default_rng(1))
+    out = resolve(proposals, inst, seed=1)
     matched_arms = [a for a in out.matched if a is not None]
     assert len(matched_arms) == len(set(matched_arms))
     for i, arm in enumerate(out.matched):
@@ -126,37 +149,39 @@ def test_resolve_matches_at_most_one_player_per_arm(proposals):
 
 
 def test_bernoulli_extremes():
-    rng = np.random.default_rng(0)
-    assert all(sample_reward("bernoulli", 1.0, rng) == 1.0 for _ in range(50))
-    assert all(sample_reward("bernoulli", 0.0, rng) == 0.0 for _ in range(50))
+    inst = validate_instance([[1.0, 0.0], [0.0, 1.0]], "bernoulli")
+    assert draws(inst, 0, 50, seed=0) == [1.0] * 50
+    assert draws(inst, 1, 50, seed=0) == [0.0] * 50
 
 
 def test_bernoulli_rejects_bad_mean():
-    with pytest.raises(MeanOutOfRangeError):
-        sample_reward("bernoulli", 1.2, np.random.default_rng(0))
-
-
-def test_unknown_family_rejected():
+    """Bernoulli means are utilities, and a utility outside [0, 1]
+    never makes it into an instance."""
     with pytest.raises(EntryOutOfRangeError):
-        sample_reward("uniform", 0.5, np.random.default_rng(0))
+        validate_instance([[1.2, 0.5], [0.4, 0.5]], "bernoulli")
+
+
+def test_unknown_family_rejected(swap2):
+    with pytest.raises(EntryOutOfRangeError):
+        MarketEnv(swap2, seed=0, family="uniform")
 
 
 def test_gaussian_sample_mean_concentrates():
     # CLT: stderr = 1/sqrt(1e5) ~ 0.0032, so +-0.02 is ~6 sigma
-    rng = np.random.default_rng(123)
-    draws = [sample_reward("gaussian", 0.5, rng) for _ in range(100_000)]
-    assert abs(float(np.mean(draws)) - 0.5) < 0.02
+    one_arm = validate_instance([[0.5]], "gaussian")
+    assert abs(float(np.mean(draws(one_arm, 0, 100_000, seed=123))) - 0.5) < 0.02
 
 
-def test_gaussian_is_not_clipped(swap2):
-    rng = np.random.default_rng(5)
-    draws = [sample_reward("gaussian", 0.1, rng) for _ in range(200)]
-    assert min(draws) < 0.0
-    assert max(draws) > 1.0
+def test_gaussian_is_not_clipped():
+    one_arm = validate_instance([[0.1]], "gaussian")
+    rewards = draws(one_arm, 0, 200, seed=5)
+    assert min(rewards) < 0.0
+    assert max(rewards) > 1.0
 
 
 def test_deterministic_family_returns_mean():
-    assert sample_reward("deterministic", 0.37, np.random.default_rng(0)) == 0.37
+    inst = validate_instance([[0.37, 0.2], [0.1, 0.9]], "gaussian")
+    assert draws(inst, 0, 3, seed=0, family="deterministic") == [0.37] * 3
 
 
 # --- ledger -----------------------------------------------------------------
@@ -164,15 +189,14 @@ def test_deterministic_family_returns_mean():
 
 def test_record_zero_increment_when_matched_to_core(swap2):
     ledger = RegretLedger(swap2)
-    out = resolve_round([1, 0], swap2, np.random.default_rng(0), family="deterministic")
-    ledger.record(out)
+    ledger.record(resolve([1, 0], swap2, family="deterministic"))
     assert ledger.pseudo == [0.0, 0.0]
 
 
 def test_record_collision_increment_is_core_mean(tri):
     # core means: p0 -> a1 (0.9), p1 -> a0 (0.9), p2 -> a2 (0.1)
     ledger = RegretLedger(tri)
-    out = resolve_round([1, 1, ABSTAIN], tri, np.random.default_rng(0))
+    out = resolve([1, 1, ABSTAIN], tri)
     ledger.record(out)
     assert ledger.pseudo == pytest.approx([0.9, 0.9, 0.1])
 
@@ -180,19 +204,19 @@ def test_record_collision_increment_is_core_mean(tri):
 def test_ten_collision_rounds_accumulate(swap2):
     # core mean for p0 is u[0][1] = 0.9; p1 proposes a0 -> 0.8
     ledger = RegretLedger(swap2)
-    rng = np.random.default_rng(0)
+    env = MarketEnv(swap2, seed=0)
     for _ in range(10):
-        ledger.record(resolve_round([0, 0], swap2, rng))
+        ledger.record(env.step([0, 0]))
     assert ledger.cumulative_regret(0) == pytest.approx(9.0)
     assert ledger.cumulative_regret(1) == pytest.approx(8.0)
 
 
 def test_full_core_episode_has_zero_regret(tri):
     ledger = RegretLedger(tri)
-    rng = np.random.default_rng(0)
+    env = MarketEnv(tri, seed=0, family="deterministic")
     core = tri.core.assignment
     for _ in range(37):
-        ledger.record(resolve_round(list(core), tri, rng, family="deterministic"))
+        ledger.record(env.step(list(core)))
     assert ledger.pseudo == pytest.approx([0.0, 0.0, 0.0])
     assert ledger.realized == pytest.approx([0.0, 0.0, 0.0])
 
@@ -204,7 +228,7 @@ def test_cumulative_regret_round_zero_is_zero(swap2):
 
 def test_cumulative_regret_bounds_checking(swap2):
     ledger = RegretLedger(swap2)
-    ledger.record(resolve_round([0, 0], swap2, np.random.default_rng(0)))
+    ledger.record(resolve([0, 0], swap2))
     with pytest.raises(RoundOutOfRangeError):
         ledger.cumulative_regret(0, t=5)
     with pytest.raises(RoundOutOfRangeError):
@@ -213,15 +237,15 @@ def test_cumulative_regret_bounds_checking(swap2):
 
 def test_mid_episode_query_needs_trace(swap2):
     plain = RegretLedger(swap2)
-    rng = np.random.default_rng(0)
-    plain.record(resolve_round([0, 0], swap2, rng))
-    plain.record(resolve_round([0, 0], swap2, rng))
+    env = MarketEnv(swap2, seed=0)
+    plain.record(env.step([0, 0]))
+    plain.record(env.step([0, 0]))
     with pytest.raises(RoundOutOfRangeError):
         plain.cumulative_regret(0, t=1)
     traced = RegretLedger(swap2, trace=True)
-    rng = np.random.default_rng(0)
-    traced.record(resolve_round([0, 0], swap2, rng))
-    traced.record(resolve_round([0, 0], swap2, rng))
+    env = MarketEnv(swap2, seed=0)
+    traced.record(env.step([0, 0]))
+    traced.record(env.step([0, 0]))
     assert traced.cumulative_regret(0, t=1) == pytest.approx(0.9)
     assert traced.cumulative_regret(0, t=2) == pytest.approx(1.8)
 
@@ -250,11 +274,11 @@ def test_pseudo_regret_monotone_when_core_is_argmax():
     pseudo increment is non-negative."""
     inst = validate_instance([[0.2, 0.9], [0.8, 0.3]])
     ledger = RegretLedger(inst, trace=True)
-    rng = np.random.default_rng(3)
+    env = MarketEnv(inst, seed=3)
     arms = [0, 1, None]
     gen = np.random.default_rng(99)
     for _ in range(60):
-        ledger.record(resolve_round([arms[gen.integers(3)] for _ in range(2)], inst, rng))
+        ledger.record(env.step([arms[gen.integers(3)] for _ in range(2)]))
     for i in range(2):
         series = [ledger.cumulative_regret(i, t=t) for t in range(61)]
         assert all(b - a >= -1e-12 for a, b in zip(series, series[1:]))
@@ -263,18 +287,26 @@ def test_pseudo_regret_monotone_when_core_is_argmax():
 # --- reproducibility --------------------------------------------------------
 
 
-def test_env_step_equals_resolve_round_stream(tri):
-    """Chunked noise pregeneration must reproduce the one-block-per-
-    round stream exactly."""
-    proposals = [[1, ABSTAIN, 1], [1, 0, 2], [ABSTAIN, ABSTAIN, 0], [2, 1, 0]] * 10
-    env = MarketEnv(tri, seed=42)
-    rng = np.random.default_rng(42)
-    for props in proposals:
-        a = env.step(props)
-        b = resolve_round(props, tri, rng)
-        assert a.matched == b.matched
-        assert a.rewards == b.rewards
-        assert a.collided == b.collided
+def test_env_step_equals_per_round_draws(tri):
+    """Chunked noise pregeneration must reproduce one block of n draws
+    per round exactly, across a chunk refill."""
+    proposals = [[1, ABSTAIN, 1], [1, 0, 2], [ABSTAIN, ABSTAIN, 0], [2, 1, 0]]
+    u = tri.utilities.tolist()
+    for family in ("gaussian", "bernoulli"):
+        env = MarketEnv(tri, seed=42, family=family)
+        rng = np.random.default_rng(42)
+        for t in range(_NOISE_CHUNK_ROUNDS + 100):
+            props = proposals[t % 4]
+            out = env.step(props)
+            noise = rng.standard_normal(3) if family == "gaussian" else rng.random(3)
+            expected = [0.0] * 3
+            for i, arm in enumerate(props):
+                if arm is not None and props.count(arm) == 1:
+                    mean = u[i][arm]
+                    gaussian = family == "gaussian"
+                    expected[i] = mean + noise[i] if gaussian else float(noise[i] < mean)
+            assert list(out.rewards) == expected, (family, t)
+            assert out.collided == tuple(a is not None and props.count(a) > 1 for a in props)
 
 
 def test_identical_seeds_reproduce_bit_identical_episodes(tri):
@@ -283,7 +315,7 @@ def test_identical_seeds_reproduce_bit_identical_episodes(tri):
         ledger = RegretLedger(tri, trace=True)
         for t in range(50):
             ledger.record(env.step([t % 3, (t + 1) % 3, ABSTAIN]))
-        return ledger.trace_rows()
+        return ledger.rows
 
     assert run() == run()
 
@@ -297,8 +329,8 @@ def test_trace_csv_layout(tmp_path, tri):
     ledger.record(env.step([1, ABSTAIN, 1]))
     ledger.record(env.step([1, 0, 2]))
     path = tmp_path / "trace.csv"
-    ledger.write_trace_csv(path)
-    rows = list(iter_trace_csv(path))
+    write_csv(path, TRACE_COLUMNS, ledger.rows)
+    rows = read_csv(path)
     assert len(rows) == 6
     head = rows[0]
     assert list(head) == [
@@ -318,6 +350,8 @@ def test_trace_csv_layout(tmp_path, tri):
     # round 2: everyone matched to the core matching
     assert rows[3]["matched_arm"] == "2" and rows[3]["collided"] == "0"
     assert float(rows[3]["pseudo_regret_cum"]) == pytest.approx(0.9)
+    # floats are written with repr, so they read back exactly
+    assert [float(r["realized_regret_cum"]) for r in rows] == [r[7] for r in ledger.rows]
 
 
 def test_trace_extra_columns(tmp_path, tri):
@@ -325,12 +359,12 @@ def test_trace_extra_columns(tmp_path, tri):
     env = MarketEnv(tri, seed=0)
     ledger.record(env.step([1, 0, 2]), extra=(1,))
     path = tmp_path / "trace.csv"
-    ledger.write_trace_csv(path)
-    rows = list(iter_trace_csv(path))
-    assert rows[0]["matching_is_core"] == "1"
+    write_csv(path, TRACE_COLUMNS + ledger.extra_columns, ledger.rows)
+    assert read_csv(path)[0]["matching_is_core"] == "1"
 
 
-def test_trace_export_requires_trace_mode(tmp_path, tri):
+def test_trace_export_requires_trace_mode(tri):
+    """Without trace mode the ledger keeps no rows to export."""
     ledger = RegretLedger(tri)
-    with pytest.raises(RoundOutOfRangeError):
-        ledger.write_trace_csv(tmp_path / "x.csv")
+    ledger.record(MarketEnv(tri, seed=0).step([1, 0, 2]))
+    assert ledger.rows == []

@@ -19,7 +19,7 @@ from housebandits.harness import (
     run_episode,
     theoretical_bounds,
 )
-from housebandits.instances import lower_bound_instance, sttcb_instance
+from housebandits.instances import sttcb_instance
 from housebandits.market import validate_instance
 
 

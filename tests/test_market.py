@@ -297,30 +297,58 @@ def test_blocking_needs_carried_along_member():
     assert core_oracle_bruteforce(u).assignment == (1, 0, 2)
 
 
-def test_blocking_respects_size_limit():
+def assert_valid_objection(u, m, c):
+    """The coalition trades its members' endowments along one cycle,
+    never hurts a member, and strictly improves at least one."""
+    assert sorted(p for p, _ in c.reallocation) == sorted(c.members)
+    assert sorted(a for _, a in c.reallocation) == sorted(c.members)
+    strict = 0
+    for player, arm in c.reallocation:
+        if u[player, arm] > u[player, m.arm_of(player)]:
+            strict += 1
+        else:
+            assert arm == m.arm_of(player)
+    assert strict >= 1
+
+
+def test_blocking_search_scales_past_the_oracle_limit():
+    """The search is polynomial: at n = 9, beyond the brute-force
+    oracle, it clears the core and objects to a non-core matching."""
     u = random_utilities(3, 9)
-    with pytest.raises(OracleTooLargeError):
-        find_blocking_coalition(u, Matching(tuple(range(9))))
+    core = validate_instance(u).core
+    identity = Matching(tuple(range(9)))
+    assert core != identity
+    assert find_blocking_coalition(u, core) is None
+    assert_valid_objection(u, identity, find_blocking_coalition(u, identity))
 
 
 def test_blocking_reallocation_uses_member_endowments_only():
-    """A returned objection trades members' endowments, never hurts a
-    member, and strictly improves at least one."""
     for seed in range(30):
         u = random_utilities(seed, 4)
         m = Matching(tuple(np.random.default_rng(seed).permutation(4).tolist()))
         c = find_blocking_coalition(u, m)
-        if c is None:
-            continue
-        strict = 0
-        for player, arm in c.reallocation:
-            assert player in c.members
-            assert arm in c.members
-            if u[player, arm] > u[player, m.arm_of(player)]:
-                strict += 1
-            else:
-                assert arm == m.arm_of(player)
-        assert strict >= 1
+        if c is not None:
+            assert_valid_objection(u, m, c)
+
+
+@st.composite
+def markets_and_matchings(draw):
+    n = draw(st.integers(1, 6))
+    u = random_utilities(draw(st.integers(0, 10_000)), n)
+    if draw(st.booleans()):
+        return u, validate_instance(u).core
+    return u, Matching(tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(markets_and_matchings())
+def test_blocking_search_is_exact_and_witnessed(case):
+    """No objection exactly on the core; any objection is valid."""
+    u, m = case
+    c = find_blocking_coalition(u, m)
+    assert (c is None) == (m == validate_instance(u).core)
+    if c is not None:
+        assert_valid_objection(u, m, c)
 
 
 def test_oracle_two_player_swap():
