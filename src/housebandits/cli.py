@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .decentralized import entry_round_bound
-from .env import SAMPLING_FAMILIES, write_csv
+from .env import SAMPLING_FAMILIES
 from .errors import ConfigInvalidError, InputError, RuntimeFailure
 from .harness import (
     ALGORITHMS,
@@ -25,6 +25,7 @@ from .harness import (
     monte_carlo,
     run_episode,
     theoretical_bounds,
+    validate_checkpoints,
 )
 from .instances import GENERATOR_FAMILIES, GeneratorConfig, generate
 from .market import (
@@ -72,6 +73,11 @@ def parse_checkpoints(text: str) -> tuple[int, ...]:
         raise ConfigInvalidError(f"bad checkpoint list {text!r}") from exc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; Python counts a bool as an int, JSON does not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_instance(path: str) -> MarketInstance:
     try:
         return load_instance(path)
@@ -105,11 +111,9 @@ _CONFIG_KEYS = {
 }
 
 
-def build_experiment(
-    args: argparse.Namespace, need_many_seeds: bool, trace: bool = False
-) -> ExperimentConfig:
+def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> ExperimentConfig:
     """Merge an optional JSON config file with CLI flags; explicit
-    flags win over config values. trace keeps the per-round rows."""
+    flags win over config values."""
     raw: dict = {}
     if args.config:
         raw = _read_config_file(args.config)
@@ -125,15 +129,13 @@ def build_experiment(
     horizon = args.horizon if args.horizon is not None else raw.get("horizon")
     if horizon is None:
         raise ConfigInvalidError("a horizon is required (--horizon or config)")
-    try:
-        horizon = int(horizon)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}") from exc
+    if not _is_int(horizon):
+        raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}")
     if args.seeds is not None:
         seeds = parse_seeds(args.seeds)
     elif "seeds" in raw:
         seeds_raw = raw["seeds"]
-        if not isinstance(seeds_raw, list) or not all(isinstance(s, int) for s in seeds_raw):
+        if not isinstance(seeds_raw, list) or not all(map(_is_int, seeds_raw)):
             raise ConfigInvalidError("config seeds must be a list of integers")
         seeds = tuple(seeds_raw)
     else:
@@ -146,7 +148,7 @@ def build_experiment(
         checkpoints = parse_checkpoints(args.checkpoints)
     elif "checkpoints" in raw:
         cps_raw = raw["checkpoints"]
-        if not isinstance(cps_raw, list) or not all(isinstance(c, int) for c in cps_raw):
+        if not isinstance(cps_raw, list) or not all(map(_is_int, cps_raw)):
             raise ConfigInvalidError("config checkpoints must be a list of integers")
         checkpoints = tuple(cps_raw)
     else:
@@ -162,7 +164,6 @@ def build_experiment(
         horizon=horizon,
         seeds=seeds,
         reward_family=family,
-        trace=trace,
         checkpoints=checkpoints,
         instance_id=instance_id,
     )
@@ -189,27 +190,32 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_experiment(args, need_many_seeds=False, trace=bool(args.trace))
-    trace = run_episode(config, config.seeds[0])
+    config = build_experiment(args, need_many_seeds=False)
+    if args.snapshots and not ALGORITHMS[config.algorithm].snapshots:
+        raise ConfigInvalidError(f"{config.algorithm} produces no player snapshots")
+    seed = config.seeds[0]
+    try:
+        # opened before the first round and written as the episode plays
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                episode = run_episode(config, seed, trace=fh)
+        else:
+            episode = run_episode(config, seed)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot write {args.trace}: {exc}") from exc
     for i in range(config.instance.n):
         print(
-            f"player {i + 1}: pseudo_regret={trace.final_pseudo[i]:.6g} "
-            f"realized_regret={trace.final_realized[i]:.6g}"
+            f"player {i + 1}: pseudo_regret={episode.final_pseudo[i]:.6g} "
+            f"realized_regret={episode.final_realized[i]:.6g}"
         )
-    if trace.stats:
-        print(f"stats: {json.dumps(trace.stats, sort_keys=True)}")
+    if episode.stats:
+        print(f"stats: {json.dumps(episode.stats, sort_keys=True)}")
     if args.trace:
-        try:
-            write_csv(args.trace, trace.trace_columns, trace.trace_rows)
-        except OSError as exc:
-            raise ConfigInvalidError(f"cannot write {args.trace}: {exc}") from exc
         print(f"trace written to {args.trace}")
     if args.snapshots:
-        if trace.player_snapshots is None:
-            raise ConfigInvalidError("player snapshots are only produced by decentralized-etc")
         try:
             with open(args.snapshots, "w", encoding="utf-8") as fh:
-                json.dump({"players": trace.player_snapshots}, fh, indent=2, sort_keys=True)
+                json.dump({"players": episode.player_snapshots}, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:
             raise ConfigInvalidError(f"cannot write {args.snapshots}: {exc}") from exc
@@ -276,10 +282,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     )
     if not checkpoints:
         checkpoints = (args.horizon,)
+    validate_checkpoints(checkpoints, args.horizon)
     print("checkpoint_t,player,bound")
     for t in checkpoints:
-        if t > args.horizon:
-            raise ConfigInvalidError(f"checkpoint {t} exceeds horizon {args.horizon}")
         values = theoretical_bounds(instance, t, args.algo)
         for i, v in enumerate(values):
             print(f"{t},{i + 1},{v:.6g}")

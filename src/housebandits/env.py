@@ -18,12 +18,11 @@ yields the exact same stream as drawing one block per round.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import EntryOutOfRangeError, RoundOutOfRangeError
+from .errors import EntryOutOfRangeError, RuntimeFailure
 from .market import MarketInstance
 
 # The abstain action: a proposal slot holding None instead of an arm.
@@ -52,19 +51,18 @@ class RoundOutcome:
     """Result of one resolved round.
 
     Public per-player fields: proposals, matched (arm or None), rewards,
-    collided. Public per-arm field: applicant_counts. Full applicant
-    identity sets are reachable only through owner_view, mirroring the
-    rule that only the owner of an arm observes its application profile.
+    collided. Applicant identity sets are reachable only through
+    owner_view, mirroring the rule that only the owner of an arm
+    observes its application profile.
     """
 
-    __slots__ = ("proposals", "matched", "rewards", "collided", "applicant_counts", "_applicants")
+    __slots__ = ("proposals", "matched", "rewards", "collided", "_applicants")
 
-    def __init__(self, proposals, matched, rewards, collided, applicant_counts, applicants):
+    def __init__(self, proposals, matched, rewards, collided, applicants):
         self.proposals = proposals
         self.matched = matched
         self.rewards = rewards
         self.collided = collided
-        self.applicant_counts = applicant_counts
         self._applicants = applicants
 
     def owner_view(self, arm: int) -> tuple[int, ...]:
@@ -110,6 +108,7 @@ class MarketEnv:
         if self.family == "deterministic":
             return None
         if self._chunk is None or self._chunk_pos >= len(self._chunk):
+            self._chunk = None  # free the spent chunk before building the next
             n = self.instance.n
             if self.family == "gaussian":
                 block = self.rng.standard_normal((_NOISE_CHUNK_ROUNDS, n))
@@ -160,7 +159,6 @@ class MarketEnv:
             matched=tuple(matched),
             rewards=tuple(rewards),
             collided=tuple(collided),
-            applicant_counts=tuple(len(a) for a in applicants),
             applicants=tuple(tuple(a) for a in applicants),
         )
 
@@ -170,13 +168,15 @@ class RegretLedger:
 
     Pseudo-regret accumulates the mean shortfall
     U(i, core(i)) - (U(i, matched arm) if matched else 0),
-    realized regret accumulates U(i, core(i)) - X_i(t). Trace mode
-    additionally keeps one row per (round, player) in rows, for
-    write_csv and mid-episode queries; extra_columns lets a caller
-    append per-round values (each repeated on that round's player rows).
+    realized regret accumulates U(i, core(i)) - X_i(t). Given a text
+    file as trace, the ledger writes the CSV header at once and then one
+    line per (round, player) as each round is recorded, so a trace takes
+    constant memory. extra_columns lets a caller append per-round values,
+    each repeated on that round's player rows. Values are written with
+    repr, so floats read back exactly.
     """
 
-    def __init__(self, instance: MarketInstance, trace: bool = False,
+    def __init__(self, instance: MarketInstance, trace: TextIO | None = None,
                  extra_columns: tuple[str, ...] = ()):
         self.instance = instance
         self.n = instance.n
@@ -186,9 +186,11 @@ class RegretLedger:
         self.t = 0
         self.pseudo = [0.0] * self.n
         self.realized = [0.0] * self.n
-        self.trace = trace
+        self.trace = trace is not None
+        self._file = trace
         self.extra_columns = extra_columns
-        self.rows: list[tuple] = []
+        if trace is not None:
+            trace.write(",".join(TRACE_COLUMNS + extra_columns) + "\n")
 
     def record(self, outcome: RoundOutcome, extra: tuple = ()) -> None:
         self.t += 1
@@ -205,47 +207,19 @@ class RegretLedger:
             realized[i] += core_means[i] - rewards[i]
         if self.trace:
             if len(extra) != len(self.extra_columns):
-                raise RoundOutOfRangeError(
+                raise RuntimeFailure(
                     f"expected {len(self.extra_columns)} extra values, got {len(extra)}"
                 )
             t = self.t
             proposals = outcome.proposals
             collided = outcome.collided
+            tail = "".join(f",{v!r}" for v in extra)
+            lines = []
             for i in range(self.n):
+                p = proposals[i]
                 arm = matched[i]
-                self.rows.append(
-                    (
-                        t,
-                        i + 1,
-                        0 if proposals[i] is None else proposals[i] + 1,
-                        0 if arm is None else arm + 1,
-                        int(collided[i]),
-                        rewards[i],
-                        pseudo[i],
-                        realized[i],
-                    )
-                    + extra
+                lines.append(
+                    f"{t},{i + 1},{0 if p is None else p + 1},{0 if arm is None else arm + 1},"
+                    f"{int(collided[i])},{rewards[i]!r},{pseudo[i]!r},{realized[i]!r}{tail}\n"
                 )
-
-    def cumulative_regret(self, i: int, t: int | None = None, realized: bool = False) -> float:
-        """Cumulative regret of player i after round t (default: the
-        current round). Mid-episode rounds require trace mode."""
-        if t is None or t == self.t:
-            return self.realized[i] if realized else self.pseudo[i]
-        if t == 0:
-            return 0.0
-        if t < 0 or t > self.t:
-            raise RoundOutOfRangeError(f"round {t} not recorded (current round {self.t})")
-        if not self.trace:
-            raise RoundOutOfRangeError("mid-episode queries need trace mode")
-        row = self.rows[(t - 1) * self.n + i]
-        return row[7] if realized else row[6]
-
-
-def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and one line per row; floats as repr, so values
-    round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join([repr(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
+            self._file.write("".join(lines))

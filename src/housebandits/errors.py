@@ -56,12 +56,6 @@ class EmptyCoreError(RuntimeFailure):
     Cannot happen for strict preferences; signals a bug."""
 
 
-# --- environment ---------------------------------------------------------
-
-class RoundOutOfRangeError(InputError):
-    """Query for a round the ledger has not recorded (or has not kept)."""
-
-
 # --- instance generators -------------------------------------------------
 
 class InfeasibleGapFloorError(InputError):

@@ -14,13 +14,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
 from .centralized import platform_round
 from .decentralized import DecentralizedPlayer, PlayerView, commit_cascade
-from .env import SAMPLING_FAMILIES, TRACE_COLUMNS, ArmStats, MarketEnv, RegretLedger
+from .env import SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
 from .errors import ConfigInvalidError, DesyncError
 from .market import MarketInstance
 
@@ -44,6 +44,14 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(c for c in DEFAULT_CHECKPOINT_GRID if 1 <= c <= horizon)
 
 
+def validate_checkpoints(checkpoints: tuple[int, ...], horizon: int) -> None:
+    """Checkpoints are strictly increasing rounds in [1, horizon]."""
+    if any(c < 1 or c > horizon for c in checkpoints):
+        raise ConfigInvalidError(f"checkpoints must lie in [1, horizon], got {checkpoints}")
+    if list(checkpoints) != sorted(set(checkpoints)):
+        raise ConfigInvalidError(f"checkpoints must be strictly increasing, got {checkpoints}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved experiment: the CLI handles file paths and
@@ -58,7 +66,6 @@ class ExperimentConfig:
     horizon: int
     seeds: tuple[int, ...]
     reward_family: str | None = None
-    trace: bool = False
     checkpoints: tuple[int, ...] | None = None
     instance_id: str = "instance"
 
@@ -78,11 +85,7 @@ class ExperimentConfig:
             raise ConfigInvalidError(
                 f"unknown reward family {self.reward_family!r}; expected one of {SAMPLING_FAMILIES}"
             )
-        cps = self.effective_checkpoints()
-        if any(c < 1 or c > self.horizon for c in cps):
-            raise ConfigInvalidError(f"checkpoints must lie in [1, horizon], got {cps}")
-        if list(cps) != sorted(set(cps)):
-            raise ConfigInvalidError(f"checkpoints must be strictly increasing, got {cps}")
+        validate_checkpoints(self.effective_checkpoints(), self.horizon)
 
     def effective_checkpoints(self) -> tuple[int, ...]:
         if self.checkpoints is not None:
@@ -103,19 +106,20 @@ class EpisodeTrace:
     final_pseudo: tuple[float, ...]
     final_realized: tuple[float, ...]
     stats: dict = field(default_factory=dict)
-    trace_rows: list | None = None
-    trace_columns: tuple[str, ...] | None = None
     player_snapshots: list[dict] | None = None
 
 
-def run_episode(config: ExperimentConfig, seed: int) -> EpisodeTrace:
-    """Play one episode to the horizon and collect regret snapshots."""
+def run_episode(
+    config: ExperimentConfig, seed: int, trace: TextIO | None = None
+) -> EpisodeTrace:
+    """Play one episode to the horizon and collect regret snapshots;
+    with a text file as trace, write the per-round trace CSV to it."""
     instance = config.instance
     horizon = config.horizon
     cps = config.effective_checkpoints()
     spec = ALGORITHMS[config.algorithm]
     env = MarketEnv(instance, seed, family=config.reward_family)
-    ledger = RegretLedger(instance, trace=config.trace, extra_columns=spec.extra_columns)
+    ledger = RegretLedger(instance, trace=trace, extra_columns=spec.extra_columns)
     snaps: dict[int, tuple[float, ...]] = {}
     stats, snapshots = spec.run(instance, env, ledger, horizon, set(cps), snaps)
     return EpisodeTrace(
@@ -127,8 +131,6 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeTrace:
         final_pseudo=tuple(ledger.pseudo),
         final_realized=tuple(ledger.realized),
         stats=stats,
-        trace_rows=ledger.rows if config.trace else None,
-        trace_columns=TRACE_COLUMNS + ledger.extra_columns if config.trace else None,
         player_snapshots=snapshots,
     )
 
@@ -372,11 +374,13 @@ class Algorithm:
     telemetry: Callable[[list[EpisodeTrace]], dict]  # cross-seed summary for the report
     extra_columns: tuple[str, ...] = ()  # per-round trace columns after TRACE_COLUMNS
     min_horizon: int = 1
+    snapshots: bool = False  # whether the runner returns per-player snapshots
 
 
 ALGORITHMS = {
     "decentralized-etc": Algorithm(
-        _run_decentralized, _decentralized_bound, _decentralized_telemetry, min_horizon=2
+        _run_decentralized, _decentralized_bound, _decentralized_telemetry, min_horizon=2,
+        snapshots=True,
     ),
     "centralized-ucb": Algorithm(
         _run_centralized, _centralized_bound, _centralized_telemetry,

@@ -84,9 +84,6 @@ class Coalition:
     members: tuple[int, ...]
     reallocation: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.reallocation)
-
 
 @dataclass(frozen=True)
 class MarketInstance:

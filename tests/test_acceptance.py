@@ -6,6 +6,7 @@ full-horizon experiments).
 
 from __future__ import annotations
 
+import io
 import time
 
 import numpy as np
@@ -199,22 +200,29 @@ def test_ac7_environment_statistics():
     # 2) collision rounds pay exactly zero in traces, both when forced
     # by hand under noise and when produced by the protocol itself
     swap = validate_instance(np.array([[0.2, 0.9], [0.9, 0.2]]), "gaussian")
+    def collision_rows(trace):
+        rows = [line.split(",") for line in trace.getvalue().splitlines()[1:]]
+        return [r for r in rows if r[4] == "1"]
+
     env2 = MarketEnv(swap, seed=5)
-    ledger = RegretLedger(swap, trace=True)
+    forced_trace = io.StringIO()
+    ledger = RegretLedger(swap, trace=forced_trace)
     for _ in range(50):
         out = env2.step([0, 0])
         ledger.record(out)
-    forced = [r for r in ledger.rows if r[4] == 1]
+    forced = collision_rows(forced_trace)
     cfg = ExperimentConfig(
         swap, "decentralized-etc", 1100, (0,),
-        reward_family="deterministic", checkpoints=(1100,), trace=True,
+        reward_family="deterministic", checkpoints=(1100,),
     )
-    protocol = [r for r in run_episode(cfg, 0).trace_rows if r[4] == 1]
-    collision_rows = forced + protocol
+    protocol_trace = io.StringIO()
+    run_episode(cfg, 0, trace=protocol_trace)
+    protocol = collision_rows(protocol_trace)
+    collided = forced + protocol
     collisions_zero = (
         len(forced) == 100
         and bool(protocol)
-        and all(r[5] == 0.0 for r in collision_rows)
+        and all(float(r[5]) == 0.0 for r in collided)
     )
     rng = np.random.default_rng(7)
     inst3 = sttcb_instance(3, 0.2, rng, "gaussian")
@@ -254,6 +262,6 @@ def test_ac7_environment_statistics():
         "AC-7",
         mean_ok and collisions_zero and violations_ok,
         f"empirical mean {empirical:.4f} in 0.5+-0.01, "
-        f"{len(collision_rows)} collision rows all zero-reward, "
+        f"{len(collided)} collision rows all zero-reward, "
         f"violation episode fraction {violation_frac}",
     )

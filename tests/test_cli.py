@@ -115,13 +115,29 @@ class TestRun:
         assert len(players) == 3
         assert players[0]["phase"] == 1
 
-    def test_snapshots_refused_for_centralized(self, instance_path, tmp_path):
+    def test_snapshots_refused_for_centralized(self, instance_path, tmp_path, capsys):
+        """Refused before the episode: nothing played, nothing written."""
+        trace_path = tmp_path / "t.csv"
         code = main([
             "run", "--instance", instance_path, "--algo", "centralized-ucb",
-            "--horizon", "30", "--seeds", "0",
+            "--horizon", "30", "--seeds", "0", "--trace", str(trace_path),
             "--snapshots", str(tmp_path / "s.json"),
         ])
         assert code == 2
+        assert "centralized-ucb produces no player snapshots" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_trace_into_missing_directory_exits_2(self, instance_path, tmp_path, capsys):
+        """The trace file is opened before round 1, so a bad path fails
+        before any result is printed."""
+        code = main([
+            "run", "--instance", instance_path, "--algo", "oracle-fixed",
+            "--horizon", "20", "--seeds", "0", "--trace", str(tmp_path / "missing" / "t.csv"),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write")
+        assert not any(line.startswith("player") for line in captured.out.splitlines())
 
     def test_run_wants_exactly_one_seed(self, instance_path):
         code = main([
@@ -131,7 +147,7 @@ class TestRun:
         assert code == 2
 
     def test_runtime_failure_exits_3(self, instance_path, monkeypatch):
-        def boom(config, seed):
+        def boom(config, seed, trace=None):
             raise RuntimeFailure("synthetic")
 
         monkeypatch.setattr("housebandits.cli.run_episode", boom)
@@ -225,12 +241,25 @@ class TestBounds:
         assert code == 0
         assert "entry round" in capsys.readouterr().err
 
-    def test_checkpoint_beyond_horizon_exits_2(self, instance_path):
+    def test_checkpoint_beyond_horizon_exits_2(self, instance_path, capsys):
         code = main([
             "bounds", "--instance", instance_path, "--algo", "centralized-ucb",
-            "--horizon", "100", "--checkpoints", "1000",
+            "--horizon", "100", "--checkpoints", "10,1000",
         ])
         assert code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("checkpoints", ["500,100,100", "0"])
+    def test_bad_checkpoints_exit_2_before_printing(self, instance_path, capsys, checkpoints):
+        """The list is checked by the rule run and mc use, before the header."""
+        code = main([
+            "bounds", "--instance", instance_path, "--algo", "centralized-ucb",
+            "--horizon", "500", "--checkpoints", checkpoints,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: checkpoints must")
 
 
 RAGGED_INSTANCE = {"n": 2, "utilities": [[0.1, 0.2], [0.3]], "reward_model": "gaussian"}
@@ -245,6 +274,10 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
         (b"\xff\xfe{}", ["mechanisms", "--instance", "{file}"]),
         (b"\xff\xfe{}", MC_WITH_CONFIG),
         ({**MC_CONFIG, "horizon": "ten"}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "horizon": 60.9}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "horizon": True}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "seeds": [True, False]}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "checkpoints": [True]}, MC_WITH_CONFIG),
         ({**MC_CONFIG, "checkpoints": ["a"]}, MC_WITH_CONFIG),
         ({**MC_CONFIG, "trace": True}, MC_WITH_CONFIG),
         ({**MC_CONFIG, "algorithm": ["oracle-fixed"]}, MC_WITH_CONFIG),
@@ -254,6 +287,7 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
                 "--horizon", "1"]),
     ],
     ids=["ragged-utilities", "instance-not-utf8", "config-not-utf8", "horizon-not-an-integer",
+         "horizon-not-integral", "horizon-a-bool", "seeds-bools", "checkpoint-a-bool",
          "checkpoint-not-an-integer", "config-trace-key", "algorithm-not-a-string",
          "instance-id-not-a-string", "instance-not-a-path", "horizon-below-algorithm-minimum"],
 )

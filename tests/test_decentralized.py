@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestPlayerStateMachine:
             player.action(1, [True, True])
 
 
-def zero_noise_swap_episode(trace=False):
+def zero_noise_swap_episode(trace=None):
     cfg = ExperimentConfig(
         swap_market(),
         "decentralized-etc",
@@ -207,9 +208,8 @@ def zero_noise_swap_episode(trace=False):
         seeds=(0,),
         reward_family="deterministic",
         checkpoints=(1042, 1100),
-        trace=trace,
     )
-    return run_episode(cfg, 0)
+    return run_episode(cfg, 0, trace=trace)
 
 
 class TestZeroNoiseEpisode:
@@ -233,9 +233,12 @@ class TestZeroNoiseEpisode:
         assert tr.stats["post_commit_core_rounds"] == tr.stats["post_commit_rounds"]
 
     def test_round_roles_in_trace(self):
-        tr = zero_noise_swap_episode(trace=True)
+        trace = io.StringIO()
+        zero_noise_swap_episode(trace)
         by_round = {}
-        for row in tr.trace_rows:
+        # round, player, proposal, matched_arm, collided
+        for line in trace.getvalue().splitlines()[1:]:
+            row = tuple(int(v) for v in line.split(",")[:5])
             by_round.setdefault(row[0], []).append(row)
         # early status rounds: nothing certified, both abstain
         for t in (3, 4):

@@ -2,6 +2,7 @@
 accounting, reproducibility, and trace export."""
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -15,9 +16,8 @@ from housebandits.env import (
     TRACE_COLUMNS,
     MarketEnv,
     RegretLedger,
-    write_csv,
 )
-from housebandits.errors import EntryOutOfRangeError, RoundOutOfRangeError
+from housebandits.errors import EntryOutOfRangeError, RuntimeFailure
 from housebandits.market import validate_instance
 
 
@@ -32,9 +32,12 @@ def draws(instance, arm, rounds, seed, family=None):
     return [env.step([arm] + [ABSTAIN] * (instance.n - 1)).rewards[0] for _ in range(rounds)]
 
 
-def read_csv(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+def read_csv(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def applicant_counts(out, n):
+    return tuple(len(out.owner_view(arm)) for arm in range(n))
 
 
 @pytest.fixture
@@ -62,7 +65,7 @@ def test_resolve_unique_proposals_all_match(swap2):
     assert out.matched == (0, 1)
     assert out.collided == (False, False)
     assert out.rewards == (0.2, 0.3)
-    assert out.applicant_counts == (1, 1)
+    assert applicant_counts(out, 2) == (1, 1)
 
 
 def test_resolve_collision_blocks_everyone(swap2):
@@ -70,7 +73,7 @@ def test_resolve_collision_blocks_everyone(swap2):
     assert out.matched == (None, None)
     assert out.collided == (True, True)
     assert out.rewards == (0.0, 0.0)
-    assert out.applicant_counts == (2, 0)
+    assert applicant_counts(out, 2) == (2, 0)
 
 
 def test_resolve_abstain_is_not_a_collision(tri):
@@ -78,7 +81,7 @@ def test_resolve_abstain_is_not_a_collision(tri):
     assert out.collided == (True, False, True)
     assert out.matched == (None, None, None)
     assert out.rewards == (0.0, 0.0, 0.0)
-    assert out.applicant_counts == (0, 2, 0)
+    assert applicant_counts(out, 3) == (0, 2, 0)
 
 
 def test_resolve_rejects_bad_arm(swap2):
@@ -103,7 +106,7 @@ def test_owner_view_carries_identities(tri):
     assert out.owner_view(1) == (0, 2)
     assert out.owner_view(0) == ()
     # identity sets are not part of the public per-player fields
-    public = {"proposals", "matched", "rewards", "collided", "applicant_counts"}
+    public = {"proposals", "matched", "rewards", "collided"}
     assert public == {s for s in out.__slots__ if not s.startswith("_")}
 
 
@@ -116,7 +119,7 @@ def test_collision_structure_is_permutation_symmetric(tri):
     for i in range(3):
         assert b.matched[i] == a.matched[perm[i]]
         assert b.collided[i] == a.collided[perm[i]]
-    assert sorted(a.applicant_counts) == sorted(b.applicant_counts)
+    assert sorted(applicant_counts(a, 3)) == sorted(applicant_counts(b, 3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,7 +141,7 @@ def test_resolve_matches_at_most_one_player_per_arm(proposals):
     for i, arm in enumerate(out.matched):
         if arm is not None:
             assert proposals[i] == arm
-            assert out.applicant_counts[arm] == 1
+            assert len(out.owner_view(arm)) == 1
     for i in range(4):
         if out.collided[i]:
             assert out.rewards[i] == 0.0
@@ -207,8 +210,7 @@ def test_ten_collision_rounds_accumulate(swap2):
     env = MarketEnv(swap2, seed=0)
     for _ in range(10):
         ledger.record(env.step([0, 0]))
-    assert ledger.cumulative_regret(0) == pytest.approx(9.0)
-    assert ledger.cumulative_regret(1) == pytest.approx(8.0)
+    assert ledger.pseudo == pytest.approx([9.0, 8.0])
 
 
 def test_full_core_episode_has_zero_regret(tri):
@@ -219,35 +221,6 @@ def test_full_core_episode_has_zero_regret(tri):
         ledger.record(env.step(list(core)))
     assert ledger.pseudo == pytest.approx([0.0, 0.0, 0.0])
     assert ledger.realized == pytest.approx([0.0, 0.0, 0.0])
-
-
-def test_cumulative_regret_round_zero_is_zero(swap2):
-    ledger = RegretLedger(swap2)
-    assert ledger.cumulative_regret(0, t=0) == 0.0
-
-
-def test_cumulative_regret_bounds_checking(swap2):
-    ledger = RegretLedger(swap2)
-    ledger.record(resolve([0, 0], swap2))
-    with pytest.raises(RoundOutOfRangeError):
-        ledger.cumulative_regret(0, t=5)
-    with pytest.raises(RoundOutOfRangeError):
-        ledger.cumulative_regret(0, t=-1)
-
-
-def test_mid_episode_query_needs_trace(swap2):
-    plain = RegretLedger(swap2)
-    env = MarketEnv(swap2, seed=0)
-    plain.record(env.step([0, 0]))
-    plain.record(env.step([0, 0]))
-    with pytest.raises(RoundOutOfRangeError):
-        plain.cumulative_regret(0, t=1)
-    traced = RegretLedger(swap2, trace=True)
-    env = MarketEnv(swap2, seed=0)
-    traced.record(env.step([0, 0]))
-    traced.record(env.step([0, 0]))
-    assert traced.cumulative_regret(0, t=1) == pytest.approx(0.9)
-    assert traced.cumulative_regret(0, t=2) == pytest.approx(1.8)
 
 
 def test_realized_matches_pseudo_in_expectation(tri):
@@ -273,14 +246,17 @@ def test_pseudo_regret_monotone_when_core_is_argmax():
     """On a market where each core arm is the player's top arm every
     pseudo increment is non-negative."""
     inst = validate_instance([[0.2, 0.9], [0.8, 0.3]])
-    ledger = RegretLedger(inst, trace=True)
+    trace = io.StringIO()
+    ledger = RegretLedger(inst, trace=trace)
     env = MarketEnv(inst, seed=3)
     arms = [0, 1, None]
     gen = np.random.default_rng(99)
     for _ in range(60):
         ledger.record(env.step([arms[gen.integers(3)] for _ in range(2)]))
+    rows = read_csv(trace.getvalue())
+    assert len(rows) == 120
     for i in range(2):
-        series = [ledger.cumulative_regret(i, t=t) for t in range(61)]
+        series = [0.0] + [float(r["pseudo_regret_cum"]) for r in rows[i::2]]
         assert all(b - a >= -1e-12 for a, b in zip(series, series[1:]))
 
 
@@ -312,10 +288,11 @@ def test_env_step_equals_per_round_draws(tri):
 def test_identical_seeds_reproduce_bit_identical_episodes(tri):
     def run():
         env = MarketEnv(tri, seed=7, family="bernoulli")
-        ledger = RegretLedger(tri, trace=True)
+        trace = io.StringIO()
+        ledger = RegretLedger(tri, trace=trace)
         for t in range(50):
             ledger.record(env.step([t % 3, (t + 1) % 3, ABSTAIN]))
-        return ledger.rows
+        return trace.getvalue()
 
     assert run() == run()
 
@@ -323,14 +300,13 @@ def test_identical_seeds_reproduce_bit_identical_episodes(tri):
 # --- trace export -----------------------------------------------------------
 
 
-def test_trace_csv_layout(tmp_path, tri):
-    ledger = RegretLedger(tri, trace=True)
+def test_trace_csv_layout(tri):
+    trace = io.StringIO()
+    ledger = RegretLedger(tri, trace=trace)
     env = MarketEnv(tri, seed=0, family="deterministic")
     ledger.record(env.step([1, ABSTAIN, 1]))
     ledger.record(env.step([1, 0, 2]))
-    path = tmp_path / "trace.csv"
-    write_csv(path, TRACE_COLUMNS, ledger.rows)
-    rows = read_csv(path)
+    rows = read_csv(trace.getvalue())
     assert len(rows) == 6
     head = rows[0]
     assert list(head) == [
@@ -351,20 +327,36 @@ def test_trace_csv_layout(tmp_path, tri):
     assert rows[3]["matched_arm"] == "2" and rows[3]["collided"] == "0"
     assert float(rows[3]["pseudo_regret_cum"]) == pytest.approx(0.9)
     # floats are written with repr, so they read back exactly
-    assert [float(r["realized_regret_cum"]) for r in rows] == [r[7] for r in ledger.rows]
+    assert [float(r["realized_regret_cum"]) for r in rows[-3:]] == ledger.realized
+    floats = ("reward", "pseudo_regret_cum", "realized_regret_cum")
+    assert all(repr(float(r[k])) == r[k] for r in rows for k in floats)
 
 
-def test_trace_extra_columns(tmp_path, tri):
-    ledger = RegretLedger(tri, trace=True, extra_columns=("matching_is_core",))
+def test_trace_extra_columns(tri):
+    trace = io.StringIO()
+    ledger = RegretLedger(tri, trace=trace, extra_columns=("matching_is_core",))
     env = MarketEnv(tri, seed=0)
     ledger.record(env.step([1, 0, 2]), extra=(1,))
-    path = tmp_path / "trace.csv"
-    write_csv(path, TRACE_COLUMNS + ledger.extra_columns, ledger.rows)
-    assert read_csv(path)[0]["matching_is_core"] == "1"
+    rows = read_csv(trace.getvalue())
+    assert list(rows[0]) == list(TRACE_COLUMNS) + ["matching_is_core"]
+    assert [r["matching_is_core"] for r in rows] == ["1", "1", "1"]
+
+
+def test_trace_extra_values_must_match_columns(tri):
+    """A runner that passes the wrong number of extra values breaks a
+    harness-internal contract, not user input."""
+    ledger = RegretLedger(tri, trace=io.StringIO(), extra_columns=("matching_is_core",))
+    with pytest.raises(RuntimeFailure, match="expected 1 extra values, got 0"):
+        ledger.record(MarketEnv(tri, seed=0).step([1, 0, 2]))
 
 
 def test_trace_export_requires_trace_mode(tri):
-    """Without trace mode the ledger keeps no rows to export."""
+    """Without a trace file the ledger is untraced and writes nothing;
+    with one, the header is written before the first round."""
     ledger = RegretLedger(tri)
     ledger.record(MarketEnv(tri, seed=0).step([1, 0, 2]))
-    assert ledger.rows == []
+    assert ledger.trace is False
+    trace = io.StringIO()
+    traced = RegretLedger(tri, trace=trace)
+    assert traced.trace is True
+    assert trace.getvalue() == ",".join(TRACE_COLUMNS) + "\n"

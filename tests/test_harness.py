@@ -3,9 +3,11 @@ and report export."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,10 +106,37 @@ class TestEpisodes:
         assert run_episode(cfg, 0).final_realized != run_episode(cfg, 1).final_realized
 
     def test_trace_rows_are_bit_identical(self):
-        cfg = ExperimentConfig(
-            swap_market(), "decentralized-etc", 300, (5,), checkpoints=(300,), trace=True
-        )
-        assert run_episode(cfg, 5).trace_rows == run_episode(cfg, 5).trace_rows
+        cfg = ExperimentConfig(swap_market(), "decentralized-etc", 300, (5,), checkpoints=(300,))
+
+        def trace():
+            out = io.StringIO()
+            run_episode(cfg, 5, trace=out)
+            return out.getvalue()
+
+        first = trace()
+        assert first == trace()
+        assert first.count("\n") == 1 + 2 * 300
+
+    def test_traced_episode_memory_does_not_grow_with_horizon(self, tmp_path):
+        """The trace streams to its file: the peak of a traced episode is
+        about the same at 2,000 and at 20,000 rounds."""
+
+        def peak(horizon):
+            cfg = ExperimentConfig(swap_market(), "oracle-fixed", horizon, (0,),
+                                   checkpoints=(horizon,))
+            with open(tmp_path / f"trace-{horizon}.csv", "w", encoding="utf-8") as fh:
+                tracemalloc.start()
+                try:
+                    run_episode(cfg, 0, trace=fh)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(2_000)  # first-call allocations inside numpy are not the trace's
+        small, large = peak(2_000), peak(20_000)
+        # interpreter free lists and the 4096-round noise chunk stay; the
+        # rows (10x more at 20,000) must not
+        assert large < 1.5 * small, (small, large)
 
     def test_deterministic_family_equates_regret_flavors(self):
         cfg = ExperimentConfig(

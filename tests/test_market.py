@@ -258,7 +258,7 @@ def test_blocking_swap_found_for_identity_matching():
     c = find_blocking_coalition(u, Matching((0, 1)))
     assert isinstance(c, Coalition)
     assert c.members == (0, 1)
-    assert c.as_dict() == {0: 1, 1: 0}
+    assert dict(c.reallocation) == {0: 1, 1: 0}
 
 
 def test_blocking_none_for_core_matching():
@@ -271,7 +271,7 @@ def test_blocking_individual_rationality_violation():
     u = np.array([[0.9, 0.2], [0.1, 0.8]])
     c = find_blocking_coalition(u, Matching((1, 0)))
     assert c.members == (0,)
-    assert c.as_dict() == {0: 0}
+    assert dict(c.reallocation) == {0: 0}
 
 
 def test_blocking_needs_carried_along_member():
@@ -293,7 +293,7 @@ def test_blocking_needs_carried_along_member():
     c = find_blocking_coalition(u, blocked)
     assert c is not None
     assert c.members == (0, 1)
-    assert c.as_dict() == {0: 1, 1: 0}
+    assert dict(c.reallocation) == {0: 1, 1: 0}
     assert core_oracle_bruteforce(u).assignment == (1, 0, 2)
 
 
