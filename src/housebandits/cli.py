@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .decentralized import entry_round_bound
 from .env import SAMPLING_FAMILIES
 from .errors import ConfigInvalidError, InputError, RuntimeFailure
 from .harness import (
@@ -288,8 +287,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         values = theoretical_bounds(instance, t, args.algo)
         for i, v in enumerate(values):
             print(f"{t},{i + 1},{v:.6g}")
-    if args.algo == "decentralized-etc":
-        entry = entry_round_bound(instance.n, args.horizon, instance.min_gap)
+    entry_bound = ALGORITHMS[args.algo].entry_bound
+    if entry_bound is not None:
+        entry = entry_bound(instance, args.horizon)
         print(f"# worst-case exploitation entry round: {entry}", file=sys.stderr)
     return 0
 

@@ -249,6 +249,44 @@ class DecentralizedPlayer:
                 self.stage = EXPLORE
                 self.stage_left = 2**self.ell
 
+    def explore_span(self, t: int, rewards: Sequence[float]) -> None:
+        """Observe rounds t .. t + k - 1 of the exploration block at once,
+        none of them its closing round: in round t + r this player was
+        matched to its round-robin arm (id + t + r) mod n and drew
+        rewards[r]. Each arm's mean takes the same updates as observe
+        gives it, in the same order."""
+        k = len(rewards)
+        if t != self.t + 1:
+            raise DesyncError(f"player {self.id} observed round {t}, expected {self.t + 1}")
+        if self.phase != 1 or self.stage != EXPLORE or not 0 < k < self.stage_left:
+            raise DesyncError(
+                f"player {self.id} has no {k} open exploration rounds at round {t}"
+            )
+        n = self.n
+        means = self.stats.means
+        counts = self.stats.counts
+        for r in range(min(n, k)):
+            arm = (self.id + t + r) % n
+            m = means[arm]
+            c = counts[arm]
+            for x in rewards[r::n]:
+                m = (m * c + x) / (c + 1)
+                c += 1
+            means[arm] = m
+            counts[arm] = c
+        self.t = t + k - 1
+        self.stage_left -= k
+        self._last_action = (self.id + self.t) % n
+
+    def hold_commitment(self, t: int) -> None:
+        """Skip to the end of round t, pulling the committed arm in every
+        round. Only valid once every player has committed, so no
+        observation in between can change this player's state."""
+        if self.committed is None or t < self.t:
+            raise DesyncError(f"player {self.id} cannot hold a commitment to round {t}")
+        self.t = t
+        self._last_action = self.committed
+
     # --- phase-2 commit bookkeeping -----------------------------------------
 
     def commit_check(self, flags: Sequence[bool]) -> bool:

@@ -12,8 +12,10 @@ Randomness: an episode owns a single seeded generator, and each round
 consumes one block of n variates, element i belonging to player i. The
 variate feeding (player, round) therefore never depends on resolution
 order, and an identical (instance, proposals, seed) triple reproduces
-an episode bit for bit. MarketEnv pregenerates blocks in chunks, which
-yields the exact same stream as drawing one block per round.
+an episode bit for bit. MarketEnv pregenerates the blocks of 4096 rounds
+as one array, which yields the exact same stream as drawing one block
+per round: step reads one row of it, and step_block, which resolves a
+run of collision-free rounds at once, reads a slice of consecutive rows.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class RoundOutcome:
 
     def owner_view(self, arm: int) -> tuple[int, ...]:
         """Applicant identities for one arm, as seen by its owner."""
-        return self._applicants[arm]
+        return tuple(self._applicants[arm])
 
 
 class ArmStats:
@@ -101,24 +103,19 @@ class MarketEnv:
         self.rng = np.random.default_rng(seed)
         self.t = 0
         self._u = instance.utilities.tolist()
-        self._chunk: list | None = None
+        self._players = np.arange(instance.n)
+        self._chunk = np.empty((0, instance.n))  # noise blocks, one row per round
         self._chunk_pos = 0
 
-    def _next_noise(self):
-        if self.family == "deterministic":
-            return None
-        if self._chunk is None or self._chunk_pos >= len(self._chunk):
-            self._chunk = None  # free the spent chunk before building the next
-            n = self.instance.n
-            if self.family == "gaussian":
-                block = self.rng.standard_normal((_NOISE_CHUNK_ROUNDS, n))
-            else:
-                block = self.rng.random((_NOISE_CHUNK_ROUNDS, n))
-            self._chunk = block.tolist()
-            self._chunk_pos = 0
-        row = self._chunk[self._chunk_pos]
-        self._chunk_pos += 1
-        return row
+    def _refill(self) -> None:
+        """Replace the spent noise chunk with the next one."""
+        self._chunk = None  # free the spent chunk before building the next
+        shape = (_NOISE_CHUNK_ROUNDS, self.instance.n)
+        if self.family == "gaussian":
+            self._chunk = self.rng.standard_normal(shape)
+        else:
+            self._chunk = self.rng.random(shape)
+        self._chunk_pos = 0
 
     def step(self, proposals: Sequence[int | None]) -> RoundOutcome:
         """Resolve one round of proposals (one slot per player, an arm
@@ -127,7 +124,12 @@ class MarketEnv:
         if len(proposals) != n:
             raise EntryOutOfRangeError(f"expected {n} proposal slots, got {len(proposals)}")
         self.t += 1
-        noise_row = self._next_noise()
+        noise_row = None
+        if self.family != "deterministic":
+            if self._chunk_pos == len(self._chunk):
+                self._refill()
+            noise_row = self._chunk[self._chunk_pos].tolist()
+            self._chunk_pos += 1
         family = self.family
         utilities = self._u
         matched: list[int | None] = [None] * n
@@ -159,8 +161,33 @@ class MarketEnv:
             matched=tuple(matched),
             rewards=tuple(rewards),
             collided=tuple(collided),
-            applicants=tuple(tuple(a) for a in applicants),
+            applicants=applicants,
         )
+
+    def step_block(self, arms: np.ndarray) -> np.ndarray:
+        """Resolve a run of rounds in which every player proposes and no
+        two collide: row r of the k x n array arms (k >= 1) is round r's
+        proposal vector, a permutation of the arms. Resolves the leading
+        min(k, rounds left in the noise chunk) rounds and returns their
+        rewards, row r for round r; every player is matched to the arm
+        it proposed. The deterministic family draws nothing, so it
+        resolves all k rounds at once."""
+        if (np.sort(arms, axis=1) != self._players).any():
+            raise RuntimeFailure("a block round is not a collision-free proposal of every arm")
+        if self.family == "deterministic":
+            rewards = self.instance.utilities[self._players, arms]
+        else:
+            if self._chunk_pos == len(self._chunk):
+                self._refill()
+            noise = self._chunk[self._chunk_pos:self._chunk_pos + len(arms)]
+            self._chunk_pos += len(noise)
+            means = self.instance.utilities[self._players, arms[:len(noise)]]
+            if self.family == "gaussian":
+                rewards = means + noise
+            else:
+                rewards = (noise < means).astype(float)
+        self.t += len(rewards)
+        return rewards
 
 
 class RegretLedger:
@@ -183,6 +210,7 @@ class RegretLedger:
         u = instance.utilities.tolist()
         self.core_means = [u[i][instance.core.arm_of(i)] for i in range(self.n)]
         self._u = u
+        self._players = np.arange(self.n)
         self.t = 0
         self.pseudo = [0.0] * self.n
         self.realized = [0.0] * self.n
@@ -223,3 +251,21 @@ class RegretLedger:
                     f"{int(collided[i])},{rewards[i]!r},{pseudo[i]!r},{realized[i]!r}{tail}\n"
                 )
             self._file.write("".join(lines))
+
+    def record_block(self, arms: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+        """Record k rounds at once in which player i matched arms[r, i]
+        and drew rewards[r, i], as from MarketEnv.step_block, and return
+        the k x n cumulative pseudo-regret after each of them. Same sums
+        as k calls of record: np.add.accumulate adds in round order.
+        A traced ledger writes every round and takes no blocks."""
+        if self.trace:
+            raise RuntimeFailure("a traced ledger records round by round")
+        core = np.array(self.core_means)
+        pseudo = core - self.instance.utilities[self._players, arms]
+        realized = core - rewards
+        for acc, start in ((pseudo, self.pseudo), (realized, self.realized)):
+            acc[0] += start
+            np.add.accumulate(acc, axis=0, out=acc)
+            start[:] = acc[-1].tolist()
+        self.t += len(arms)
+        return pseudo

@@ -1,10 +1,17 @@
 """Experiment harness: seeded episodes, Monte Carlo aggregation over
 seeds, closed-form regret bound curves, and report export.
 
-Episodes are strictly sequential round loops; parallelism, when wanted,
-belongs at the seed level only (episodes share no mutable state). The
-headline metric is cumulative pseudo-regret per player, snapshotted at
-log-spaced checkpoints and compared against per-player bound curves.
+An episode is a sequential round loop, which stays the executable spec
+and is what a traced episode plays. An untraced episode of the
+decentralized protocol or the oracle fast-forwards the spans whose
+proposals are fixed in advance (exploration round robins before each
+block's closing round, play after every player has committed, the
+oracle's whole horizon) in pieces of whole rounds, with the same random
+stream and the same sums, so both give the same episode bit for bit.
+Parallelism, when wanted, belongs at the seed level only (episodes
+share no mutable state). The headline metric is cumulative
+pseudo-regret per player, snapshotted at log-spaced checkpoints and
+compared against per-player bound curves.
 """
 
 from __future__ import annotations
@@ -19,7 +26,13 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .centralized import platform_round
-from .decentralized import DecentralizedPlayer, PlayerView, commit_cascade
+from .decentralized import (
+    EXPLORE,
+    DecentralizedPlayer,
+    PlayerView,
+    commit_cascade,
+    entry_round_bound,
+)
 from .env import SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
 from .errors import ConfigInvalidError, DesyncError
 from .market import MarketInstance
@@ -138,11 +151,47 @@ def run_episode(
 # Episode runners: (instance, env, ledger, horizon, checkpoint set,
 # snapshot dict to fill) -> (stats, player snapshots or None). The
 # per-round calls go through this module's globals, so they can be
-# swapped at run time.
+# swapped at run time. An untraced ledger lets a runner fast-forward the
+# rounds whose proposals are fixed in advance (_fixed_rounds); a traced
+# one plays every round through the loop, which stays the spec.
+
+# rounds per fast-forward piece; bounds the arrays a piece allocates
+_PIECE_ROUNDS = 1024
+
+
+def _fixed_rounds(env, ledger, start, stop, arms_of, cp_set, snaps):
+    """Resolve and record rounds start .. stop - 1 in pieces, where
+    arms_of(rounds) gives the proposals of those rounds, collision-free
+    and fixed in advance. Fills the checkpoints inside the span and
+    yields each piece's first round and rewards."""
+    t = start
+    while t < stop:
+        arms = arms_of(np.arange(t, min(t + _PIECE_ROUNDS, stop)))
+        rewards = env.step_block(arms)
+        k = len(rewards)
+        pseudo = ledger.record_block(arms[:k], rewards)
+        for c in cp_set:
+            if t <= c < t + k:
+                snaps[c] = tuple(pseudo[c - t].tolist())
+        yield t, rewards
+        t += k
+
+
+def _hold(env, ledger, proposals, start, stop, cp_set, snaps):
+    """Fast-forward rounds start .. stop - 1, which all repeat one
+    collision-free proposal vector."""
+    fixed = np.array(proposals)
+    for _ in _fixed_rounds(env, ledger, start, stop,
+                           lambda rounds: np.broadcast_to(fixed, (len(rounds), len(fixed))),
+                           cp_set, snaps):
+        pass
 
 
 def _run_oracle_fixed(instance, env, ledger, horizon, cp_set, snaps):
     proposals = list(instance.core.assignment)
+    if not ledger.trace:
+        _hold(env, ledger, proposals, 1, horizon + 1, cp_set, snaps)
+        return {}, None
     for t in range(1, horizon + 1):
         ledger.record(env.step(proposals))
         if t in cp_set:
@@ -182,8 +231,31 @@ def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
     flags = [True] * n
     post_commit_core = [0] * n
     post_commit_rounds = [0] * n
-    for t in range(1, horizon + 1):
-        in_phase2 = players[0].phase == 2
+    lead = players[0]
+    ids = np.arange(n)
+    t = 1
+    while t <= horizon:
+        if not ledger.trace and lead.phase == 1 and lead.stage == EXPLORE and lead.stage_left > 1:
+            # the block's round robin up to, not including, its closing round
+            stop = min(t + lead.stage_left - 1, horizon + 1)
+            for start, rewards in _fixed_rounds(env, ledger, t, stop,
+                                                lambda rounds: (rounds[:, None] + ids) % n,
+                                                cp_set, snaps):
+                for i, p in enumerate(players):
+                    p.explore_span(start, rewards[:, i].tolist())
+            t = stop
+            continue
+        if not ledger.trace and all(p.committed is not None for p in players):
+            # every player pulls its committed arm until the horizon
+            committed = [p.committed for p in players]
+            _hold(env, ledger, committed, t, horizon + 1, cp_set, snaps)
+            for i, p in enumerate(players):
+                p.hold_commitment(horizon)
+                post_commit_rounds[i] += horizon + 1 - t
+                if committed[i] == core[i]:
+                    post_commit_core[i] += horizon + 1 - t
+            break
+        in_phase2 = lead.phase == 2
         proposals = [p.action(t, flags) for p in players]
         outcome = env.step(proposals)
         matched = outcome.matched
@@ -204,6 +276,7 @@ def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
         ledger.record(outcome)
         if t in cp_set:
             snaps[t] = tuple(ledger.pseudo)
+        t += 1
     t1 = players[0].t1
     if any(p.t1 != t1 for p in players):
         raise DesyncError(f"players disagree on the entry round: {[p.t1 for p in players]}")
@@ -375,12 +448,17 @@ class Algorithm:
     extra_columns: tuple[str, ...] = ()  # per-round trace columns after TRACE_COLUMNS
     min_horizon: int = 1
     snapshots: bool = False  # whether the runner returns per-player snapshots
+    # (instance, horizon) -> worst-case round the protocol enters its
+    # exploitation phase, or None where it has no such phase
+    entry_bound: Callable[[MarketInstance, int], int] | None = None
 
 
 ALGORITHMS = {
     "decentralized-etc": Algorithm(
         _run_decentralized, _decentralized_bound, _decentralized_telemetry, min_horizon=2,
         snapshots=True,
+        entry_bound=lambda instance, horizon: entry_round_bound(
+            instance.n, horizon, instance.min_gap),
     ),
     "centralized-ucb": Algorithm(
         _run_centralized, _centralized_bound, _centralized_telemetry,

@@ -228,10 +228,12 @@ class TestBounds:
             "--horizon", "1000", "--checkpoints", "100,1000",
         ])
         assert code == 0
-        lines = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         assert lines[0] == "checkpoint_t,player,bound"
         assert len(lines) == 1 + 2 * 3
         assert lines[1].startswith("100,1,")
+        assert "entry round" not in captured.err
 
     def test_decentralized_also_reports_entry_bound(self, instance_path, capsys):
         code = main([
