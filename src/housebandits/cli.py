@@ -32,6 +32,7 @@ from .market import (
     REWARD_MODELS,
     MarketInstance,
     core_oracle_bruteforce,
+    is_json_int,
     load_instance,
     save_instance,
     save_matching,
@@ -72,17 +73,12 @@ def parse_checkpoints(text: str) -> tuple[int, ...]:
         raise ConfigInvalidError(f"bad checkpoint list {text!r}") from exc
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; Python counts a bool as an int, JSON does not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _read_instance(path: str) -> MarketInstance:
     try:
         return load_instance(path)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot read instance {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigInvalidError(f"instance {path} is not valid JSON: {exc}") from exc
 
 
@@ -92,7 +88,7 @@ def _read_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalidError(f"config {path} must hold a JSON object")
@@ -122,19 +118,21 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> Experim
     instance_path = args.instance or raw.get("instance")
     if not instance_path or not isinstance(instance_path, str):
         raise ConfigInvalidError("an instance file path is required (--instance or config)")
+    if "\0" in instance_path:
+        raise ConfigInvalidError(f"instance path {instance_path!r} holds a NUL byte")
     algorithm = args.algo or raw.get("algorithm")
     if not algorithm or not isinstance(algorithm, str):
         raise ConfigInvalidError("an algorithm name is required (--algo or config)")
     horizon = args.horizon if args.horizon is not None else raw.get("horizon")
     if horizon is None:
         raise ConfigInvalidError("a horizon is required (--horizon or config)")
-    if not _is_int(horizon):
+    if not is_json_int(horizon):
         raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}")
     if args.seeds is not None:
         seeds = parse_seeds(args.seeds)
     elif "seeds" in raw:
         seeds_raw = raw["seeds"]
-        if not isinstance(seeds_raw, list) or not all(map(_is_int, seeds_raw)):
+        if not isinstance(seeds_raw, list) or not all(map(is_json_int, seeds_raw)):
             raise ConfigInvalidError("config seeds must be a list of integers")
         seeds = tuple(seeds_raw)
     else:
@@ -147,7 +145,7 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> Experim
         checkpoints = parse_checkpoints(args.checkpoints)
     elif "checkpoints" in raw:
         cps_raw = raw["checkpoints"]
-        if not isinstance(cps_raw, list) or not all(map(_is_int, cps_raw)):
+        if not isinstance(cps_raw, list) or not all(map(is_json_int, cps_raw)):
             raise ConfigInvalidError("config checkpoints must be a list of integers")
         checkpoints = tuple(cps_raw)
     else:

@@ -108,6 +108,11 @@ class DecentralizedPlayer:
     """State machine for one player. Drive it with phase1_action /
     phase2_action (or action, which dispatches), then observe, once per
     round; after phase-2 observes, run commit_cascade over all players.
+    explore_span and hold_commitment advance it over rounds whose
+    proposals are fixed in advance. A phase-1 action is a function of
+    the round and the schedule alone, so observe checks an exploration
+    match against the round-robin arm (id + t) mod n; phase 2 keeps the
+    chain state (epoch, predecessor, proposed and committed arm).
     """
 
     def __init__(self, player_id: int, n: int, horizon: int):
@@ -136,7 +141,6 @@ class DecentralizedPlayer:
         self.committed: int | None = None
         self.commit_round: int | None = None
         self._own_applicants: tuple[int, ...] = ()
-        self._last_action: int | None = None
 
     # --- actions ---------------------------------------------------------
 
@@ -149,14 +153,11 @@ class DecentralizedPlayer:
         if t != self.t + 1:
             raise DesyncError(f"player {self.id} asked to act at round {t}, expected {self.t + 1}")
         if self.stage == EXPLORE:
-            self._last_action = (self.id + t) % self.n
-        elif self.p_flag:
+            return (self.id + t) % self.n
+        if self.p_flag:
             # status round t' (1-based offset): propose arm t' - 1
-            offset = self._stage_offset()
-            self._last_action = offset - 1
-        else:
-            self._last_action = None
-        return self._last_action
+            return self._stage_offset() - 1
+        return None
 
     def _stage_offset(self) -> int:
         length = 2**self.ell if self.stage == EXPLORE else self.n
@@ -166,8 +167,7 @@ class DecentralizedPlayer:
         if t != self.t + 1:
             raise DesyncError(f"player {self.id} asked to act at round {t}, expected {self.t + 1}")
         if self.committed is not None:
-            self._last_action = self.committed
-            return self._last_action
+            return self.committed
         avail = frozenset(j for j in range(self.n) if flags[j])
         if not avail:
             raise DesyncError(f"player {self.id} uncommitted with no available arms")
@@ -194,7 +194,6 @@ class DecentralizedPlayer:
             action = self._best_available()
             self.propose_flag = True
             self.proposed_arm = action
-        self._last_action = action
         return action
 
     def _best_available(self) -> int:
@@ -215,7 +214,7 @@ class DecentralizedPlayer:
         if self.phase != 1:
             return
         if self.stage == EXPLORE:
-            if view.collided or view.matched != self._last_action:
+            if view.collided or view.matched != (self.id + t) % self.n:
                 raise DesyncError(
                     f"player {self.id} expected a clean exploration match at round {t}"
                 )
@@ -276,7 +275,6 @@ class DecentralizedPlayer:
             counts[arm] = c
         self.t = t + k - 1
         self.stage_left -= k
-        self._last_action = (self.id + self.t) % n
 
     def hold_commitment(self, t: int) -> None:
         """Skip to the end of round t, pulling the committed arm in every
@@ -285,7 +283,6 @@ class DecentralizedPlayer:
         if self.committed is None or t < self.t:
             raise DesyncError(f"player {self.id} cannot hold a commitment to round {t}")
         self.t = t
-        self._last_action = self.committed
 
     # --- phase-2 commit bookkeeping -----------------------------------------
 

@@ -20,7 +20,7 @@ run of collision-free rounds at once, reads a slice of consecutive rows.
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class ArmStats:
 
 
 class MarketEnv:
-    """Sequential episode driver: seeded rng plus a round counter.
+    """Sequential episode driver: a seeded rng and its noise chunks.
 
     Noise blocks are pregenerated in chunks purely for speed; the stream
     equals one rng.standard_normal(n) (Gaussian) or rng.random(n)
@@ -101,7 +101,6 @@ class MarketEnv:
         if self.family not in SAMPLING_FAMILIES:
             raise EntryOutOfRangeError(f"unknown reward family {self.family!r}")
         self.rng = np.random.default_rng(seed)
-        self.t = 0
         self._u = instance.utilities.tolist()
         self._players = np.arange(instance.n)
         self._chunk = np.empty((0, instance.n))  # noise blocks, one row per round
@@ -123,7 +122,6 @@ class MarketEnv:
         n = self.instance.n
         if len(proposals) != n:
             raise EntryOutOfRangeError(f"expected {n} proposal slots, got {len(proposals)}")
-        self.t += 1
         noise_row = None
         if self.family != "deterministic":
             if self._chunk_pos == len(self._chunk):
@@ -186,25 +184,28 @@ class MarketEnv:
                 rewards = means + noise
             else:
                 rewards = (noise < means).astype(float)
-        self.t += len(rewards)
         return rewards
 
 
 class RegretLedger:
-    """Per-player regret accounting against the core matching.
+    """Per-player regret accounting against the core matching, the one
+    owner of an episode's bookkeeping.
 
     Pseudo-regret accumulates the mean shortfall
     U(i, core(i)) - (U(i, matched arm) if matched else 0),
-    realized regret accumulates U(i, core(i)) - X_i(t). Given a text
-    file as trace, the ledger writes the CSV header at once and then one
-    line per (round, player) as each round is recorded, so a trace takes
+    realized regret accumulates U(i, core(i)) - X_i(t). At each round in
+    checkpoints, the ledger stores the cumulative pseudo-regret after
+    that round in snapshots, keyed by round, whether the round was
+    recorded alone or inside a block. Given a text file as trace, the
+    ledger writes the CSV header at once and then one line per
+    (round, player) as each round is recorded, so a trace takes
     constant memory. extra_columns lets a caller append per-round values,
     each repeated on that round's player rows. Values are written with
     repr, so floats read back exactly.
     """
 
     def __init__(self, instance: MarketInstance, trace: TextIO | None = None,
-                 extra_columns: tuple[str, ...] = ()):
+                 extra_columns: tuple[str, ...] = (), checkpoints: Iterable[int] = ()):
         self.instance = instance
         self.n = instance.n
         u = instance.utilities.tolist()
@@ -214,6 +215,8 @@ class RegretLedger:
         self.t = 0
         self.pseudo = [0.0] * self.n
         self.realized = [0.0] * self.n
+        self.checkpoints = frozenset(checkpoints)
+        self.snapshots: dict[int, tuple[float, ...]] = {}
         self.trace = trace is not None
         self._file = trace
         self.extra_columns = extra_columns
@@ -221,7 +224,7 @@ class RegretLedger:
             trace.write(",".join(TRACE_COLUMNS + extra_columns) + "\n")
 
     def record(self, outcome: RoundOutcome, extra: tuple = ()) -> None:
-        self.t += 1
+        self.t = t = self.t + 1
         core_means = self.core_means
         pseudo = self.pseudo
         realized = self.realized
@@ -233,12 +236,13 @@ class RegretLedger:
             got = u[i][arm] if arm is not None else 0.0
             pseudo[i] += core_means[i] - got
             realized[i] += core_means[i] - rewards[i]
+        if t in self.checkpoints:
+            self.snapshots[t] = tuple(pseudo)
         if self.trace:
             if len(extra) != len(self.extra_columns):
                 raise RuntimeFailure(
                     f"expected {len(self.extra_columns)} extra values, got {len(extra)}"
                 )
-            t = self.t
             proposals = outcome.proposals
             collided = outcome.collided
             tail = "".join(f",{v!r}" for v in extra)
@@ -252,12 +256,12 @@ class RegretLedger:
                 )
             self._file.write("".join(lines))
 
-    def record_block(self, arms: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+    def record_block(self, arms: np.ndarray, rewards: np.ndarray) -> None:
         """Record k rounds at once in which player i matched arms[r, i]
-        and drew rewards[r, i], as from MarketEnv.step_block, and return
-        the k x n cumulative pseudo-regret after each of them. Same sums
-        as k calls of record: np.add.accumulate adds in round order.
-        A traced ledger writes every round and takes no blocks."""
+        and drew rewards[r, i], as from MarketEnv.step_block, and fill
+        the checkpoints among them. Same sums as k calls of record:
+        np.add.accumulate adds in round order. A traced ledger writes
+        every round and takes no blocks."""
         if self.trace:
             raise RuntimeFailure("a traced ledger records round by round")
         core = np.array(self.core_means)
@@ -267,5 +271,8 @@ class RegretLedger:
             acc[0] += start
             np.add.accumulate(acc, axis=0, out=acc)
             start[:] = acc[-1].tolist()
-        self.t += len(arms)
-        return pseudo
+        t = self.t
+        self.t = t + len(arms)
+        for c in self.checkpoints:
+            if t < c <= self.t:
+                self.snapshots[c] = tuple(pseudo[c - t - 1].tolist())

@@ -10,8 +10,8 @@ oracle's whole horizon) in pieces of whole rounds, with the same random
 stream and the same sums, so both give the same episode bit for bit.
 Parallelism, when wanted, belongs at the seed level only (episodes
 share no mutable state). The headline metric is cumulative
-pseudo-regret per player, snapshotted at log-spaced checkpoints and
-compared against per-player bound curves.
+pseudo-regret per player, snapshotted by the episode's RegretLedger at
+log-spaced checkpoints and compared against per-player bound curves.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigInvalidError("seed list must not be empty")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigInvalidError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.reward_family is not None and self.reward_family not in SAMPLING_FAMILIES:
             raise ConfigInvalidError(
                 f"unknown reward family {self.reward_family!r}; expected one of {SAMPLING_FAMILIES}"
@@ -132,15 +134,15 @@ def run_episode(
     cps = config.effective_checkpoints()
     spec = ALGORITHMS[config.algorithm]
     env = MarketEnv(instance, seed, family=config.reward_family)
-    ledger = RegretLedger(instance, trace=trace, extra_columns=spec.extra_columns)
-    snaps: dict[int, tuple[float, ...]] = {}
-    stats, snapshots = spec.run(instance, env, ledger, horizon, set(cps), snaps)
+    ledger = RegretLedger(instance, trace=trace, extra_columns=spec.extra_columns,
+                          checkpoints=cps)
+    stats, snapshots = spec.run(instance, env, ledger, horizon)
     return EpisodeTrace(
         algorithm=config.algorithm,
         seed=seed,
         horizon=horizon,
         checkpoints=cps,
-        checkpoint_pseudo=tuple(snaps[c] for c in cps),
+        checkpoint_pseudo=tuple(ledger.snapshots[c] for c in cps),
         final_pseudo=tuple(ledger.pseudo),
         final_realized=tuple(ledger.realized),
         stats=stats,
@@ -148,8 +150,8 @@ def run_episode(
     )
 
 
-# Episode runners: (instance, env, ledger, horizon, checkpoint set,
-# snapshot dict to fill) -> (stats, player snapshots or None). The
+# Episode runners: (instance, env, ledger, horizon) -> (stats, player
+# snapshots or None); the ledger keeps the regret checkpoints. The
 # per-round calls go through this module's globals, so they can be
 # swapped at run time. An untraced ledger lets a runner fast-forward the
 # rounds whose proposals are fixed in advance (_fixed_rounds); a traced
@@ -159,47 +161,39 @@ def run_episode(
 _PIECE_ROUNDS = 1024
 
 
-def _fixed_rounds(env, ledger, start, stop, arms_of, cp_set, snaps):
+def _fixed_rounds(env, ledger, start, stop, arms_of):
     """Resolve and record rounds start .. stop - 1 in pieces, where
     arms_of(rounds) gives the proposals of those rounds, collision-free
-    and fixed in advance. Fills the checkpoints inside the span and
-    yields each piece's first round and rewards."""
+    and fixed in advance. Yields each piece's first round and rewards."""
     t = start
     while t < stop:
         arms = arms_of(np.arange(t, min(t + _PIECE_ROUNDS, stop)))
         rewards = env.step_block(arms)
-        k = len(rewards)
-        pseudo = ledger.record_block(arms[:k], rewards)
-        for c in cp_set:
-            if t <= c < t + k:
-                snaps[c] = tuple(pseudo[c - t].tolist())
+        ledger.record_block(arms[:len(rewards)], rewards)
         yield t, rewards
-        t += k
+        t += len(rewards)
 
 
-def _hold(env, ledger, proposals, start, stop, cp_set, snaps):
+def _hold(env, ledger, proposals, start, stop):
     """Fast-forward rounds start .. stop - 1, which all repeat one
     collision-free proposal vector."""
     fixed = np.array(proposals)
     for _ in _fixed_rounds(env, ledger, start, stop,
-                           lambda rounds: np.broadcast_to(fixed, (len(rounds), len(fixed))),
-                           cp_set, snaps):
+                           lambda rounds: np.broadcast_to(fixed, (len(rounds), len(fixed)))):
         pass
 
 
-def _run_oracle_fixed(instance, env, ledger, horizon, cp_set, snaps):
+def _run_oracle_fixed(instance, env, ledger, horizon):
     proposals = list(instance.core.assignment)
     if not ledger.trace:
-        _hold(env, ledger, proposals, 1, horizon + 1, cp_set, snaps)
+        _hold(env, ledger, proposals, 1, horizon + 1)
         return {}, None
-    for t in range(1, horizon + 1):
+    for _ in range(horizon):
         ledger.record(env.step(proposals))
-        if t in cp_set:
-            snaps[t] = tuple(ledger.pseudo)
     return {}, None
 
 
-def _run_centralized(instance, env, ledger, horizon, cp_set, snaps):
+def _run_centralized(instance, env, ledger, horizon):
     n = instance.n
     states = [ArmStats(n) for _ in range(n)]
     core = instance.core.assignment
@@ -214,8 +208,6 @@ def _run_centralized(instance, env, ledger, horizon, cp_set, snaps):
             if t > half:
                 core_rounds_second_half += 1
         ledger.record(outcome, extra=(int(is_core),) if ledger.trace else ())
-        if t in cp_set:
-            snaps[t] = tuple(ledger.pseudo)
     stats = {
         "core_match_rounds": core_rounds,
         "core_match_rounds_second_half": core_rounds_second_half,
@@ -224,13 +216,11 @@ def _run_centralized(instance, env, ledger, horizon, cp_set, snaps):
     return stats, None
 
 
-def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
+def _run_decentralized(instance, env, ledger, horizon):
     n = instance.n
     core = instance.core.assignment
     players = [DecentralizedPlayer(i, n, horizon) for i in range(n)]
     flags = [True] * n
-    post_commit_core = [0] * n
-    post_commit_rounds = [0] * n
     lead = players[0]
     ids = np.arange(n)
     t = 1
@@ -239,21 +229,16 @@ def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
             # the block's round robin up to, not including, its closing round
             stop = min(t + lead.stage_left - 1, horizon + 1)
             for start, rewards in _fixed_rounds(env, ledger, t, stop,
-                                                lambda rounds: (rounds[:, None] + ids) % n,
-                                                cp_set, snaps):
+                                                lambda rounds: (rounds[:, None] + ids) % n):
                 for i, p in enumerate(players):
                     p.explore_span(start, rewards[:, i].tolist())
             t = stop
             continue
         if not ledger.trace and all(p.committed is not None for p in players):
             # every player pulls its committed arm until the horizon
-            committed = [p.committed for p in players]
-            _hold(env, ledger, committed, t, horizon + 1, cp_set, snaps)
-            for i, p in enumerate(players):
+            _hold(env, ledger, [p.committed for p in players], t, horizon + 1)
+            for p in players:
                 p.hold_commitment(horizon)
-                post_commit_rounds[i] += horizon + 1 - t
-                if committed[i] == core[i]:
-                    post_commit_core[i] += horizon + 1 - t
             break
         in_phase2 = lead.phase == 2
         proposals = [p.action(t, flags) for p in players]
@@ -268,27 +253,24 @@ def _run_decentralized(instance, env, ledger, horizon, cp_set, snaps):
             if any(collided):
                 raise DesyncError(f"phase-2 collision at round {t}")
             commit_cascade(players, flags)
-        for i, p in enumerate(players):
-            if p.committed is not None and t > p.commit_round:
-                post_commit_rounds[i] += 1
-                if matched[i] == core[i]:
-                    post_commit_core[i] += 1
         ledger.record(outcome)
-        if t in cp_set:
-            snaps[t] = tuple(ledger.pseudo)
         t += 1
     t1 = players[0].t1
     if any(p.t1 != t1 for p in players):
         raise DesyncError(f"players disagree on the entry round: {[p.t1 for p in players]}")
+    # A committed player proposes its arm in every later round and a
+    # phase-2 collision raises, so it is matched to that arm until the
+    # horizon.
+    post_commit_rounds = [0 if p.committed is None else horizon - p.commit_round
+                          for p in players]
+    is_core = [p.committed is not None and p.committed == core[i] for i, p in enumerate(players)]
     stats = {
         "entry_round": t1,
         "commit_rounds": [p.commit_round for p in players],
         "committed_arms": [None if p.committed is None else p.committed + 1 for p in players],
-        "committed_is_core": [
-            p.committed is not None and p.committed == core[i] for i, p in enumerate(players)
-        ],
+        "committed_is_core": is_core,
         "post_commit_rounds": post_commit_rounds,
-        "post_commit_core_rounds": post_commit_core,
+        "post_commit_core_rounds": [r if c else 0 for r, c in zip(post_commit_rounds, is_core)],
     }
     return stats, [p.snapshot() for p in players]
 

@@ -65,12 +65,6 @@ class Matching:
         """1-based list, position p holds the arm of player p (1-based)."""
         return [a + 1 for a in self.assignment]
 
-    @classmethod
-    def from_json_list(cls, data: Sequence[int]) -> "Matching":
-        if not all(isinstance(a, int) and not isinstance(a, bool) for a in data):
-            raise MalformedRankingError(f"matching entries must be integers, got {data!r}")
-        return cls(tuple(a - 1 for a in data))
-
 
 @dataclass(frozen=True)
 class Coalition:
@@ -160,7 +154,7 @@ def validate_instance(utilities: Iterable, reward_model: str = "gaussian") -> Ma
     """
     try:
         u = np.array(utilities, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NonSquareMatrixError(f"utilities must be a square matrix of numbers: {exc}") from exc
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
         raise NonSquareMatrixError(f"utilities must be square and non-empty, got shape {u.shape}")
@@ -346,15 +340,15 @@ def find_blocking_coalition(utilities: np.ndarray, matching: Matching) -> Coalit
     )
 
 
-def core_oracle_bruteforce(utilities: np.ndarray, max_n: int = MAX_ORACLE_N) -> Matching:
+def core_oracle_bruteforce(utilities: np.ndarray) -> Matching:
     """Enumerate all n! matchings, keep the unblocked ones, and insist
     there is exactly one. Independent of ttc by construction; used to
     certify mechanism output and core uniqueness in tests.
     """
     u = np.asarray(utilities, dtype=float)
     n = u.shape[0]
-    if n > max_n:
-        raise OracleTooLargeError(f"brute-force oracle limited to n <= {max_n}, got {n}")
+    if n > MAX_ORACLE_N:
+        raise OracleTooLargeError(f"brute-force oracle limited to n <= {MAX_ORACLE_N}, got {n}")
     rankings, pos = _preference_tables(u)
     unblocked: list[tuple[int, ...]] = []
     for perm in itertools.permutations(range(n)):
@@ -455,9 +449,15 @@ def _blocking_search(
 # --- serialization --------------------------------------------------------
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer; Python counts a bool as an int, JSON does not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def instance_from_json_dict(data: dict) -> MarketInstance:
     """Build an instance from the documented JSON schema:
-    {"n": int, "utilities": [[...]], "reward_model": "gaussian"|"bernoulli"}.
+    {"n": int, "utilities": [[number, ...], ...],
+    "reward_model": "gaussian"|"bernoulli"}.
     """
     if not isinstance(data, dict):
         raise NonSquareMatrixError("instance file must hold a JSON object")
@@ -466,7 +466,15 @@ def instance_from_json_dict(data: dict) -> MarketInstance:
         raise NonSquareMatrixError(
             f"instance object must have exactly the keys {sorted(expected)}, got {sorted(data)}"
         )
-    inst = validate_instance(data["utilities"], data["reward_model"])
+    if not is_json_int(data["n"]):
+        raise NonSquareMatrixError(f"n must be an integer, got {data['n']!r}")
+    rows = data["utilities"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(is_json_int(v) or isinstance(v, float) for v in row)
+        for row in rows
+    ):
+        raise NonSquareMatrixError("utilities must be a list of rows of numbers")
+    inst = validate_instance(rows, data["reward_model"])
     if inst.n != data["n"]:
         raise NonSquareMatrixError(
             f"declared n={data['n']} does not match a {inst.n}x{inst.n} matrix"
@@ -483,14 +491,6 @@ def save_instance(instance: MarketInstance, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(instance.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_matching(path: str | Path) -> Matching:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise MalformedRankingError("matching file must hold a JSON array")
-    return Matching.from_json_list(data)
 
 
 def save_matching(matching: Matching, path: str | Path) -> None:

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from housebandits.cli import main, parse_checkpoints, parse_seeds
 from housebandits.errors import ConfigInvalidError, RuntimeFailure
-from housebandits.market import load_instance, load_matching
+from housebandits.harness import ALGORITHMS
+from housebandits.market import is_json_int, load_instance
 
 
 @pytest.fixture()
@@ -76,7 +79,7 @@ class TestMechanisms:
     def test_writes_matching_file(self, instance_path, tmp_path):
         out = tmp_path / "m.json"
         assert main(["mechanisms", "--instance", instance_path, "--out", str(out)]) == 0
-        assert load_matching(out).assignment == (1, 2, 0)
+        assert json.loads(out.read_text()) == [2, 3, 1]
 
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["mechanisms", "--instance", str(tmp_path / "nope.json")]) == 2
@@ -264,7 +267,28 @@ class TestBounds:
         assert captured.err.startswith("error: checkpoints must")
 
 
+def run_on_file(payload, argv, instance_path, tmp_path, capsys) -> int:
+    """Write payload (bytes or a JSON document) to a file, run argv with
+    {file}, {instance} and {out} filled in, and return the exit code;
+    a failing run prints one error line and no traceback."""
+    path = tmp_path / "input.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
+    args = [a.format(file=path, instance=instance_path, out=tmp_path / "out") for a in argv]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.startswith("error:")
+    return code
+
+
 RAGGED_INSTANCE = {"n": 2, "utilities": [[0.1, 0.2], [0.3]], "reward_model": "gaussian"}
+VALID_INSTANCE = {"n": 2, "utilities": [[0.2, 0.9], [0.8, 0.3]], "reward_model": "gaussian"}
+MECHANISMS = ["mechanisms", "--instance", "{file}"]
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000  # deeper than the decoder's recursion limit
 MC_CONFIG = {"algorithm": "oracle-fixed", "horizon": 100, "seeds": [0, 1]}
 MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out", "{out}"]
 
@@ -272,9 +296,15 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
 @pytest.mark.parametrize(
     "payload, argv",
     [
-        (RAGGED_INSTANCE, ["mechanisms", "--instance", "{file}"]),
-        (b"\xff\xfe{}", ["mechanisms", "--instance", "{file}"]),
+        (RAGGED_INSTANCE, MECHANISMS),
+        ({**VALID_INSTANCE, "n": 2.0}, MECHANISMS),
+        ({**VALID_INSTANCE, "n": True}, MECHANISMS),
+        ({**VALID_INSTANCE, "utilities": [["0.2", "0.9"], ["0.8", "0.3"]]}, MECHANISMS),
+        ({**VALID_INSTANCE, "utilities": [[False, True], [True, False]]}, MECHANISMS),
+        (b"\xff\xfe{}", MECHANISMS),
+        (DEEP_JSON, MECHANISMS),
         (b"\xff\xfe{}", MC_WITH_CONFIG),
+        (DEEP_JSON, MC_WITH_CONFIG),
         ({**MC_CONFIG, "horizon": "ten"}, MC_WITH_CONFIG),
         ({**MC_CONFIG, "horizon": 60.9}, MC_WITH_CONFIG),
         ({**MC_CONFIG, "horizon": True}, MC_WITH_CONFIG),
@@ -285,22 +315,93 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
         ({**MC_CONFIG, "algorithm": ["oracle-fixed"]}, MC_WITH_CONFIG),
         ({**MC_CONFIG, "instance_id": 5}, MC_WITH_CONFIG),
         ({**MC_CONFIG, "instance": 5}, ["mc", "--config", "{file}", "--out", "{out}"]),
+        ({**MC_CONFIG, "seeds": [-1, 2]}, MC_WITH_CONFIG),
+        (None, ["mc", "--instance", "{instance}", "--algo", "oracle-fixed", "--horizon", "10",
+                "--seeds=-1,2", "--out", "{out}"]),
         (None, ["bounds", "--instance", "{instance}", "--algo", "decentralized-etc",
                 "--horizon", "1"]),
     ],
-    ids=["ragged-utilities", "instance-not-utf8", "config-not-utf8", "horizon-not-an-integer",
+    ids=["ragged-utilities", "n-a-float", "n-a-bool", "utilities-strings", "utilities-bools",
+         "instance-not-utf8", "instance-nested-too-deep", "config-not-utf8",
+         "config-nested-too-deep", "horizon-not-an-integer",
          "horizon-not-integral", "horizon-a-bool", "seeds-bools", "checkpoint-a-bool",
          "checkpoint-not-an-integer", "config-trace-key", "algorithm-not-a-string",
-         "instance-id-not-a-string", "instance-not-a-path", "horizon-below-algorithm-minimum"],
+         "instance-id-not-a-string", "instance-not-a-path", "config-seed-negative",
+         "flag-seed-negative", "horizon-below-algorithm-minimum"],
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
-    path = tmp_path / "input.json"
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(json.dumps(payload))
-    args = [a.format(file=path, instance=instance_path, out=tmp_path / "out") for a in argv]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2
+
+
+# --- fuzzing the JSON inputs --------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+MATRICES = st.lists(
+    st.lists(st.floats(-0.5, 1.5) | st.integers(-1, 2) | st.booleans() | st.text(max_size=3),
+             max_size=3),
+    max_size=3,
+)
+# the values one key of a valid document is replaced with; integer
+# horizons stay small, as a valid horizon of 10**30 runs for ever
+INSTANCE_VALUES = {
+    "n": st.integers(-1, 4) | JSON_VALUES,
+    "utilities": MATRICES | JSON_VALUES,
+    "reward_model": st.sampled_from(["gaussian", "bernoulli", "deterministic"]) | JSON_VALUES,
+}
+CONFIG_VALUES = {
+    "algorithm": st.sampled_from(tuple(ALGORITHMS)) | JSON_VALUES,
+    "horizon": st.integers(-2, 300) | JSON_VALUES.filter(lambda v: not is_json_int(v)),
+    "seeds": st.lists(st.integers(-2, 2**70), max_size=4) | JSON_VALUES,
+    "checkpoints": st.lists(st.integers(-2, 400), max_size=4) | JSON_VALUES,
+    "reward_family": st.sampled_from(["gaussian", "bernoulli", "deterministic"]) | JSON_VALUES,
+    "instance_id": JSON_VALUES,
+    "instance": JSON_VALUES,
+}
+# "instance" is the path of a valid instance file, filled in by the test
+VALID_CONFIG = {"instance": None, "algorithm": "centralized-ucb", "horizon": 60,
+                "seeds": [0, 1], "checkpoints": [10, 60]}
+
+
+def malformed(valid, values):
+    """Any JSON document, bytes that may not decode, or the valid
+    document with some keys dropped, replaced or added."""
+
+    @st.composite
+    def edited(draw):
+        doc = dict(valid)
+        for key in draw(st.lists(st.sampled_from(sorted(values) + ["extra"]), unique=True,
+                                 min_size=1, max_size=3)):
+            if key in doc and draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = draw(values.get(key, JSON_VALUES))
+        return doc
+
+    return edited() | JSON_VALUES | st.binary(max_size=8)
+
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(doc=malformed(VALID_INSTANCE, INSTANCE_VALUES))
+@example(doc={**VALID_INSTANCE, "utilities": [[10**400, 0.9], [0.8, 0.3]]})
+def test_malformed_instance_json_exits_0_or_2(doc, instance_path, tmp_path, capsys):
+    assert run_on_file(doc, MECHANISMS, instance_path, tmp_path, capsys) in (0, 2)
+
+
+@FUZZ
+@given(doc=malformed(VALID_CONFIG, CONFIG_VALUES))
+@example(doc={**VALID_CONFIG, "seeds": [-1, 2]})
+@example(doc={**VALID_CONFIG, "instance": "\0"})
+def test_malformed_config_json_exits_0_or_2(doc, instance_path, tmp_path, capsys):
+    if isinstance(doc, dict) and "instance" in doc and doc["instance"] is None:
+        doc = {**doc, "instance": instance_path}
+    assert run_on_file(doc, ["mc", "--config", "{file}", "--out", "{out}"], instance_path,
+                       tmp_path, capsys) in (0, 2)

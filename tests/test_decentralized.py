@@ -186,6 +186,14 @@ class TestPlayerStateMachine:
         flags = [True] * 3
         assert sorted(p.action(1, flags) for p in players) == [0, 1, 2]
 
+    @pytest.mark.parametrize("view", [PlayerView(0, 0.5, False, ()), PlayerView(2, 0.0, True, ())])
+    def test_exploration_observation_must_be_the_round_robin_match(self, view):
+        """Player 1 of 3 proposes arm (1 + 1) mod 3 = 2 in round 1."""
+        player = DecentralizedPlayer(1, 3, 1000)
+        assert player.action(1, [True] * 3) == 2
+        with pytest.raises(DesyncError, match="clean exploration match"):
+            player.observe(1, view)
+
     def test_round_skew_detected(self):
         player = DecentralizedPlayer(0, 3, 1000)
         with pytest.raises(DesyncError):

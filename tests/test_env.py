@@ -94,11 +94,12 @@ def test_resolve_rejects_bad_arm(swap2):
 @pytest.mark.parametrize("proposals", [[0], [0, 1, ABSTAIN], []])
 def test_step_rejects_wrong_number_of_slots(swap2, proposals):
     """A short vector is not read as abstentions, nor a long one
-    truncated; the round counter does not move."""
+    truncated; no noise is consumed, so the next valid round is a fresh
+    environment's first."""
     env = MarketEnv(swap2, seed=0)
     with pytest.raises(EntryOutOfRangeError):
         env.step(proposals)
-    assert env.t == 0
+    assert env.step([1, 0]).rewards == resolve([1, 0], swap2).rewards
 
 
 def test_owner_view_carries_identities(tri):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from housebandits import decentralized
 from housebandits.env import MarketEnv, RegretLedger
 from housebandits.errors import RuntimeFailure
 from housebandits.harness import ExperimentConfig, run_episode
@@ -81,11 +82,34 @@ def test_block_record_refuses_a_traced_ledger():
         RegretLedger(inst, trace=io.StringIO()).record_block(arms, rewards)
 
 
+def test_block_record_fills_the_same_snapshots_as_rounds():
+    """Checkpoints at round 1 and at the first and last round of a block."""
+    inst = INSTANCES["sttcb"]()
+    n = inst.n
+    arms = (np.arange(1, 103)[:, None] + np.arange(n)) % n  # rounds 1 .. 102
+    cps = (1, 2, 101)
+    by_round, by_block = (RegretLedger(inst, checkpoints=cps) for _ in range(2))
+    env = MarketEnv(inst, 0)
+    for row in arms:
+        by_round.record(env.step(row.tolist()))
+    env = MarketEnv(inst, 0)
+    by_block.record(env.step(arms[0].tolist()))
+    by_block.record_block(arms[1:101], env.step_block(arms[1:101]))
+    by_block.record(env.step(arms[101].tolist()))
+    assert sorted(by_block.snapshots) == list(cps)
+    assert by_block.snapshots == by_round.snapshots
+    assert (by_block.pseudo, by_block.realized) == (by_round.pseudo, by_round.realized)
+
+
 def test_block_rejects_colliding_rounds():
-    env = MarketEnv(INSTANCES["sttcb"](), 0)
+    """No noise is consumed, so the next valid block is a fresh
+    environment's first."""
+    inst = INSTANCES["sttcb"]()
+    env = MarketEnv(inst, 0)
     with pytest.raises(RuntimeFailure):
         env.step_block(np.zeros((2, 5), dtype=int))
-    assert env.t == 0
+    arms = np.tile(np.array(inst.core.assignment), (2, 1))
+    assert np.array_equal(env.step_block(arms), MarketEnv(inst, 0).step_block(arms))
 
 
 def count_steps(monkeypatch):
@@ -130,8 +154,9 @@ def spaced_markets(draw):
 @settings(max_examples=8, deadline=None)
 @given(spaced_markets())
 def test_episode_properties_on_both_paths(instance):
-    """Players agree on t1, phase 2 never collides, and the commitments
-    are the trading cycles of the certified rankings."""
+    """Players agree on t1, phase 2 never collides, the commitments are
+    the trading cycles of the certified rankings, and the post-commit
+    counters match the trace."""
     horizon = PROPERTY_HORIZONS[instance.n]
     trace = io.StringIO()
     cfg = ExperimentConfig(instance, "decentralized-etc", horizon, (0,),
@@ -147,6 +172,33 @@ def test_episode_properties_on_both_paths(instance):
         committed = tuple(a - 1 for a in episode.stats["committed_arms"])
         assert committed == ttc(rankings).assignment
     trace.seek(0)
-    assert not [row for row in csv.DictReader(trace)
-                if int(row["round"]) > t1 and row["collided"] == "1"]
+    rows = list(csv.DictReader(trace))
+    assert not [row for row in rows if int(row["round"]) > t1 and row["collided"] == "1"]
+    assert_post_commit_counts_match(loop, rows, instance.core.assignment)
     assert_same_episode(loop, fast)
+
+
+def assert_post_commit_counts_match(episode, rows, core):
+    """The post-commit counters count the traced rounds after each
+    commit, and among them those matched to the core arm."""
+    for i, commit in enumerate(episode.stats["commit_rounds"]):
+        after = [int(r["matched_arm"]) - 1 for r in rows
+                 if int(r["player"]) == i + 1 and int(r["round"]) > commit]
+        assert episode.stats["post_commit_rounds"][i] == len(after)
+        assert episode.stats["post_commit_core_rounds"][i] == after.count(core[i])
+
+
+def test_commitments_off_the_core_count_no_core_rounds(monkeypatch):
+    """Every player certifies the ranking (arm 1, arm 2), so the trading
+    cycles give the identity matching, not the core swap."""
+    monkeypatch.setattr(decentralized, "try_extract_ranking", lambda stats, horizon: (0, 1))
+    instance = validate_instance([[0.2, 0.9], [0.8, 0.3]])
+    cfg = ExperimentConfig(instance, "decentralized-etc", 200, (0,), reward_family="deterministic")
+    trace = io.StringIO()
+    loop = run_episode(cfg, 0, trace=trace)
+    assert loop.stats["committed_arms"] == [1, 2]
+    assert loop.stats["post_commit_core_rounds"] == [0, 0]
+    assert min(loop.stats["post_commit_rounds"]) > 0
+    trace.seek(0)
+    assert_post_commit_counts_match(loop, list(csv.DictReader(trace)), instance.core.assignment)
+    assert_same_episode(loop, run_episode(cfg, 0))

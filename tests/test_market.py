@@ -137,12 +137,6 @@ def test_matching_rejects_non_bijection():
 def test_matching_json_roundtrip_is_one_based():
     m = Matching((1, 0, 2))
     assert m.to_json_list() == [2, 1, 3]
-    assert Matching.from_json_list([2, 1, 3]) == m
-
-
-def test_matching_from_json_rejects_non_integers():
-    with pytest.raises(MalformedRankingError):
-        Matching.from_json_list([1.0, 2.0])
 
 
 # --- top trading cycles ---------------------------------------------------
