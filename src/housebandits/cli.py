@@ -277,8 +277,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if args.checkpoints
         else default_checkpoints(args.horizon)
     )
-    if not checkpoints:
-        checkpoints = (args.horizon,)
     validate_checkpoints(checkpoints, args.horizon)
     print("checkpoint_t,player,bound")
     for t in checkpoints:

@@ -54,7 +54,9 @@ CSV_COLUMNS = (
 
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
-    return tuple(c for c in DEFAULT_CHECKPOINT_GRID if 1 <= c <= horizon)
+    """The grid points up to the horizon, or the horizon alone when
+    none fits."""
+    return tuple(c for c in DEFAULT_CHECKPOINT_GRID if 1 <= c <= horizon) or (horizon,)
 
 
 def validate_checkpoints(checkpoints: tuple[int, ...], horizon: int) -> None:
@@ -96,6 +98,8 @@ class ExperimentConfig:
             raise ConfigInvalidError("seed list must not be empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigInvalidError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigInvalidError("seeds must be distinct; a repeated seed replays its episode")
         if self.reward_family is not None and self.reward_family not in SAMPLING_FAMILIES:
             raise ConfigInvalidError(
                 f"unknown reward family {self.reward_family!r}; expected one of {SAMPLING_FAMILIES}"

@@ -2,16 +2,38 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from housebandits.centralized import index, rank_by_index, submitted_rankings
+from housebandits import centralized, harness, market
+from housebandits.centralized import submitted_rankings
 from housebandits.env import ArmStats
 from housebandits.harness import ExperimentConfig, monte_carlo, run_episode
-from housebandits.instances import sttcb_instance
-from housebandits.market import validate_instance
+from housebandits.instances import lower_bound_instance, random_instance, sttcb_instance
+from housebandits.market import Ranking, validate_instance
+
+
+# --- the reference spec the package's inlined ranking must equal ------------
+
+def index(mean: float, count: int, t: int) -> float:
+    """Optimistic index: +inf when the arm was never pulled, otherwise
+    mean + sqrt(3 ln t / (2 count)) with the count taken before the
+    current round."""
+    if count == 0:
+        return math.inf
+    return mean + math.sqrt(3.0 * math.log(t) / (2.0 * count))
+
+
+def rank_by_index(indices: Sequence[float]) -> Ranking:
+    """Arms by index, best first; ties (including several +inf) break
+    toward the lower arm index."""
+    return tuple(sorted(range(len(indices)), key=lambda j: (-indices[j], j)))
 
 
 def swap_market():
@@ -131,3 +153,95 @@ class TestConvergence:
         first = np.array(rep.mean_regret[0])
         second = np.array(rep.mean_regret[1]) - first
         assert (second < first).all()
+
+
+# --- the inlined index and the platform memo against the spec ----------------
+
+# Bernoulli rewards keep means on a few values, so equal (mean, count)
+# pairs, and with them equal indices, are common
+MEANS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1.0, 2.0)
+COUNTS = st.integers(0, 3) | st.integers(0, 10**7)
+
+
+@st.composite
+def player_states(draw):
+    n = draw(st.integers(1, 6))
+    states = []
+    for _ in range(n):
+        stats = ArmStats(n)
+        stats.means = draw(st.lists(MEANS, min_size=n, max_size=n))
+        stats.counts = draw(st.lists(COUNTS, min_size=n, max_size=n))
+        states.append(stats)
+    return states
+
+
+@settings(max_examples=300, deadline=None)
+@given(player_states(), st.integers(1, 10**7))
+def test_submitted_rankings_equal_the_reference(states, t):
+    expected = tuple(
+        rank_by_index([index(m, c, t) for m, c in zip(s.means, s.counts)]) for s in states
+    )
+    assert submitted_rankings(states, t) == expected
+
+
+def test_memo_calls_ttc_once_per_profile_and_returns_its_matching(monkeypatch):
+    """Over a centralized episode the platform calls ttc exactly once
+    per distinct ranking profile while the memo holds them all, and
+    every round's matching is ttc's matching of that round's rankings."""
+    misses = []
+    profiles = []
+    rounds = []
+    platform_round = centralized.platform_round
+
+    def counting_ttc(rankings):
+        misses.append(rankings)
+        return market.ttc(rankings)
+
+    def recording_rankings(states, t):
+        profiles.append(submitted_rankings(states, t))
+        return profiles[-1]
+
+    def recording_round(states, t, env):
+        matching, outcome = platform_round(states, t, env)
+        rounds.append((profiles[-1], matching))
+        return matching, outcome
+
+    monkeypatch.setattr(centralized, "ttc", counting_ttc)
+    monkeypatch.setattr(centralized, "submitted_rankings", recording_rankings)
+    monkeypatch.setattr(harness, "platform_round", recording_round)
+    centralized._clear.cache_clear()
+    inst = sttcb_instance(5, 0.2, np.random.default_rng(7))
+    cfg = ExperimentConfig(inst, "centralized-ucb", horizon=20000, seeds=(0,))
+    run_episode(cfg, 0)
+
+    distinct = set(profiles)
+    assert len(rounds) == 20000
+    assert 100 < len(distinct) <= centralized._MEMO_PROFILES
+    assert len(misses) == len(distinct)
+    assert set(misses) == distinct
+    for rankings, matching in rounds:
+        assert matching == market.ttc(rankings)
+
+
+# sha256 of (final_pseudo, final_realized, checkpoint_pseudo, stats) of 18
+# episodes, recorded with the per-(player, arm) index function and a ttc
+# call every round; the inlined index and the memo must not move a bit
+EPISODES_DIGEST = "488ba674aaddfe8eccf19ab466189f69b05f89dbfc9d062f7bc9e516c5875223"
+
+
+def test_episodes_match_the_recorded_digest():
+    markets = (
+        sttcb_instance(5, 0.2, np.random.default_rng(7)),
+        lower_bound_instance(5, 0.2, 1),
+        random_instance(4, 0.05, np.random.default_rng(1)),
+    )
+    digest = hashlib.sha256()
+    for inst in markets:
+        for family in ("gaussian", "bernoulli", "deterministic"):
+            cfg = ExperimentConfig(inst, "centralized-ucb", horizon=20000, seeds=(0, 1),
+                                   reward_family=family, checkpoints=(1, 100, 4097, 20000))
+            for seed in cfg.seeds:
+                tr = run_episode(cfg, seed)
+                digest.update(repr((tr.final_pseudo, tr.final_realized, tr.checkpoint_pseudo,
+                                    sorted(tr.stats.items()))).encode())
+    assert digest.hexdigest() == EPISODES_DIGEST

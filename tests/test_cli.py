@@ -320,6 +320,9 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
                 "--seeds=-1,2", "--out", "{out}"]),
         (None, ["bounds", "--instance", "{instance}", "--algo", "decentralized-etc",
                 "--horizon", "1"]),
+        (None, ["mc", "--instance", "{instance}", "--algo", "oracle-fixed", "--horizon", "50",
+                "--seeds", "0:3,1", "--out", "{out}"]),
+        ({**MC_CONFIG, "seeds": [1, 1]}, MC_WITH_CONFIG),
     ],
     ids=["ragged-utilities", "n-a-float", "n-a-bool", "utilities-strings", "utilities-bools",
          "instance-not-utf8", "instance-nested-too-deep", "config-not-utf8",
@@ -327,7 +330,8 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
          "horizon-not-integral", "horizon-a-bool", "seeds-bools", "checkpoint-a-bool",
          "checkpoint-not-an-integer", "config-trace-key", "algorithm-not-a-string",
          "instance-id-not-a-string", "instance-not-a-path", "config-seed-negative",
-         "flag-seed-negative", "horizon-below-algorithm-minimum"],
+         "flag-seed-negative", "horizon-below-algorithm-minimum", "seeds-repeated",
+         "config-seeds-repeated"],
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
     assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2

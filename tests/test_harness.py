@@ -80,7 +80,7 @@ class TestConfig:
     def test_default_checkpoints_clip_to_horizon(self):
         assert default_checkpoints(10**5) == (100, 1000, 10000, 100000)
         assert default_checkpoints(50000) == (100, 1000, 10000)
-        assert default_checkpoints(50) == ()
+        assert default_checkpoints(50) == (50,)
 
 
 class TestEpisodes:
