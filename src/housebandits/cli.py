@@ -68,9 +68,12 @@ def parse_seeds(text: str) -> tuple[int, ...]:
 
 def parse_checkpoints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(item) for item in text.split(",") if item.strip())
+        checkpoints = tuple(int(item) for item in text.split(",") if item.strip())
     except ValueError as exc:
         raise ConfigInvalidError(f"bad checkpoint list {text!r}") from exc
+    if not checkpoints:
+        raise ConfigInvalidError(f"no checkpoints in {text!r}")
+    return checkpoints
 
 
 def _read_instance(path: str) -> MarketInstance:
@@ -274,7 +277,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     instance = _read_instance(args.instance)
     checkpoints = (
         parse_checkpoints(args.checkpoints)
-        if args.checkpoints
+        if args.checkpoints is not None
         else default_checkpoints(args.horizon)
     )
     validate_checkpoints(checkpoints, args.horizon)

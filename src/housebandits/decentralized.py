@@ -5,17 +5,18 @@ horizon T, communicating only through the collision channel.
 
 Phase 1 is organized in sub-phases ell = 1, 2, ...; sub-phase ell has
 an exploration block of 2^ell rounds followed by n status rounds. In
-exploration everyone round-robins (player i proposes arm (i + t) mod n,
-collision-free), updating an empirical mean per arm from matched
-rewards. At the end of each block a player tries to extract a full
-preference ranking: sort arms by empirical mean and certify that every
-adjacent pair of confidence intervals is disjoint. In status round
-t' of a sub-phase, players that certified a ranking propose arm t'
-while the rest abstain; the owner of arm t' consequently counts n
-applicants exactly when everyone certified, which is the signal (seen
-by each owner in its own status round) to enter phase 2 at the end of
-the sub-phase. Either every player sees the signal or none does, so
-the transition round t1 is common.
+exploration everyone round-robins (player i proposes arm
+explore_arm(i, t, n) = (i + t) mod n, collision-free), updating an
+empirical mean per arm from matched rewards. At the end of each block
+a player tries to extract a full preference ranking: sort arms by
+empirical mean and certify that every adjacent pair of confidence
+intervals is disjoint. In status round t' of a sub-phase, players
+that certified a ranking propose arm t' while the rest abstain; the
+owner of arm t' consequently counts n applicants exactly when everyone
+certified, which is the signal (seen by each owner in its own status
+round) to enter phase 2 at the end of the sub-phase. Either every
+player sees the signal or none does, so the transition round t1 is
+common.
 
 Phase 2 replays the request-by-turn mechanism under the certified
 rankings using a common-knowledge availability flag per arm. At the
@@ -30,6 +31,11 @@ cycle commits in the same round's bookkeeping through the
 predecessor-withdrew rule (commit_cascade, run to fixpoint before the
 next round starts). Committed players pull their committed arm every
 remaining round; uncommitted bystanders abstain.
+
+Each protocol event happens at one point, whichever call drives the
+player: certification in _close_block (reached by observe or
+explore_span), t1 in the last status round's observe, epochs and
+requests in action, commitments in commit_check.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ class PlayerView(NamedTuple):
     reward: float
     collided: bool
     own_applicants: tuple[int, ...]
+
+
+def explore_arm(player, t, n):
+    """The round-robin exploration arm (player + t) mod n of a player in
+    round t; elementwise on numpy arrays."""
+    return (player + t) % n
 
 
 def sub_phase_end(ell: int, n: int) -> int:
@@ -105,14 +117,15 @@ def try_extract_ranking(stats: ArmStats, horizon: int) -> Ranking | None:
 
 
 class DecentralizedPlayer:
-    """State machine for one player. Drive it with phase1_action /
-    phase2_action (or action, which dispatches), then observe, once per
-    round; after phase-2 observes, run commit_cascade over all players.
-    explore_span and hold_commitment advance it over rounds whose
-    proposals are fixed in advance. A phase-1 action is a function of
-    the round and the schedule alone, so observe checks an exploration
-    match against the round-robin arm (id + t) mod n; phase 2 keeps the
-    chain state (epoch, predecessor, proposed and committed arm).
+    """State machine for one player. Drive it with action, then observe,
+    once per round; after phase-2 observes, run commit_cascade over all
+    players. explore_span and hold_commitment advance it over rounds
+    whose proposals are fixed in advance. stage walks the schedule: the
+    EXPLORE block and COMMUNICATE status stage of each sub-phase ell,
+    then PHASE2 from the entry round t1 on. A phase-1 action is a
+    function of the round and the schedule alone, so observe checks an
+    exploration match against explore_arm; phase 2 keeps the chain state
+    (epoch, predecessor, proposed and committed arm).
     """
 
     def __init__(self, player_id: int, n: int, horizon: int):
@@ -122,9 +135,8 @@ class DecentralizedPlayer:
         self.n = n
         self.horizon = horizon
         self.stats = ArmStats(n)
-        self.phase = 1
         self.t = 0
-        # the phase-1 schedule: sub-phase, stage, rounds left in the stage
+        # the schedule: sub-phase, stage, rounds left in a phase-1 stage
         self.ell = 1
         self.stage = EXPLORE
         self.stage_left = 2
@@ -135,7 +147,6 @@ class DecentralizedPlayer:
         # phase-2 fields
         self.epoch = 0
         self.available: frozenset[int] = frozenset()
-        self.propose_flag = False
         self.predecessor: int | None = None
         self.proposed_arm: int | None = None
         self.committed: int | None = None
@@ -145,56 +156,35 @@ class DecentralizedPlayer:
     # --- actions ---------------------------------------------------------
 
     def action(self, t: int, flags: Sequence[bool]) -> int | None:
-        if self.phase == 1:
-            return self.phase1_action(t)
-        return self.phase2_action(t, flags)
-
-    def phase1_action(self, t: int) -> int | None:
         if t != self.t + 1:
             raise DesyncError(f"player {self.id} asked to act at round {t}, expected {self.t + 1}")
         if self.stage == EXPLORE:
-            return (self.id + t) % self.n
-        if self.p_flag:
-            # status round t' (1-based offset): propose arm t' - 1
-            return self._stage_offset() - 1
-        return None
-
-    def _stage_offset(self) -> int:
-        length = 2**self.ell if self.stage == EXPLORE else self.n
-        return length - self.stage_left + 1
-
-    def phase2_action(self, t: int, flags: Sequence[bool]) -> int | None:
-        if t != self.t + 1:
-            raise DesyncError(f"player {self.id} asked to act at round {t}, expected {self.t + 1}")
+            return explore_arm(self.id, t, self.n)
+        if self.stage == COMMUNICATE:
+            # status round n - stage_left + 1 (1-based): propose its arm
+            return self.n - self.stage_left if self.p_flag else None
         if self.committed is not None:
             return self.committed
         avail = frozenset(j for j in range(self.n) if flags[j])
         if not avail:
             raise DesyncError(f"player {self.id} uncommitted with no available arms")
-        epoch_start = avail != self.available
-        if epoch_start:
+        if avail != self.available:
+            # epoch start: the owner of the lowest available arm proposes
             self.epoch += 1
             self.available = avail
-            self.propose_flag = False
             self.predecessor = None
-            self.proposed_arm = None
-        action: int | None = None
-        if epoch_start:
-            if self.id == min(avail):
-                action = self._best_available()
-                self.propose_flag = True
-                self.proposed_arm = action
-        elif not self.propose_flag and self._own_applicants:
-            # chain turn: my arm was requested last round
-            if len(self._own_applicants) != 1:
-                raise DesyncError(
-                    f"arm {self.id} drew {len(self._own_applicants)} phase-2 applicants"
-                )
-            self.predecessor = self._own_applicants[0]
-            action = self._best_available()
-            self.propose_flag = True
-            self.proposed_arm = action
-        return action
+            self.proposed_arm = self._best_available() if self.id == min(avail) else None
+            return self.proposed_arm
+        if self.proposed_arm is not None or not self._own_applicants:
+            return None
+        # chain turn: my arm was requested last round
+        if len(self._own_applicants) != 1:
+            raise DesyncError(
+                f"arm {self.id} drew {len(self._own_applicants)} phase-2 applicants"
+            )
+        self.predecessor = self._own_applicants[0]
+        self.proposed_arm = self._best_available()
+        return self.proposed_arm
 
     def _best_available(self) -> int:
         if self.sigma is None:
@@ -211,53 +201,43 @@ class DecentralizedPlayer:
             raise DesyncError(f"player {self.id} observed round {t}, expected {self.t + 1}")
         self.t = t
         self._own_applicants = view.own_applicants
-        if self.phase != 1:
-            return
         if self.stage == EXPLORE:
-            if view.collided or view.matched != (self.id + t) % self.n:
+            if view.collided or view.matched != explore_arm(self.id, t, self.n):
                 raise DesyncError(
                     f"player {self.id} expected a clean exploration match at round {t}"
                 )
             self.stats.update(view.matched, view.reward)
             self.stage_left -= 1
             if self.stage_left == 0:
-                # end of the exploration block: refresh the certificate
-                extracted = try_extract_ranking(self.stats, self.horizon)
-                self.p_flag = extracted is not None
-                if extracted is not None:
-                    self.sigma = extracted
-                self.stage = COMMUNICATE
-                self.stage_left = self.n
-            return
-        # status stage
-        offset = self._stage_offset()
-        if offset - 1 == self.id and len(view.own_applicants) == self.n:
-            self.pending_entry = True
-        self.stage_left -= 1
-        if self.stage_left == 0:
-            if self.pending_entry:
-                self.phase = 2
-                self.t1 = t
-                if t != sub_phase_end(self.ell, self.n):
-                    raise DesyncError(
-                        f"player {self.id} entered phase 2 at round {t}, "
-                        f"not at the end of sub-phase {self.ell}"
-                    )
-            else:
-                self.ell += 1
-                self.stage = EXPLORE
-                self.stage_left = 2**self.ell
+                self._close_block()
+        elif self.stage == COMMUNICATE:
+            if self.n - self.stage_left == self.id and len(view.own_applicants) == self.n:
+                self.pending_entry = True
+            self.stage_left -= 1
+            if self.stage_left == 0:
+                if self.pending_entry:
+                    self.stage = PHASE2
+                    self.t1 = t
+                    if t != sub_phase_end(self.ell, self.n):
+                        raise DesyncError(
+                            f"player {self.id} entered phase 2 at round {t}, "
+                            f"not at the end of sub-phase {self.ell}"
+                        )
+                else:
+                    self.ell += 1
+                    self.stage = EXPLORE
+                    self.stage_left = 2**self.ell
 
     def explore_span(self, t: int, rewards: Sequence[float]) -> None:
         """Observe rounds t .. t + k - 1 of the exploration block at once,
-        none of them its closing round: in round t + r this player was
-        matched to its round-robin arm (id + t + r) mod n and drew
+        up to and including its closing round: in round t + r this
+        player was matched to explore_arm(id, t + r, n) and drew
         rewards[r]. Each arm's mean takes the same updates as observe
         gives it, in the same order."""
         k = len(rewards)
         if t != self.t + 1:
             raise DesyncError(f"player {self.id} observed round {t}, expected {self.t + 1}")
-        if self.phase != 1 or self.stage != EXPLORE or not 0 < k < self.stage_left:
+        if self.stage != EXPLORE or not 0 < k <= self.stage_left:
             raise DesyncError(
                 f"player {self.id} has no {k} open exploration rounds at round {t}"
             )
@@ -265,7 +245,7 @@ class DecentralizedPlayer:
         means = self.stats.means
         counts = self.stats.counts
         for r in range(min(n, k)):
-            arm = (self.id + t + r) % n
+            arm = explore_arm(self.id, t + r, n)
             m = means[arm]
             c = counts[arm]
             for x in rewards[r::n]:
@@ -275,6 +255,18 @@ class DecentralizedPlayer:
             counts[arm] = c
         self.t = t + k - 1
         self.stage_left -= k
+        if self.stage_left == 0:
+            self._close_block()
+
+    def _close_block(self) -> None:
+        """End the exploration block: refresh the certificate, then
+        start the status stage."""
+        extracted = try_extract_ranking(self.stats, self.horizon)
+        self.p_flag = extracted is not None
+        if extracted is not None:
+            self.sigma = extracted
+        self.stage = COMMUNICATE
+        self.stage_left = self.n
 
     def hold_commitment(self, t: int) -> None:
         """Skip to the end of round t, pulling the committed arm in every
@@ -289,31 +281,31 @@ class DecentralizedPlayer:
     def commit_check(self, flags: Sequence[bool]) -> bool:
         """One step of the end-of-round closure rule. True if this
         player just withdrew (the caller must flip its flag)."""
-        if self.phase != 2 or self.committed is not None or not self.propose_flag:
+        if self.committed is not None or self.proposed_arm is None:
             return False
         closed = bool(self._own_applicants)
         withdrawn = self.predecessor is not None and not flags[self.predecessor]
         if closed or withdrawn:
             self.committed = self.proposed_arm
             self.commit_round = self.t
-            self.propose_flag = False
             return True
         return False
 
     def snapshot(self) -> dict:
         """JSON-friendly dump of the player state (1-based indices)."""
+        phase1 = self.stage != PHASE2
         return {
             "player": self.id + 1,
-            "phase": self.phase,
+            "phase": 1 if phase1 else 2,
             "round": self.t,
-            "sub_phase": self.ell if self.phase == 1 else None,
-            "stage": self.stage if self.phase == 1 else PHASE2,
+            "sub_phase": self.ell if phase1 else None,
+            "stage": self.stage,
             "means": list(self.stats.means),
             "counts": list(self.stats.counts),
             "ranking_certified": self.p_flag,
             "ranking": None if self.sigma is None else [a + 1 for a in self.sigma],
             "entry_round": self.t1,
-            "epoch": self.epoch if self.phase == 2 else None,
+            "epoch": None if phase1 else self.epoch,
             "committed_arm": None if self.committed is None else self.committed + 1,
             "commit_round": self.commit_round,
         }

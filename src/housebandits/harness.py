@@ -4,8 +4,8 @@ seeds, closed-form regret bound curves, and report export.
 An episode is a sequential round loop, which stays the executable spec
 and is what a traced episode plays. An untraced episode of the
 decentralized protocol or the oracle fast-forwards the spans whose
-proposals are fixed in advance (exploration round robins before each
-block's closing round, play after every player has committed, the
+proposals are fixed in advance (each exploration block's round robin,
+closing round included, play after every player has committed, the
 oracle's whole horizon) in pieces of whole rounds, with the same random
 stream and the same sums, so both give the same episode bit for bit.
 Parallelism, when wanted, belongs at the seed level only (episodes
@@ -28,10 +28,12 @@ import numpy as np
 from .centralized import platform_round
 from .decentralized import (
     EXPLORE,
+    PHASE2,
     DecentralizedPlayer,
     PlayerView,
     commit_cascade,
     entry_round_bound,
+    explore_arm,
 )
 from .env import SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
 from .errors import ConfigInvalidError, DesyncError
@@ -158,8 +160,9 @@ def run_episode(
 # snapshots or None); the ledger keeps the regret checkpoints. The
 # per-round calls go through this module's globals, so they can be
 # swapped at run time. An untraced ledger lets a runner fast-forward the
-# rounds whose proposals are fixed in advance (_fixed_rounds); a traced
-# one plays every round through the loop, which stays the spec.
+# rounds whose proposals are fixed in advance (_fixed_rounds) and hand
+# each piece to the players in one call that leaves them as the loop
+# would; a traced one plays every round through the loop, the spec.
 
 # rounds per fast-forward piece; bounds the arrays a piece allocates
 _PIECE_ROUNDS = 1024
@@ -229,11 +232,11 @@ def _run_decentralized(instance, env, ledger, horizon):
     ids = np.arange(n)
     t = 1
     while t <= horizon:
-        if not ledger.trace and lead.phase == 1 and lead.stage == EXPLORE and lead.stage_left > 1:
-            # the block's round robin up to, not including, its closing round
-            stop = min(t + lead.stage_left - 1, horizon + 1)
-            for start, rewards in _fixed_rounds(env, ledger, t, stop,
-                                                lambda rounds: (rounds[:, None] + ids) % n):
+        if not ledger.trace and lead.stage == EXPLORE:
+            # the rest of the block's round robin, closing round included
+            stop = min(t + lead.stage_left, horizon + 1)
+            for start, rewards in _fixed_rounds(
+                    env, ledger, t, stop, lambda rounds: explore_arm(ids, rounds[:, None], n)):
                 for i, p in enumerate(players):
                     p.explore_span(start, rewards[:, i].tolist())
             t = stop
@@ -244,7 +247,7 @@ def _run_decentralized(instance, env, ledger, horizon):
             for p in players:
                 p.hold_commitment(horizon)
             break
-        in_phase2 = lead.phase == 2
+        in_phase2 = lead.stage == PHASE2
         proposals = [p.action(t, flags) for p in players]
         outcome = env.step(proposals)
         matched = outcome.matched

@@ -47,6 +47,8 @@ class GeneratorConfig:
 
 
 def generate(config: GeneratorConfig) -> MarketInstance:
+    if config.seed is not None and config.seed < 0:
+        raise ConfigInvalidError(f"generator seed must be non-negative, got {config.seed}")
     if config.family == "random":
         if config.delta_floor is None:
             raise ConfigInvalidError("random family requires delta_floor")

@@ -55,9 +55,6 @@ class Matching:
     def __post_init__(self) -> None:
         _check_permutation(self.assignment, len(self.assignment))
 
-    def __len__(self) -> int:
-        return len(self.assignment)
-
     def arm_of(self, player: int) -> int:
         return self.assignment[player]
 

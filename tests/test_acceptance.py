@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from housebandits.decentralized import (
+    PHASE2,
     DecentralizedPlayer,
     PlayerView,
     commit_cascade,
@@ -237,7 +238,7 @@ def test_ac7_environment_statistics():
         flags = [True] * n
         violated = False
         for t in range(1, horizon + 1):
-            in_phase2 = players[0].phase == 2
+            in_phase2 = players[0].stage == PHASE2
             proposals = [p.action(t, flags) for p in players]
             out = env.step(proposals)
             for i, p in enumerate(players):

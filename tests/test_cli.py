@@ -44,6 +44,8 @@ class TestParsing:
         assert parse_checkpoints("100,1000") == (100, 1000)
         with pytest.raises(ConfigInvalidError):
             parse_checkpoints("ten")
+        with pytest.raises(ConfigInvalidError):
+            parse_checkpoints(" , ")
 
 
 class TestGen:
@@ -323,6 +325,14 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
         (None, ["mc", "--instance", "{instance}", "--algo", "oracle-fixed", "--horizon", "50",
                 "--seeds", "0:3,1", "--out", "{out}"]),
         ({**MC_CONFIG, "seeds": [1, 1]}, MC_WITH_CONFIG),
+        (None, ["gen", "--family", "random", "--n", "3", "--delta-floor", "0.1", "--seed=-1",
+                "--out", "{out}"]),
+        (None, ["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2", "--seed=-5",
+                "--out", "{out}"]),
+        (None, ["mc", "--instance", "{instance}", "--algo", "oracle-fixed", "--horizon", "500",
+                "--seeds", "0,1", "--checkpoints", "", "--out", "{out}"]),
+        (None, ["bounds", "--instance", "{instance}", "--algo", "centralized-ucb",
+                "--horizon", "500", "--checkpoints", ""]),
     ],
     ids=["ragged-utilities", "n-a-float", "n-a-bool", "utilities-strings", "utilities-bools",
          "instance-not-utf8", "instance-nested-too-deep", "config-not-utf8",
@@ -331,7 +341,8 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
          "checkpoint-not-an-integer", "config-trace-key", "algorithm-not-a-string",
          "instance-id-not-a-string", "instance-not-a-path", "config-seed-negative",
          "flag-seed-negative", "horizon-below-algorithm-minimum", "seeds-repeated",
-         "config-seeds-repeated"],
+         "config-seeds-repeated", "gen-seed-negative-random", "gen-seed-negative-sttcb",
+         "checkpoints-empty-mc", "checkpoints-empty-bounds"],
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
     assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2

@@ -11,6 +11,7 @@ import pytest
 from housebandits.decentralized import (
     COMMUNICATE,
     EXPLORE,
+    PHASE2,
     DecentralizedPlayer,
     PlayerView,
     confidence_bounds,
@@ -203,7 +204,7 @@ class TestPlayerStateMachine:
         """An epoch leader that reached phase 2 with no certified
         ranking has nothing to request: a typed error, also under -O."""
         player = DecentralizedPlayer(0, 2, 1000)
-        player.phase = 2
+        player.stage = PHASE2
         with pytest.raises(DesyncError, match="without a certified ranking"):
             player.action(1, [True, True])
 

@@ -8,7 +8,9 @@ Both must give the same episode bit for bit.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from housebandits import decentralized
+from housebandits.decentralized import EXPLORE, DecentralizedPlayer, PlayerView, explore_arm
 from housebandits.env import MarketEnv, RegretLedger
-from housebandits.errors import RuntimeFailure
+from housebandits.errors import DesyncError, RuntimeFailure
 from housebandits.harness import ExperimentConfig, run_episode
 from housebandits.instances import lower_bound_instance, random_instance, sttcb_instance
 from housebandits.market import ttc, validate_instance
@@ -71,6 +74,75 @@ def test_fast_path_equals_the_loop_through_commitment(name, family, seed, horizo
     assert None not in loop.stats["commit_rounds"]
     assert max(loop.stats["commit_rounds"]) < horizon - 1
     assert_same_episode(loop, fast)
+
+
+# sha256 of the 36 untraced episodes and the one trace CSV below,
+# recorded with a fast-forward that stopped each block one round short
+# and split phase-1 and phase-2 actions; the one block-closing path must
+# not move a bit
+EPISODES_DIGEST = "edb14522c2a6b847e47d404d69fe628518130e4a44f87045bc611e4e4b3cec21"
+
+
+def test_episodes_match_the_recorded_digest():
+    """Traced and untraced episodes agree with each other, but a change
+    both paths share shows only against recorded output: untraced
+    episodes of both algorithms (those at T = 70000 commit, outside the
+    lower-bound market) and the trace CSV of one committing episode."""
+    digest = hashlib.sha256()
+    for make in INSTANCES.values():
+        inst = make()
+        for family in FAMILIES:
+            for algorithm in ALGORITHMS:
+                for seed, horizon in ((0, 4097), (1, 70000)):
+                    cps = tuple(c for c in (1, 100, 1000, 4096, 32768, 65610, 70000)
+                                if c <= horizon)
+                    cfg = ExperimentConfig(inst, algorithm, horizon, (seed,),
+                                           reward_family=family, checkpoints=cps)
+                    tr = run_episode(cfg, seed)
+                    digest.update(repr((tr.final_pseudo, tr.final_realized, tr.checkpoint_pseudo,
+                                        sorted(tr.stats.items()))).encode())
+                    digest.update(json.dumps(tr.player_snapshots, sort_keys=True).encode())
+    cfg = ExperimentConfig(INSTANCES["random"](), "decentralized-etc", 33000, (0,),
+                           reward_family="bernoulli", checkpoints=(33000,))
+    trace = io.StringIO()
+    assert None not in run_episode(cfg, 0, trace=trace).stats["commit_rounds"]
+    digest.update(trace.getvalue().encode())
+    assert digest.hexdigest() == EPISODES_DIGEST
+
+
+def test_one_span_call_closes_a_block_as_observe_does():
+    """Each block goes to one player through a single explore_span call
+    and to another round by round through action and observe; after
+    every block, up to the first that certifies, both hold the same
+    statistics, certificate and schedule."""
+    n, pid = 3, 1
+    utility = (0.0, 0.5, 1.0)
+    rng = np.random.default_rng(0)
+    span, loop = DecentralizedPlayer(pid, n, 1000), DecentralizedPlayer(pid, n, 1000)
+    flags = [True] * n
+
+    def state(p):
+        return (p.t, p.stats.means, p.stats.counts, p.p_flag, p.sigma, p.stage, p.stage_left)
+
+    t = 1
+    while not span.p_flag:
+        assert span.stage == EXPLORE and span.ell < 14
+        k = span.stage_left
+        rewards = [utility[explore_arm(pid, t + r, n)] + 0.1 * x
+                   for r, x in enumerate(rng.standard_normal(k).tolist())]
+        with pytest.raises(DesyncError):
+            span.explore_span(t, rewards + [0.0])
+        span.explore_span(t, rewards)
+        for r, x in enumerate(rewards):
+            arm = loop.action(t + r, flags)
+            loop.observe(t + r, PlayerView(arm, x, False, ((arm - t - r) % n,)))
+        t += k
+        assert state(span) == state(loop)
+        for p in (span, loop):
+            for r in range(n):
+                p.observe(t + r, PlayerView(p.action(t + r, flags), 0.0, False, ()))
+        t += n
+    assert span.sigma == (2, 1, 0)
 
 
 def test_block_record_refuses_a_traced_ledger():

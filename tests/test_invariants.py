@@ -1,6 +1,7 @@
-"""Invariant checks must survive `python -O`: the package raises typed
-errors (DesyncError, RuntimeFailure, ...) instead of asserting or
-raising a bare RuntimeError."""
+"""Source checks on the package. Invariant checks must survive
+`python -O`: the package raises typed errors (DesyncError,
+RuntimeFailure, ...) instead of asserting or raising a bare
+RuntimeError. And no module keeps an import it never uses."""
 
 from __future__ import annotations
 
@@ -27,3 +28,39 @@ def test_no_assert_or_bare_runtime_error_in_package():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert len(SOURCES) > 5
     assert offenders == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module's top-level imports bind that no expression reads
+    and __all__ does not export."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_import_in_package():
+    offenders = []
+    for path in SOURCES:
+        offenders += [f"{path.name}: {name}"
+                      for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == []
+
+
+def test_unused_import_check_sees_a_stale_name():
+    tree = ast.parse("from .decentralized import EXPLORE, PHASE2\n"
+                     "import numpy as np\n"
+                     "__all__ = ['PHASE2']\n"
+                     "x = np.zeros(1)\n")
+    assert _unused_imports(tree) == ["EXPLORE (line 1)"]
