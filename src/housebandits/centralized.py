@@ -20,6 +20,15 @@ which checks every ranking, so a remembered matching was checked when it
 was first built. The memo is shared by every episode in the process; a
 matching is immutable and a function of the profile alone, so sharing
 changes only how often ttc runs, never a result.
+
+Because the profile recurs, an untraced episode can also resolve a
+block of rounds at once on the guess that a profile holds, and keep
+the rounds in which it did (hold_profile): in each block round only the
+matched arm's mean and count move, so each round's indices can be
+computed in numpy with the loop's own float operations (3 ln s from
+math.log per round, then +, *, / and sqrt, which numpy rounds exactly
+as Python does), and the round holds if every ranking in the profile
+is still the stable sort of its negated indices.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .env import ArmStats, MarketEnv, RoundOutcome
 from .market import Matching, Ranking, ttc
@@ -56,12 +67,54 @@ def _clear(rankings: tuple[Ranking, ...]) -> Matching:
 
 def platform_round(
     states: Sequence[ArmStats], t: int, env: MarketEnv
-) -> tuple[Matching, RoundOutcome]:
+) -> tuple[tuple[Ranking, ...], Matching, RoundOutcome]:
     """One full platform round: collect rankings, match via top trading
     cycles, pull the assigned arms, then fold the observed rewards into
-    the per-player statistics. Mutates states in place."""
-    matching = _clear(submitted_rankings(states, t))
+    the per-player statistics. Mutates states in place and returns the
+    submitted profile, its matching and the round's outcome."""
+    rankings = submitted_rankings(states, t)
+    matching = _clear(rankings)
     outcome = env.step(matching.assignment)
     for i, st in enumerate(states):
         st.update(matching.assignment[i], outcome.rewards[i])
-    return matching, outcome
+    return rankings, matching, outcome
+
+
+def hold_profile(
+    states: Sequence[ArmStats], rankings: tuple[Ranking, ...], t: int, rewards: np.ndarray
+) -> int:
+    """Resolve a block of rounds t .. t + k - 1 drawn on the guess that
+    every player keeps submitting its ranking in rankings, so that
+    player i is matched to arm _clear(rankings).assignment[i] and draws
+    rewards[r, i] in round t + r (rewards is k x n). Returns the number
+    of leading rounds in which the guess holds, the rounds before the
+    first that would submit another profile, and folds exactly those
+    rounds' rewards into the states, as platform_round would have."""
+    k, n = rewards.shape
+    assignment = _clear(rankings).assignment
+    rows = np.arange(n)
+    means = np.array([st.means for st in states])
+    counts = np.array([st.counts for st in states], dtype=float)
+    start = [(st.means[a], st.counts[a]) for st, a in zip(states, assignment)]
+    runs = [st.update_run(a, col) for st, a, col in zip(states, assignment, rewards.T.tolist())]
+    # round t + r ranks on the matched arm's mean and count after r rewards
+    m = np.repeat(means[None], k, axis=0)
+    c = np.repeat(counts[None], k, axis=0)
+    m[1:, rows, assignment] = np.array(runs).T[:-1]
+    c[:, rows, assignment] += np.arange(k)[:, None]
+    explore = np.array([3.0 * math.log(s) for s in range(t, t + k)])[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg = -(m + np.sqrt(explore / (2.0 * c)))
+    neg[c == 0] = -math.inf
+    # along each ranking the negated indices rise, a tie with the lower arm first
+    order = np.array(rankings)
+    ranked = neg[:, rows[:, None], order]
+    ahead, behind = ranked[..., :-1], ranked[..., 1:]
+    sorted_ok = (ahead < behind) | ((ahead == behind) & (order[:, :-1] < order[:, 1:]))
+    holds = sorted_ok.all(axis=(1, 2))
+    held = k if holds.all() else int(holds.argmin())
+    if held < k:
+        for st, a, run, (mean, count) in zip(states, assignment, runs, start):
+            st.means[a] = run[held - 1] if held else mean
+            st.counts[a] = count + held
+    return held

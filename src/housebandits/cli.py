@@ -281,14 +281,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         else default_checkpoints(args.horizon)
     )
     validate_checkpoints(checkpoints, args.horizon)
+    # everything is computed before the header, so a refusal prints nothing
+    curves = [(t, theoretical_bounds(instance, t, args.algo)) for t in checkpoints]
+    entry_bound = ALGORITHMS[args.algo].entry_bound
+    entry = None if entry_bound is None else entry_bound(instance, args.horizon)
     print("checkpoint_t,player,bound")
-    for t in checkpoints:
-        values = theoretical_bounds(instance, t, args.algo)
+    for t, values in curves:
         for i, v in enumerate(values):
             print(f"{t},{i + 1},{v:.6g}")
-    entry_bound = ALGORITHMS[args.algo].entry_bound
-    if entry_bound is not None:
-        entry = entry_bound(instance, args.horizon)
+    if entry is not None:
         print(f"# worst-case exploitation entry round: {entry}", file=sys.stderr)
     return 0
 

@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 from .env import ArmStats
 from .errors import DesyncError
-from .market import Ranking
+from .market import Ranking, gap_term
 
 EXPLORE = "explore"
 COMMUNICATE = "communicate"
@@ -84,7 +84,7 @@ def entry_round_bound(n: int, horizon: int, gap: float) -> int:
         raise DesyncError(f"entry bound needs horizon >= 2, got {horizon}")
     if gap <= 0:
         raise DesyncError(f"entry bound needs a positive gap, got {gap}")
-    need = 0.0 if math.isinf(gap) else 96.0 * n * math.log(horizon) / (gap * gap)
+    need = gap_term(96.0 * n * math.log(horizon), gap)
     ell = 1
     while 2 ** (ell + 1) - 2 < need:
         ell += 1
@@ -242,17 +242,8 @@ class DecentralizedPlayer:
                 f"player {self.id} has no {k} open exploration rounds at round {t}"
             )
         n = self.n
-        means = self.stats.means
-        counts = self.stats.counts
         for r in range(min(n, k)):
-            arm = explore_arm(self.id, t + r, n)
-            m = means[arm]
-            c = counts[arm]
-            for x in rewards[r::n]:
-                m = (m * c + x) / (c + 1)
-                c += 1
-            means[arm] = m
-            counts[arm] = c
+            self.stats.update_run(explore_arm(self.id, t + r, n), rewards[r::n])
         self.t = t + k - 1
         self.stage_left -= k
         if self.stage_left == 0:

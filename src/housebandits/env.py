@@ -16,6 +16,10 @@ an episode bit for bit. MarketEnv pregenerates the blocks of 4096 rounds
 as one array, which yields the exact same stream as drawing one block
 per round: step reads one row of it, and step_block, which resolves a
 run of collision-free rounds at once, reads a slice of consecutive rows.
+A caller that resolves a block speculatively keeps a prefix of it and
+hands the rest back with give_back, whose rows the next step or
+step_block reads again; since a block never spans two chunks, neither
+does a give-back.
 """
 
 from __future__ import annotations
@@ -73,7 +77,11 @@ class RoundOutcome:
 
 
 class ArmStats:
-    """One player's empirical mean and pull count per arm."""
+    """One player's empirical mean and pull count per arm.
+
+    The mean is the exact running mean (m * c + x) / (c + 1), folded in
+    one reward at a time, so a run of k rewards to one arm gives the
+    same floats as k updates."""
 
     __slots__ = ("means", "counts")
 
@@ -82,9 +90,22 @@ class ArmStats:
         self.counts = [0] * n
 
     def update(self, arm: int, reward: float) -> None:
+        """update_run of one reward, spelled out: the per-round loop
+        calls it, and a run of one costs three times as much."""
         c = self.counts[arm]
         self.means[arm] = (self.means[arm] * c + reward) / (c + 1)
         self.counts[arm] = c + 1
+
+    def update_run(self, arm: int, rewards: Iterable[float]) -> list[float]:
+        """Fold rewards into arm's mean in order; returns the mean after
+        each of them."""
+        m = self.means[arm]
+        c = self.counts[arm]
+        # the numerator reads c before the denominator counts the reward
+        run = [m := (m * c + x) / (c := c + 1) for x in rewards]
+        self.means[arm] = m
+        self.counts[arm] = c
+        return run
 
 
 class MarketEnv:
@@ -185,6 +206,16 @@ class MarketEnv:
             else:
                 rewards = (noise < means).astype(float)
         return rewards
+
+    def give_back(self, k: int) -> None:
+        """Unresolve the last k rounds of the latest step_block: the next
+        step or step_block draws their noise rows again. The rows must
+        lie in the current chunk, so a give-back never crosses a refill;
+        the deterministic family draws nothing and has nothing to give."""
+        if self.family != "deterministic":
+            if not 0 <= k <= self._chunk_pos:
+                raise RuntimeFailure(f"cannot give back {k} rounds at chunk row {self._chunk_pos}")
+            self._chunk_pos -= k
 
 
 class RegretLedger:

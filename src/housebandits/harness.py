@@ -6,8 +6,12 @@ and is what a traced episode plays. An untraced episode of the
 decentralized protocol or the oracle fast-forwards the spans whose
 proposals are fixed in advance (each exploration block's round robin,
 closing round included, play after every player has committed, the
-oracle's whole horizon) in pieces of whole rounds, with the same random
-stream and the same sums, so both give the same episode bit for bit.
+oracle's whole horizon) in pieces of whole rounds. An untraced
+centralized episode, once a round submits the same ranking profile as
+the round before, plays blocks on the guess that the profile holds and
+keeps each block's rounds up to the first that would submit another
+(centralized.hold_profile). Both use the same random stream and the same
+sums, so the fast path and the loop give the same episode bit for bit.
 Parallelism, when wanted, belongs at the seed level only (episodes
 share no mutable state). The headline metric is cumulative
 pseudo-regret per player, snapshotted by the episode's RegretLedger at
@@ -25,7 +29,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .centralized import platform_round
+from .centralized import hold_profile, platform_round
 from .decentralized import (
     EXPLORE,
     PHASE2,
@@ -37,7 +41,7 @@ from .decentralized import (
 )
 from .env import SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
 from .errors import ConfigInvalidError, DesyncError
-from .market import MarketInstance
+from .market import MarketInstance, gap_term
 
 log = logging.getLogger(__name__)
 
@@ -160,12 +164,16 @@ def run_episode(
 # snapshots or None); the ledger keeps the regret checkpoints. The
 # per-round calls go through this module's globals, so they can be
 # swapped at run time. An untraced ledger lets a runner fast-forward the
-# rounds whose proposals are fixed in advance (_fixed_rounds) and hand
-# each piece to the players in one call that leaves them as the loop
-# would; a traced one plays every round through the loop, the spec.
+# rounds whose proposals are fixed in advance (_fixed_rounds), or, for
+# the centralized protocol, known once a block is drawn (hold_profile),
+# and hand each piece to the players in one call that leaves them as the
+# loop would; a traced one plays every round through the loop, the spec.
 
 # rounds per fast-forward piece; bounds the arrays a piece allocates
 _PIECE_ROUNDS = 1024
+# rounds of a centralized block right after the profile first repeats;
+# each block that holds doubles the next, up to _PIECE_ROUNDS
+_BLOCK_ROUNDS = 16
 
 
 def _fixed_rounds(env, ledger, start, stop, arms_of):
@@ -207,14 +215,39 @@ def _run_centralized(instance, env, ledger, horizon):
     core_rounds = 0
     core_rounds_second_half = 0
     half = horizon // 2
-    for t in range(1, horizon + 1):
-        matching, outcome = platform_round(states, t, env)
+    last = None
+    size = _BLOCK_ROUNDS
+    t = 1
+    while t <= horizon:
+        rankings, matching, outcome = platform_round(states, t, env)
         is_core = matching.assignment == core
         if is_core:
             core_rounds += 1
             if t > half:
                 core_rounds_second_half += 1
         ledger.record(outcome, extra=(int(is_core),) if ledger.trace else ())
+        t += 1
+        if ledger.trace or rankings != last:
+            last = rankings
+            continue
+        # the profile repeated: play blocks on the guess that it holds,
+        # doubling while it does, and go back to the loop where it breaks
+        arms = np.array(matching.assignment)
+        while t <= horizon:
+            block = np.broadcast_to(arms, (min(size, horizon + 1 - t), n))
+            rewards = env.step_block(block)
+            held = hold_profile(states, rankings, t, rewards)
+            env.give_back(len(rewards) - held)
+            if held:
+                ledger.record_block(block[:held], rewards[:held])
+                if is_core:
+                    core_rounds += held
+                    core_rounds_second_half += max(0, t + held - max(t, half + 1))
+                t += held
+            if held < len(rewards):
+                size = _BLOCK_ROUNDS
+                break
+            size = min(2 * size, _PIECE_ROUNDS)
     stats = {
         "core_match_rounds": core_rounds,
         "core_match_rounds_second_half": core_rounds_second_half,
@@ -310,19 +343,20 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
     """
     if len(config.seeds) < 2:
         raise ConfigInvalidError("monte_carlo needs at least 2 seeds for error bars")
-    traces = [run_episode(config, s) for s in config.seeds]
     cps = config.effective_checkpoints()
+    # a market with no finite bound is refused before any episode
+    bound_rows = [tuple(theoretical_bounds(config.instance, cp, config.algorithm))
+                  for cp in cps]
+    traces = [run_episode(config, s) for s in config.seeds]
     k = len(traces)
     mean_rows = []
     stderr_rows = []
-    bound_rows = []
-    for ci, cp in enumerate(cps):
+    for ci in range(len(cps)):
         data = np.array([tr.checkpoint_pseudo[ci] for tr in traces])
         mean_rows.append(tuple(float(v) for v in data.mean(axis=0)))
         stderr_rows.append(
             tuple(float(v) for v in data.std(axis=0, ddof=1) / math.sqrt(k))
         )
-        bound_rows.append(tuple(theoretical_bounds(config.instance, cp, config.algorithm)))
     return AggregateReport(
         algorithm=config.algorithm,
         instance_id=config.instance_id,
@@ -381,7 +415,8 @@ def theoretical_bounds(instance: MarketInstance, horizon: int, algorithm: str) -
     g^2). The oracle baseline has a zero curve. An infinite g (1x1
     market) drops the exploration terms and is flagged in the log; the
     nested log term is capped below at zero so tiny horizons stay
-    finite.
+    finite. A g so small that a term is not finite is refused with
+    ConfigInvalidError (see gap_term).
     """
     if horizon < 1:
         raise ConfigInvalidError(f"bounds need horizon >= 1, got {horizon}")
@@ -390,25 +425,21 @@ def theoretical_bounds(instance: MarketInstance, horizon: int, algorithm: str) -
     return ALGORITHMS[algorithm].bound(instance, math.log(horizon))
 
 
-def _finite_gap(instance: MarketInstance) -> bool:
-    """Whether the exploration terms apply; logs the 1x1 case."""
+def _exploration_term(instance: MarketInstance, coef: float, log_t: float) -> float:
+    """coef N ln T / g^2 (see gap_term); logs the 1x1 case, whose
+    infinite g drops the term."""
     if math.isinf(instance.min_gap):
         log.warning("min gap is infinite (1x1 market); bound keeps only the constant term")
-        return False
-    return True
+    return gap_term(coef * instance.n * log_t, instance.min_gap)
 
 
 def _decentralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
     n = instance.n
     u = instance.utilities
     core = instance.core.assignment
-    gap = instance.min_gap
-    if _finite_gap(instance):
-        explore = 192.0 * n * log_t / (gap * gap)
-        nested = n * math.log(explore) if explore > 1.0 else 0.0
-        rounds_term = explore + max(nested, 0.0) + 3.0 * n * n
-    else:
-        rounds_term = 3.0 * n * n
+    explore = _exploration_term(instance, 192.0, log_t)
+    nested = n * math.log(explore) if explore > 1.0 else 0.0
+    rounds_term = explore + max(nested, 0.0) + 3.0 * n * n
     return [rounds_term * float(u[i, core[i]]) for i in range(n)]
 
 
@@ -416,10 +447,7 @@ def _centralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
     n = instance.n
     u = instance.utilities
     core = instance.core.assignment
-    gap = instance.min_gap
-    pulls_term = 5.0 * n * n
-    if _finite_gap(instance):
-        pulls_term += 12.0 * n * log_t / (gap * gap)
+    pulls_term = 5.0 * n * n + _exploration_term(instance, 12.0, log_t)
     out = []
     for i in range(n):
         worst = max(max(0.0, float(u[i, core[i]] - u[i, j])) for j in range(n))

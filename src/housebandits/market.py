@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigInvalidError,
     EmptyCoreError,
     EntryOutOfRangeError,
     MalformedRankingError,
@@ -141,6 +142,22 @@ def min_gap(utilities: np.ndarray) -> float:
         return math.inf
     ordered = np.sort(u, axis=1)
     return float(np.min(ordered[:, 1:] - ordered[:, :-1]))
+
+
+def gap_term(scale: float, gap: float) -> float:
+    """scale / g^2 for a smallest adjacent gap g, the exploration term of
+    every regret and entry-round bound (scale carries its N ln T
+    factor); 0.0 for the infinite gap of a 1x1 market. A gap so small
+    that g^2 underflows to zero or the term overflows leaves no finite
+    bound, and is refused."""
+    if math.isinf(gap):
+        return 0.0
+    square = gap * gap
+    if square == 0.0 or math.isinf(scale / square):
+        raise ConfigInvalidError(
+            f"the smallest utility gap {gap!r} is too small for a finite regret bound"
+        )
+    return scale / square
 
 
 def validate_instance(utilities: Iterable, reward_model: str = "gaussian") -> MarketInstance:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 from typing import Sequence
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from housebandits import centralized, harness, market
-from housebandits.centralized import submitted_rankings
+from housebandits.centralized import hold_profile, submitted_rankings
 from housebandits.env import ArmStats
 from housebandits.harness import ExperimentConfig, monte_carlo, run_episode
 from housebandits.instances import lower_bound_instance, random_instance, sttcb_instance
@@ -88,7 +89,7 @@ class TestRounds:
         inst = swap_market()
         env = MarketEnv(inst, seed=0)
         states = [ArmStats(2) for _ in range(2)]
-        matching, outcome = platform_round(states, 1, env)
+        _, matching, outcome = platform_round(states, 1, env)
         assert matching.assignment == (0, 1)
         assert outcome.matched == (0, 1)
         assert not any(outcome.collided)
@@ -102,7 +103,7 @@ class TestRounds:
         env = MarketEnv(inst, seed=11)
         states = [ArmStats(4) for _ in range(4)]
         for t in range(1, 51):
-            matching, outcome = platform_round(states, t, env)
+            _, matching, outcome = platform_round(states, t, env)
             assert sorted(matching.assignment) == [0, 1, 2, 3]
             assert not any(outcome.collided)
             assert None not in outcome.matched
@@ -185,9 +186,10 @@ def test_submitted_rankings_equal_the_reference(states, t):
 
 
 def test_memo_calls_ttc_once_per_profile_and_returns_its_matching(monkeypatch):
-    """Over a centralized episode the platform calls ttc exactly once
-    per distinct ranking profile while the memo holds them all, and
-    every round's matching is ttc's matching of that round's rankings."""
+    """Over a traced centralized episode, which plays every round
+    through platform_round, the platform calls ttc exactly once per
+    distinct ranking profile while the memo holds them all, and every
+    round's matching is ttc's matching of that round's rankings."""
     misses = []
     profiles = []
     rounds = []
@@ -202,9 +204,10 @@ def test_memo_calls_ttc_once_per_profile_and_returns_its_matching(monkeypatch):
         return profiles[-1]
 
     def recording_round(states, t, env):
-        matching, outcome = platform_round(states, t, env)
-        rounds.append((profiles[-1], matching))
-        return matching, outcome
+        rankings, matching, outcome = platform_round(states, t, env)
+        assert rankings == profiles[-1]
+        rounds.append((rankings, matching))
+        return rankings, matching, outcome
 
     monkeypatch.setattr(centralized, "ttc", counting_ttc)
     monkeypatch.setattr(centralized, "submitted_rankings", recording_rankings)
@@ -212,7 +215,7 @@ def test_memo_calls_ttc_once_per_profile_and_returns_its_matching(monkeypatch):
     centralized._clear.cache_clear()
     inst = sttcb_instance(5, 0.2, np.random.default_rng(7))
     cfg = ExperimentConfig(inst, "centralized-ucb", horizon=20000, seeds=(0,))
-    run_episode(cfg, 0)
+    run_episode(cfg, 0, trace=io.StringIO())
 
     distinct = set(profiles)
     assert len(rounds) == 20000
@@ -221,6 +224,36 @@ def test_memo_calls_ttc_once_per_profile_and_returns_its_matching(monkeypatch):
     assert set(misses) == distinct
     for rankings, matching in rounds:
         assert matching == market.ttc(rankings)
+
+
+def two_players(means, counts):
+    states = [ArmStats(2), ArmStats(2)]
+    for st, m, c in zip(states, means, counts):
+        st.means, st.counts = list(m), list(c)
+    return states
+
+
+def test_a_block_breaks_where_a_tie_puts_the_lower_arm_first():
+    """Player 1 ranks arm 2 first until one more reward gives it arm 1's
+    mean and count; the exact tie then sorts arm 1 first, so the
+    profile holds for one block round only."""
+    states = two_players([(0.5, 0.5), (1.0, 0.0)], [(4, 3), (100, 100)])
+    rankings = submitted_rankings(states, 10)
+    assert rankings == ((1, 0), (0, 1))
+    assert hold_profile(states, rankings, 10, np.array([[0.5, 1.0]] * 3)) == 1
+    assert (states[0].means, states[0].counts) == ([0.5, 0.5], [4, 4])
+    assert submitted_rankings(states, 11) == ((0, 1), (0, 1))
+
+
+def test_a_block_holds_through_a_tie_that_keeps_the_lower_arm_first():
+    """The same tie with arm 1 ranked first keeps the ranking; the next
+    reward drops arm 1 behind arm 2."""
+    states = two_players([(0.5, 0.5), (0.0, 1.0)], [(3, 4), (100, 100)])
+    rankings = submitted_rankings(states, 10)
+    assert rankings == ((0, 1), (1, 0))
+    assert hold_profile(states, rankings, 10, np.array([[0.5, 1.0]] * 3)) == 2
+    assert (states[0].means, states[0].counts) == ([0.5, 0.5], [5, 4])
+    assert submitted_rankings(states, 12) == ((1, 0), (1, 0))
 
 
 # sha256 of (final_pseudo, final_realized, checkpoint_pseudo, stats) of 18

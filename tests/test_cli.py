@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from housebandits import harness
 from housebandits.cli import main, parse_checkpoints, parse_seeds
 from housebandits.errors import ConfigInvalidError, RuntimeFailure
 from housebandits.harness import ALGORITHMS
@@ -293,6 +294,19 @@ MECHANISMS = ["mechanisms", "--instance", "{file}"]
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000  # deeper than the decoder's recursion limit
 MC_CONFIG = {"algorithm": "oracle-fixed", "horizon": 100, "seeds": [0, 1]}
 MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out", "{out}"]
+# adjacent gaps whose square underflows to zero, and whose inverse square
+# overflows: no regret bound is a finite number
+ZERO_SQUARE_GAP = {**VALID_INSTANCE, "utilities": [[0.0, 5e-324], [0.0, 1.0]]}
+INFINITE_TERM_GAP = {**VALID_INSTANCE, "utilities": [[0.0, 1e-160], [0.0, 1.0]]}
+
+
+def bounds_on_file(algo):
+    return ["bounds", "--instance", "{file}", "--algo", algo, "--horizon", "1000"]
+
+
+def mc_on_file(algo):
+    return ["mc", "--instance", "{file}", "--algo", algo, "--horizon", "1000",
+            "--seeds", "0,1", "--out", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -333,6 +347,14 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
                 "--seeds", "0,1", "--checkpoints", "", "--out", "{out}"]),
         (None, ["bounds", "--instance", "{instance}", "--algo", "centralized-ucb",
                 "--horizon", "500", "--checkpoints", ""]),
+        (ZERO_SQUARE_GAP, bounds_on_file("centralized-ucb")),
+        (ZERO_SQUARE_GAP, bounds_on_file("decentralized-etc")),
+        (ZERO_SQUARE_GAP, mc_on_file("centralized-ucb")),
+        (ZERO_SQUARE_GAP, mc_on_file("decentralized-etc")),
+        (INFINITE_TERM_GAP, bounds_on_file("centralized-ucb")),
+        (INFINITE_TERM_GAP, bounds_on_file("decentralized-etc")),
+        (INFINITE_TERM_GAP, mc_on_file("centralized-ucb")),
+        (INFINITE_TERM_GAP, mc_on_file("decentralized-etc")),
     ],
     ids=["ragged-utilities", "n-a-float", "n-a-bool", "utilities-strings", "utilities-bools",
          "instance-not-utf8", "instance-nested-too-deep", "config-not-utf8",
@@ -342,10 +364,27 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
          "instance-id-not-a-string", "instance-not-a-path", "config-seed-negative",
          "flag-seed-negative", "horizon-below-algorithm-minimum", "seeds-repeated",
          "config-seeds-repeated", "gen-seed-negative-random", "gen-seed-negative-sttcb",
-         "checkpoints-empty-mc", "checkpoints-empty-bounds"],
+         "checkpoints-empty-mc", "checkpoints-empty-bounds",
+         "gap-square-zero-bounds-centralized", "gap-square-zero-bounds-decentralized",
+         "gap-square-zero-mc-centralized", "gap-square-zero-mc-decentralized",
+         "gap-term-infinite-bounds-centralized", "gap-term-infinite-bounds-decentralized",
+         "gap-term-infinite-mc-centralized", "gap-term-infinite-mc-decentralized"],
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
     assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2
+
+
+@pytest.mark.parametrize("payload", [ZERO_SQUARE_GAP, INFINITE_TERM_GAP],
+                         ids=["gap-square-zero", "gap-term-infinite"])
+@pytest.mark.parametrize("algo", ["centralized-ucb", "decentralized-etc"])
+def test_gap_without_a_finite_bound_is_refused_before_any_episode(
+        payload, algo, instance_path, tmp_path, capsys, monkeypatch):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode was played")
+
+    monkeypatch.setattr(harness, "run_episode", no_episode)
+    assert run_on_file(payload, mc_on_file(algo), instance_path, tmp_path, capsys) == 2
+    assert not list(tmp_path.glob("out*"))
 
 
 # --- fuzzing the JSON inputs --------------------------------------------------

@@ -20,7 +20,7 @@ from housebandits.decentralized import (
     try_extract_ranking,
 )
 from housebandits.env import ArmStats
-from housebandits.errors import DesyncError
+from housebandits.errors import ConfigInvalidError, DesyncError
 from housebandits.harness import ExperimentConfig, run_episode
 from housebandits.instances import sttcb_instance
 from housebandits.market import validate_instance
@@ -175,6 +175,11 @@ class TestEntryBound:
             entry_round_bound(3, 1, 0.2)
         with pytest.raises(DesyncError):
             entry_round_bound(3, 100, 0.0)
+
+    @pytest.mark.parametrize("gap", [5e-324, 1e-160])
+    def test_refuses_a_gap_without_a_finite_bound(self, gap):
+        with pytest.raises(ConfigInvalidError):
+            entry_round_bound(2, 100, gap)
 
 
 class TestPlayerStateMachine:

@@ -14,6 +14,7 @@ from housebandits.env import (
     _NOISE_CHUNK_ROUNDS,
     ABSTAIN,
     TRACE_COLUMNS,
+    ArmStats,
     MarketEnv,
     RegretLedger,
 )
@@ -150,6 +151,22 @@ def test_resolve_matches_at_most_one_player_per_arm(proposals):
 
 
 # --- sampling ---------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1.0, 2.0), st.integers(0, 10**7),
+       st.lists(st.sampled_from([0.0, 1.0]) | st.floats(-3.0, 4.0), max_size=20))
+def test_a_run_update_equals_one_update_per_reward(mean, count, rewards):
+    """Bit for bit, with the run returning each intermediate mean."""
+    run, steps = ArmStats(2), ArmStats(2)
+    for stats in (run, steps):
+        stats.means[1], stats.counts[1] = mean, count
+    means = []
+    for x in rewards:
+        steps.update(1, x)
+        means.append(steps.means[1])
+    assert run.update_run(1, rewards) == means
+    assert (run.means, run.counts) == (steps.means, steps.counts)
 
 
 def test_bernoulli_extremes():

@@ -1,7 +1,8 @@
 """The fast-forward of untraced episodes against the per-round loop.
 
 A traced episode plays every round through the loop, the executable
-spec; an untraced one skips the rounds its schedule fixes in advance.
+spec; an untraced one skips the rounds its schedule fixes in advance,
+and a centralized one the rounds in which the submitted profile holds.
 Both must give the same episode bit for bit.
 """
 
@@ -11,13 +12,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from housebandits import decentralized
+from housebandits import decentralized, harness
 from housebandits.decentralized import EXPLORE, DecentralizedPlayer, PlayerView, explore_arm
 from housebandits.env import MarketEnv, RegretLedger
 from housebandits.errors import DesyncError, RuntimeFailure
@@ -31,7 +33,10 @@ INSTANCES = {
     "lower-bound": lambda: lower_bound_instance(5, 0.2, 1),
 }
 FAMILIES = ("gaussian", "bernoulli", "deterministic")
-ALGORITHMS = ("decentralized-etc", "oracle-fixed")
+ALGORITHMS = ("decentralized-etc", "oracle-fixed", "centralized-ucb")
+# the algorithms of the recorded digest below; test_centralized.py
+# holds the centralized one
+DIGEST_ALGORITHMS = ("decentralized-etc", "oracle-fixed")
 
 
 def both_paths(instance, algorithm, horizon, seed, family):
@@ -56,7 +61,8 @@ def assert_same_episode(loop, fast):
 @pytest.mark.parametrize("name", INSTANCES)
 @pytest.mark.parametrize("seed,horizon", [(0, 4097), (1, 5000)])
 def test_fast_path_equals_the_loop_in_phase_1(name, family, algorithm, seed, horizon):
-    """Horizons one past a noise chunk and inside an exploration block."""
+    """Horizons one past a noise chunk and, for decentralized-etc,
+    inside an exploration block."""
     assert_same_episode(*both_paths(INSTANCES[name](), algorithm, horizon, seed, family))
 
 
@@ -92,7 +98,7 @@ def test_episodes_match_the_recorded_digest():
     for make in INSTANCES.values():
         inst = make()
         for family in FAMILIES:
-            for algorithm in ALGORITHMS:
+            for algorithm in DIGEST_ALGORITHMS:
                 for seed, horizon in ((0, 4097), (1, 70000)):
                     cps = tuple(c for c in (1, 100, 1000, 4096, 32768, 65610, 70000)
                                 if c <= horizon)
@@ -274,3 +280,110 @@ def test_commitments_off_the_core_count_no_core_rounds(monkeypatch):
     trace.seek(0)
     assert_post_commit_counts_match(loop, list(csv.DictReader(trace)), instance.core.assignment)
     assert_same_episode(loop, run_episode(cfg, 0))
+
+
+# --- the centralized fast path ------------------------------------------------
+
+LONG_HORIZON = 10**5
+LONG_CHECKPOINTS = (1, 100, 1000, 4096, 10_000, 33_333, 65_536, 99_999, LONG_HORIZON)
+
+
+@pytest.fixture(scope="module")
+def long_centralized():
+    """An untraced and a traced centralized episode on the lower-bound
+    market at T = 1e5, with the rewards of the rounds the untraced one
+    played through platform_round (and the traced one's rewards in
+    those rounds), the traced one's platform_round count and the
+    untraced one's blocks as (first round, rounds drawn, rounds held)."""
+    cfg = ExperimentConfig(INSTANCES["lower-bound"](), "centralized-ucb", LONG_HORIZON, (2,),
+                           checkpoints=LONG_CHECKPOINTS)
+    platform_round = harness.platform_round
+    hold_profile = harness.hold_profile
+    fast_rounds, loop_rounds, traced_calls, blocks = {}, {}, [0], []
+
+    def fast_round(states, t, env):
+        result = platform_round(states, t, env)
+        fast_rounds[t] = result[2].rewards
+        return result
+
+    def traced_round(states, t, env):
+        result = platform_round(states, t, env)
+        traced_calls[0] += 1
+        if t in fast_rounds:
+            loop_rounds[t] = result[2].rewards
+        return result
+
+    def recording_hold(states, rankings, t, rewards):
+        held = hold_profile(states, rankings, t, rewards)
+        blocks.append((t, len(rewards), held))
+        return held
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "hold_profile", recording_hold)
+        mp.setattr(harness, "platform_round", fast_round)
+        fast = run_episode(cfg, 2)
+        mp.setattr(harness, "platform_round", traced_round)
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            loop = run_episode(cfg, 2, trace=sink)
+    return loop, fast, fast_rounds, loop_rounds, traced_calls[0], blocks
+
+
+def test_long_centralized_episode_equals_the_loop(long_centralized):
+    """Checkpoints fall inside held blocks."""
+    loop, fast, _, _, _, blocks = long_centralized
+    assert_same_episode(loop, fast)
+    assert any(t < c < t + held - 1 for c in LONG_CHECKPOINTS for t, _, held in blocks)
+
+
+def test_untraced_centralized_episode_plays_few_rounds_one_by_one(long_centralized):
+    """The traced episode calls platform_round every round."""
+    _, _, fast_rounds, _, traced_calls, _ = long_centralized
+    assert traced_calls == LONG_HORIZON
+    assert 0 < len(fast_rounds) < LONG_HORIZON // 10
+
+
+def test_rounds_after_a_broken_block_draw_the_loop_noise(long_centralized):
+    """A block that breaks early hands its unheld rounds back, so the
+    round that broke it draws in platform_round what the loop draws."""
+    _, _, fast_rounds, loop_rounds, _, blocks = long_centralized
+    broken = [t + held for t, drawn, held in blocks if held < drawn]
+    assert len(broken) > 100
+    assert set(broken) <= fast_rounds.keys()
+    assert fast_rounds == loop_rounds
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_given_back_rounds_draw_the_same_noise_again(family):
+    """A block cut short by the end of the noise chunk, then partly
+    given back: the rounds after it draw what round-by-round steps
+    draw, and a give-back past the chunk's start is refused."""
+    inst = INSTANCES["lower-bound"]()
+    core = list(inst.core.assignment)
+    arms = np.broadcast_to(np.array(core), (4090, inst.n))
+    env, loop = MarketEnv(inst, 0, family), MarketEnv(inst, 0, family)
+    assert len(env.step_block(arms)) == 4090
+    assert len(env.step_block(arms[:16])) == 6
+    env.give_back(4)
+    with pytest.raises(RuntimeFailure):
+        env.give_back(4093)
+    for _ in range(4092):
+        loop.step(core)
+    for _ in range(10):
+        assert env.step(core).rewards == loop.step(core).rewards
+
+
+@st.composite
+def small_markets(draw):
+    """Utilities spaced 1/(n-1) apart, or a seeded random market."""
+    if draw(st.booleans()):
+        return draw(spaced_markets())
+    n = draw(st.integers(2, 4))
+    return random_instance(n, 0.05, np.random.default_rng(draw(st.integers(0, 100))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_markets(), st.sampled_from(FAMILIES), st.integers(0, 3), st.integers(2, 3000))
+def test_centralized_paths_agree_on_small_markets(instance, family, seed, horizon):
+    """Deterministic and Bernoulli rewards keep means on few values, so
+    indices tie exactly, and the stable-sort tie break must hold."""
+    assert_same_episode(*both_paths(instance, "centralized-ucb", horizon, seed, family))
