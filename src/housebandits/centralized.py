@@ -14,12 +14,11 @@ The round loop is the simulator's hot path, so the index is computed
 inline: 3 ln t once per round, not once per (player, arm), with the same
 float operations in the same order, and one stable sort of the negated
 indices per player. Late in an episode the same ranking profile recurs
-round after round, so the platform keeps the matchings of the
-_MEMO_PROFILES most recently used distinct profiles. A miss calls ttc,
-which checks every ranking, so a remembered matching was checked when it
-was first built. The memo is shared by every episode in the process; a
-matching is immutable and a function of the profile alone, so sharing
-changes only how often ttc runs, never a result.
+round after round, so the platform calls ttc only in a round whose
+profile differs from the round before, and otherwise reuses that
+round's matching: ttc is a function of the profile alone and checks
+every ranking, so the reused matching is the one ttc would build.
+Nothing outlives an episode.
 
 Because the profile recurs, an untraced episode can also resolve a
 block of rounds at once on the guess that a profile holds, and keep
@@ -34,16 +33,12 @@ is still the stable sort of its negated indices.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .env import ArmStats, MarketEnv, RoundOutcome
 from .market import Matching, Ranking, ttc
-
-# distinct ranking profiles whose matchings the platform remembers
-_MEMO_PROFILES = 1024
 
 
 def submitted_rankings(states: Sequence[ArmStats], t: int) -> tuple[Ranking, ...]:
@@ -59,21 +54,18 @@ def submitted_rankings(states: Sequence[ArmStats], t: int) -> tuple[Ranking, ...
     return tuple(rankings)
 
 
-@lru_cache(maxsize=_MEMO_PROFILES)
-def _clear(rankings: tuple[Ranking, ...]) -> Matching:
-    # looks ttc up at call time, so a wrapped module global sees the misses
-    return ttc(rankings)
-
-
 def platform_round(
-    states: Sequence[ArmStats], t: int, env: MarketEnv
+    states: Sequence[ArmStats], t: int, env: MarketEnv,
+    last: tuple[tuple[Ranking, ...], Matching] | None = None,
 ) -> tuple[tuple[Ranking, ...], Matching, RoundOutcome]:
     """One full platform round: collect rankings, match via top trading
     cycles, pull the assigned arms, then fold the observed rewards into
-    the per-player statistics. Mutates states in place and returns the
-    submitted profile, its matching and the round's outcome."""
+    the per-player statistics. last is the previous round's profile and
+    matching, whose matching is reused when the profile repeats. Mutates
+    states in place and returns the submitted profile, its matching and
+    the round's outcome."""
     rankings = submitted_rankings(states, t)
-    matching = _clear(rankings)
+    matching = last[1] if last is not None and last[0] == rankings else ttc(rankings)
     outcome = env.step(matching.assignment)
     for i, st in enumerate(states):
         st.update(matching.assignment[i], outcome.rewards[i])
@@ -81,17 +73,18 @@ def platform_round(
 
 
 def hold_profile(
-    states: Sequence[ArmStats], rankings: tuple[Ranking, ...], t: int, rewards: np.ndarray
+    states: Sequence[ArmStats], rankings: tuple[Ranking, ...], assignment: Sequence[int],
+    t: int, rewards: np.ndarray,
 ) -> int:
     """Resolve a block of rounds t .. t + k - 1 drawn on the guess that
     every player keeps submitting its ranking in rankings, so that
-    player i is matched to arm _clear(rankings).assignment[i] and draws
-    rewards[r, i] in round t + r (rewards is k x n). Returns the number
-    of leading rounds in which the guess holds, the rounds before the
-    first that would submit another profile, and folds exactly those
-    rounds' rewards into the states, as platform_round would have."""
+    player i is matched to arm assignment[i] (the profile's matching)
+    and draws rewards[r, i] in round t + r (rewards is k x n). Returns
+    the number of leading rounds in which the guess holds, the rounds
+    before the first that would submit another profile, and folds
+    exactly those rounds' rewards into the states, as platform_round
+    would have."""
     k, n = rewards.shape
-    assignment = _clear(rankings).assignment
     rows = np.arange(n)
     means = np.array([st.means for st in states])
     counts = np.array([st.counts for st in states], dtype=float)

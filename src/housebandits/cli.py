@@ -26,14 +26,14 @@ from .harness import (
     theoretical_bounds,
     validate_checkpoints,
 )
-from .instances import GENERATOR_FAMILIES, GeneratorConfig, generate
+from .instances import GENERATOR_FAMILIES, generate
 from .market import (
     MAX_ORACLE_N,
     REWARD_MODELS,
     MarketInstance,
     core_oracle_bruteforce,
+    instance_from_json_dict,
     is_json_int,
-    load_instance,
     save_instance,
     save_matching,
     yrmh_igyt,
@@ -76,23 +76,24 @@ def parse_checkpoints(text: str) -> tuple[int, ...]:
     return checkpoints
 
 
-def _read_instance(path: str) -> MarketInstance:
+def _read_json(path: str, what: str):
     try:
-        return load_instance(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigInvalidError(f"cannot read instance {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigInvalidError(f"instance {path} is not valid JSON: {exc}") from exc
+        raise ConfigInvalidError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer longer
+        # than Python's int-from-string digit limit
+        raise ConfigInvalidError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _read_instance(path: str) -> MarketInstance:
+    return instance_from_json_dict(_read_json(path, "instance"))
 
 
 def _read_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigInvalidError(f"config {path} must hold a JSON object")
     return data
@@ -170,16 +171,9 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> Experim
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        family=args.family,
-        n=args.n,
-        delta_floor=args.delta_floor,
-        delta=args.delta,
-        distinguished=args.distinguished,
-        seed=args.seed,
-        reward_model=args.reward_model,
-    )
-    instance = generate(config)
+    instance = generate(args.family, args.n, delta_floor=args.delta_floor, delta=args.delta,
+                        distinguished=args.distinguished, seed=args.seed,
+                        reward_model=args.reward_model)
     try:
         save_instance(instance, args.out)
     except OSError as exc:
@@ -317,15 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--family", required=True, choices=GENERATOR_FAMILIES)
+    gen.add_argument("--family", required=True, choices=tuple(GENERATOR_FAMILIES))
     gen.add_argument("--n", required=True, type=int, help="number of players")
     gen.add_argument("--delta-floor", type=float, help="minimum adjacent gap (random family)")
     gen.add_argument("--delta", type=float, help="gap parameter (sttcb / lower-bound)")
     gen.add_argument(
         "--distinguished", type=int, help="1-based distinguished player (lower-bound)"
     )
-    gen.add_argument("--seed", type=int, help="generator seed")
-    gen.add_argument("--reward-model", default="gaussian", choices=REWARD_MODELS)
+    gen.add_argument("--seed", type=int, help="generator seed (random / sttcb)")
+    gen.add_argument("--reward-model", choices=REWARD_MODELS,
+                     help="reward family, gaussian if not given (random / sttcb)")
     gen.add_argument("--out", required=True, help="output instance JSON path")
     gen.set_defaults(func=cmd_gen)
 

@@ -29,15 +29,15 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import EntryOutOfRangeError, RuntimeFailure
-from .market import MarketInstance
+from .market import REWARD_MODELS, MarketInstance
 
 # The abstain action: a proposal slot holding None instead of an arm.
 ABSTAIN = None
 
-# Families accepted when sampling; "deterministic" (reward equals the
-# mean exactly) is a diagnostic mode for no-noise episodes and is not a
-# valid instance file family.
-SAMPLING_FAMILIES = ("gaussian", "bernoulli", "deterministic")
+# Families accepted when sampling: the instance reward models plus
+# "deterministic" (reward equals the mean exactly), a diagnostic mode for
+# no-noise episodes that is not a valid instance file family.
+SAMPLING_FAMILIES = REWARD_MODELS + ("deterministic",)
 
 TRACE_COLUMNS = (
     "round",

@@ -10,8 +10,9 @@ oracle's whole horizon) in pieces of whole rounds. An untraced
 centralized episode, once a round submits the same ranking profile as
 the round before, plays blocks on the guess that the profile holds and
 keeps each block's rounds up to the first that would submit another
-(centralized.hold_profile). Both use the same random stream and the same
-sums, so the fast path and the loop give the same episode bit for bit.
+(centralized.hold_profile). Both play through one block driver, with
+the same random stream and the same sums as the loop, so the fast path
+and the loop give the same episode bit for bit.
 Parallelism, when wanted, belongs at the seed level only (episodes
 share no mutable state). The headline metric is cumulative
 pseudo-regret per player, snapshotted by the episode's RegretLedger at
@@ -76,7 +77,7 @@ def validate_checkpoints(checkpoints: tuple[int, ...], horizon: int) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved experiment: the CLI handles file paths and
-    generator configs and passes the loaded instance in here.
+    passes the loaded instance in here.
 
     reward_family overrides the instance's family for the run (for
     example a no-noise diagnostic run via "deterministic").
@@ -163,11 +164,13 @@ def run_episode(
 # Episode runners: (instance, env, ledger, horizon) -> (stats, player
 # snapshots or None); the ledger keeps the regret checkpoints. The
 # per-round calls go through this module's globals, so they can be
-# swapped at run time. An untraced ledger lets a runner fast-forward the
-# rounds whose proposals are fixed in advance (_fixed_rounds), or, for
-# the centralized protocol, known once a block is drawn (hold_profile),
-# and hand each piece to the players in one call that leaves them as the
-# loop would; a traced one plays every round through the loop, the spec.
+# swapped at run time. An untraced ledger lets a runner fast-forward
+# collision-free spans through _blocks: the rounds whose proposals are
+# fixed in advance, kept whole, or, for the centralized protocol, the
+# rounds after a repeated profile, kept while it holds (hold_profile).
+# Each block is handed to the players in one call that leaves them as
+# the loop would; a traced ledger plays every round through the loop,
+# the spec.
 
 # rounds per fast-forward piece; bounds the arrays a piece allocates
 _PIECE_ROUNDS = 1024
@@ -176,32 +179,42 @@ _PIECE_ROUNDS = 1024
 _BLOCK_ROUNDS = 16
 
 
-def _fixed_rounds(env, ledger, start, stop, arms_of):
-    """Resolve and record rounds start .. stop - 1 in pieces, where
-    arms_of(rounds) gives the proposals of those rounds, collision-free
-    and fixed in advance. Yields each piece's first round and rewards."""
-    t = start
+def _blocks(env, ledger, t, stop, arms_of, keep, size):
+    """Play rounds t .. stop - 1 in blocks of collision-free rounds,
+    where arms_of(rounds) gives the proposals of those rounds. Each
+    block of at most size rounds is drawn from some round start, and
+    keep(start, rewards) folds into the players the leading rounds they
+    keep and returns how many. The rest are given back, the kept rounds
+    recorded, and size doubles up to _PIECE_ROUNDS while blocks are kept
+    whole. Returns the first round not played."""
     while t < stop:
-        arms = arms_of(np.arange(t, min(t + _PIECE_ROUNDS, stop)))
+        arms = arms_of(np.arange(t, min(t + size, stop)))
         rewards = env.step_block(arms)
-        ledger.record_block(arms[:len(rewards)], rewards)
-        yield t, rewards
-        t += len(rewards)
+        kept = keep(t, rewards)
+        env.give_back(len(rewards) - kept)
+        if kept:
+            ledger.record_block(arms[:kept], rewards[:kept])
+            t += kept
+        if kept < len(rewards):
+            break
+        size = min(2 * size, _PIECE_ROUNDS)
+    return t
 
 
-def _hold(env, ledger, proposals, start, stop):
-    """Fast-forward rounds start .. stop - 1, which all repeat one
-    collision-free proposal vector."""
+def _repeat(proposals):
+    """arms_of for rounds that all repeat one proposal vector."""
     fixed = np.array(proposals)
-    for _ in _fixed_rounds(env, ledger, start, stop,
-                           lambda rounds: np.broadcast_to(fixed, (len(rounds), len(fixed)))):
-        pass
+    return lambda rounds: np.broadcast_to(fixed, (len(rounds), len(fixed)))
+
+
+def _keep_all(start, rewards):
+    return len(rewards)
 
 
 def _run_oracle_fixed(instance, env, ledger, horizon):
     proposals = list(instance.core.assignment)
     if not ledger.trace:
-        _hold(env, ledger, proposals, 1, horizon + 1)
+        _blocks(env, ledger, 1, horizon + 1, _repeat(proposals), _keep_all, _PIECE_ROUNDS)
         return {}, None
     for _ in range(horizon):
         ledger.record(env.step(proposals))
@@ -216,38 +229,25 @@ def _run_centralized(instance, env, ledger, horizon):
     core_rounds_second_half = 0
     half = horizon // 2
     last = None
-    size = _BLOCK_ROUNDS
     t = 1
     while t <= horizon:
-        rankings, matching, outcome = platform_round(states, t, env)
+        rankings, matching, outcome = platform_round(states, t, env, last)
         is_core = matching.assignment == core
-        if is_core:
-            core_rounds += 1
-            if t > half:
-                core_rounds_second_half += 1
         ledger.record(outcome, extra=(int(is_core),) if ledger.trace else ())
+        start = t
         t += 1
-        if ledger.trace or rankings != last:
-            last = rankings
-            continue
-        # the profile repeated: play blocks on the guess that it holds,
-        # doubling while it does, and go back to the loop where it breaks
-        arms = np.array(matching.assignment)
-        while t <= horizon:
-            block = np.broadcast_to(arms, (min(size, horizon + 1 - t), n))
-            rewards = env.step_block(block)
-            held = hold_profile(states, rankings, t, rewards)
-            env.give_back(len(rewards) - held)
-            if held:
-                ledger.record_block(block[:held], rewards[:held])
-                if is_core:
-                    core_rounds += held
-                    core_rounds_second_half += max(0, t + held - max(t, half + 1))
-                t += held
-            if held < len(rewards):
-                size = _BLOCK_ROUNDS
-                break
-            size = min(2 * size, _PIECE_ROUNDS)
+        if not ledger.trace and last is not None and rankings == last[0]:
+            # the profile repeated: play blocks on the guess that it
+            # holds, and go back to the loop where it breaks
+            assignment = matching.assignment
+            t = _blocks(env, ledger, t, horizon + 1, _repeat(assignment),
+                        lambda s, rewards: hold_profile(states, rankings, assignment, s, rewards),
+                        _BLOCK_ROUNDS)
+        last = rankings, matching
+        if is_core:
+            # rounds start .. t - 1 all played this matching
+            core_rounds += t - start
+            core_rounds_second_half += max(0, t - max(start, half + 1))
     stats = {
         "core_match_rounds": core_rounds,
         "core_match_rounds_second_half": core_rounds_second_half,
@@ -263,20 +263,24 @@ def _run_decentralized(instance, env, ledger, horizon):
     flags = [True] * n
     lead = players[0]
     ids = np.arange(n)
+
+    def explore(start, rewards):
+        for i, p in enumerate(players):
+            p.explore_span(start, rewards[:, i].tolist())
+        return len(rewards)
+
     t = 1
     while t <= horizon:
         if not ledger.trace and lead.stage == EXPLORE:
             # the rest of the block's round robin, closing round included
-            stop = min(t + lead.stage_left, horizon + 1)
-            for start, rewards in _fixed_rounds(
-                    env, ledger, t, stop, lambda rounds: explore_arm(ids, rounds[:, None], n)):
-                for i, p in enumerate(players):
-                    p.explore_span(start, rewards[:, i].tolist())
-            t = stop
+            t = _blocks(env, ledger, t, min(t + lead.stage_left, horizon + 1),
+                        lambda rounds: explore_arm(ids, rounds[:, None], n), explore,
+                        _PIECE_ROUNDS)
             continue
         if not ledger.trace and all(p.committed is not None for p in players):
             # every player pulls its committed arm until the horizon
-            _hold(env, ledger, [p.committed for p in players], t, horizon + 1)
+            _blocks(env, ledger, t, horizon + 1, _repeat([p.committed for p in players]),
+                    _keep_all, _PIECE_ROUNDS)
             for p in players:
                 p.hold_commitment(horizon)
             break

@@ -9,8 +9,6 @@ arms all sit far below its top arm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -21,51 +19,45 @@ from .errors import (
 )
 from .market import MarketInstance, validate_instance
 
-GENERATOR_FAMILIES = ("random", "sttcb", "lower-bound")
+# each generator family and the parameters it reads besides n
+GENERATOR_FAMILIES = {
+    "random": ("delta_floor", "seed", "reward_model"),
+    "sttcb": ("delta", "seed", "reward_model"),
+    "lower-bound": ("delta", "distinguished"),
+}
 
 # Tie-break perturbation scale for the lower-bound construction.
 TIE_BREAK_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Bundled generator parameters for config files and the CLI.
-
-    family selects the generator; the other fields are consumed per
-    family: random uses (n, delta_floor, seed, reward_model), sttcb
-    uses (n, delta, seed, reward_model), lower-bound uses
-    (n, delta, distinguished) and is deterministic Bernoulli.
-    """
-
-    family: str
-    n: int
-    delta_floor: float | None = None
-    delta: float | None = None
-    distinguished: int | None = None
-    seed: int | None = None
-    reward_model: str = "gaussian"
-
-
-def generate(config: GeneratorConfig) -> MarketInstance:
-    if config.seed is not None and config.seed < 0:
-        raise ConfigInvalidError(f"generator seed must be non-negative, got {config.seed}")
-    if config.family == "random":
-        if config.delta_floor is None:
-            raise ConfigInvalidError("random family requires delta_floor")
-        rng = np.random.default_rng(config.seed)
-        return random_instance(config.n, config.delta_floor, rng, config.reward_model)
-    if config.family == "sttcb":
-        if config.delta is None:
-            raise ConfigInvalidError("sttcb family requires delta")
-        rng = np.random.default_rng(config.seed)
-        return sttcb_instance(config.n, config.delta, rng, config.reward_model)
-    if config.family == "lower-bound":
-        if config.delta is None or config.distinguished is None:
-            raise ConfigInvalidError("lower-bound family requires delta and distinguished")
-        return lower_bound_instance(config.n, config.delta, config.distinguished)
-    raise ConfigInvalidError(
-        f"unknown generator family {config.family!r}; expected one of {GENERATOR_FAMILIES}"
-    )
+def generate(family: str, n: int, **params) -> MarketInstance:
+    """A market of the named family with n players. params are the
+    family's parameters in GENERATOR_FAMILIES, a None value counting as
+    not given: seed defaults to fresh entropy and reward_model to
+    gaussian, and lower-bound is always Bernoulli. A parameter the
+    family does not read is refused, so that no explicit choice is
+    silently dropped."""
+    if family not in GENERATOR_FAMILIES:
+        raise ConfigInvalidError(
+            f"unknown generator family {family!r}; expected one of {tuple(GENERATOR_FAMILIES)}"
+        )
+    given = {k: v for k, v in params.items() if v is not None}
+    ignored = sorted(set(given) - set(GENERATOR_FAMILIES[family]))
+    if ignored:
+        raise ConfigInvalidError(f"the {family} family does not read {', '.join(ignored)}")
+    missing = [k for k in GENERATOR_FAMILIES[family]
+               if k not in given and k not in ("seed", "reward_model")]
+    if missing:
+        raise ConfigInvalidError(f"the {family} family requires {' and '.join(missing)}")
+    if given.get("seed", 0) < 0:
+        raise ConfigInvalidError(f"generator seed must be non-negative, got {given['seed']}")
+    if family == "lower-bound":
+        return lower_bound_instance(n, given["delta"], given["distinguished"])
+    rng = np.random.default_rng(given.get("seed"))
+    model = given.get("reward_model", "gaussian")
+    if family == "random":
+        return random_instance(n, given["delta_floor"], rng, model)
+    return sttcb_instance(n, given["delta"], rng, model)
 
 
 def _spaced_values(count: int, floor: float, low: float, high: float,

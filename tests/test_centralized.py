@@ -185,26 +185,28 @@ def test_submitted_rankings_equal_the_reference(states, t):
     assert submitted_rankings(states, t) == expected
 
 
-def test_memo_calls_ttc_once_per_profile_and_returns_its_matching(monkeypatch):
+def test_ttc_runs_exactly_when_the_profile_changes_and_returns_its_matching(monkeypatch):
     """Over a traced centralized episode, which plays every round
-    through platform_round, the platform calls ttc exactly once per
-    distinct ranking profile while the memo holds them all, and every
-    round's matching is ttc's matching of that round's rankings."""
-    misses = []
+    through platform_round, the platform calls ttc in exactly the rounds
+    whose ranking profile differs from the round before, on that
+    profile, and every round's matching is ttc's matching of that
+    round's rankings. A profile that comes back after another calls ttc
+    again: nothing is remembered beyond the previous round."""
+    calls = []
     profiles = []
     rounds = []
     platform_round = centralized.platform_round
 
     def counting_ttc(rankings):
-        misses.append(rankings)
+        calls.append((len(profiles), rankings))
         return market.ttc(rankings)
 
     def recording_rankings(states, t):
         profiles.append(submitted_rankings(states, t))
         return profiles[-1]
 
-    def recording_round(states, t, env):
-        rankings, matching, outcome = platform_round(states, t, env)
+    def recording_round(states, t, env, last):
+        rankings, matching, outcome = platform_round(states, t, env, last)
         assert rankings == profiles[-1]
         rounds.append((rankings, matching))
         return rankings, matching, outcome
@@ -212,16 +214,15 @@ def test_memo_calls_ttc_once_per_profile_and_returns_its_matching(monkeypatch):
     monkeypatch.setattr(centralized, "ttc", counting_ttc)
     monkeypatch.setattr(centralized, "submitted_rankings", recording_rankings)
     monkeypatch.setattr(harness, "platform_round", recording_round)
-    centralized._clear.cache_clear()
     inst = sttcb_instance(5, 0.2, np.random.default_rng(7))
     cfg = ExperimentConfig(inst, "centralized-ucb", horizon=20000, seeds=(0,))
     run_episode(cfg, 0, trace=io.StringIO())
 
-    distinct = set(profiles)
+    changed = [(t, p) for t, p in enumerate(profiles, 1) if t == 1 or p != profiles[t - 2]]
     assert len(rounds) == 20000
-    assert 100 < len(distinct) <= centralized._MEMO_PROFILES
-    assert len(misses) == len(distinct)
-    assert set(misses) == distinct
+    assert 100 < len(changed) < len(rounds)
+    assert len(changed) > len(set(profiles))
+    assert calls == changed
     for rankings, matching in rounds:
         assert matching == market.ttc(rankings)
 
@@ -240,7 +241,8 @@ def test_a_block_breaks_where_a_tie_puts_the_lower_arm_first():
     states = two_players([(0.5, 0.5), (1.0, 0.0)], [(4, 3), (100, 100)])
     rankings = submitted_rankings(states, 10)
     assert rankings == ((1, 0), (0, 1))
-    assert hold_profile(states, rankings, 10, np.array([[0.5, 1.0]] * 3)) == 1
+    assignment = market.ttc(rankings).assignment
+    assert hold_profile(states, rankings, assignment, 10, np.array([[0.5, 1.0]] * 3)) == 1
     assert (states[0].means, states[0].counts) == ([0.5, 0.5], [4, 4])
     assert submitted_rankings(states, 11) == ((0, 1), (0, 1))
 
@@ -251,7 +253,8 @@ def test_a_block_holds_through_a_tie_that_keeps_the_lower_arm_first():
     states = two_players([(0.5, 0.5), (0.0, 1.0)], [(3, 4), (100, 100)])
     rankings = submitted_rankings(states, 10)
     assert rankings == ((0, 1), (1, 0))
-    assert hold_profile(states, rankings, 10, np.array([[0.5, 1.0]] * 3)) == 2
+    assignment = market.ttc(rankings).assignment
+    assert hold_profile(states, rankings, assignment, 10, np.array([[0.5, 1.0]] * 3)) == 2
     assert (states[0].means, states[0].counts) == ([0.5, 0.5], [5, 4])
     assert submitted_rankings(states, 12) == ((1, 0), (1, 0))
 

@@ -298,6 +298,15 @@ MC_WITH_CONFIG = ["mc", "--config", "{file}", "--instance", "{instance}", "--out
 # overflows: no regret bound is a finite number
 ZERO_SQUARE_GAP = {**VALID_INSTANCE, "utilities": [[0.0, 5e-324], [0.0, 1.0]]}
 INFINITE_TERM_GAP = {**VALID_INSTANCE, "utilities": [[0.0, 1e-160], [0.0, 1.0]]}
+# integers past Python's int-from-string limit of 4300 digits
+LONG_INT = b"1" * 5000
+LONG_N_INSTANCE = (b'{"n": ' + LONG_INT
+                   + b', "utilities": [[0.2, 0.9], [0.8, 0.3]], "reward_model": "gaussian"}')
+LONG_HORIZON_MC = b'{"algorithm": "oracle-fixed", "seeds": [0, 1], "horizon": ' + LONG_INT + b"}"
+LONG_HORIZON_RUN = b'{"algorithm": "oracle-fixed", "seeds": [0], "horizon": ' + LONG_INT + b"}"
+RUN_WITH_CONFIG = ["run", "--config", "{file}", "--instance", "{instance}"]
+GEN_LOWER_BOUND = ["gen", "--family", "lower-bound", "--n", "4", "--delta", "0.2",
+                   "--distinguished", "1", "--out", "{out}"]
 
 
 def bounds_on_file(algo):
@@ -355,6 +364,18 @@ def mc_on_file(algo):
         (INFINITE_TERM_GAP, bounds_on_file("decentralized-etc")),
         (INFINITE_TERM_GAP, mc_on_file("centralized-ucb")),
         (INFINITE_TERM_GAP, mc_on_file("decentralized-etc")),
+        (LONG_N_INSTANCE, MECHANISMS),
+        (LONG_HORIZON_MC, MC_WITH_CONFIG),
+        (LONG_HORIZON_RUN, RUN_WITH_CONFIG),
+        (None, GEN_LOWER_BOUND + ["--reward-model", "gaussian"]),
+        (None, GEN_LOWER_BOUND + ["--reward-model", "bernoulli"]),
+        (None, GEN_LOWER_BOUND + ["--seed", "3"]),
+        (None, ["gen", "--family", "random", "--n", "3", "--delta-floor", "0.1",
+                "--delta", "0.2", "--out", "{out}"]),
+        (None, ["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2",
+                "--delta-floor", "0.1", "--out", "{out}"]),
+        (None, ["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2",
+                "--distinguished", "1", "--out", "{out}"]),
     ],
     ids=["ragged-utilities", "n-a-float", "n-a-bool", "utilities-strings", "utilities-bools",
          "instance-not-utf8", "instance-nested-too-deep", "config-not-utf8",
@@ -368,7 +389,11 @@ def mc_on_file(algo):
          "gap-square-zero-bounds-centralized", "gap-square-zero-bounds-decentralized",
          "gap-square-zero-mc-centralized", "gap-square-zero-mc-decentralized",
          "gap-term-infinite-bounds-centralized", "gap-term-infinite-bounds-decentralized",
-         "gap-term-infinite-mc-centralized", "gap-term-infinite-mc-decentralized"],
+         "gap-term-infinite-mc-centralized", "gap-term-infinite-mc-decentralized",
+         "instance-n-too-many-digits", "config-horizon-too-many-digits-mc",
+         "config-horizon-too-many-digits-run", "gen-lower-bound-reward-model-gaussian",
+         "gen-lower-bound-reward-model-bernoulli", "gen-lower-bound-seed",
+         "gen-random-delta", "gen-sttcb-delta-floor", "gen-sttcb-distinguished"],
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
     assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2

@@ -301,20 +301,20 @@ def long_centralized():
     hold_profile = harness.hold_profile
     fast_rounds, loop_rounds, traced_calls, blocks = {}, {}, [0], []
 
-    def fast_round(states, t, env):
-        result = platform_round(states, t, env)
+    def fast_round(states, t, env, last):
+        result = platform_round(states, t, env, last)
         fast_rounds[t] = result[2].rewards
         return result
 
-    def traced_round(states, t, env):
-        result = platform_round(states, t, env)
+    def traced_round(states, t, env, last):
+        result = platform_round(states, t, env, last)
         traced_calls[0] += 1
         if t in fast_rounds:
             loop_rounds[t] = result[2].rewards
         return result
 
-    def recording_hold(states, rankings, t, rewards):
-        held = hold_profile(states, rankings, t, rewards)
+    def recording_hold(states, rankings, assignment, t, rewards):
+        held = hold_profile(states, rankings, assignment, t, rewards)
         blocks.append((t, len(rewards), held))
         return held
 

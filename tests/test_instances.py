@@ -11,7 +11,6 @@ from housebandits.errors import (
 )
 from housebandits.instances import (
     TIE_BREAK_EPS,
-    GeneratorConfig,
     generate,
     is_sttcb,
     lower_bound_instance,
@@ -185,26 +184,47 @@ def test_is_sttcb_rejects_two_cycles():
 
 
 def test_generate_dispatches_each_family():
-    a = generate(GeneratorConfig(family="random", n=4, delta_floor=0.1, seed=1))
-    assert a.n == 4 and a.min_gap >= 0.1
-    b = generate(GeneratorConfig(family="sttcb", n=4, delta=0.1, seed=1))
-    assert is_sttcb(b)
-    c = generate(GeneratorConfig(family="lower-bound", n=4, delta=0.2, distinguished=1))
+    a = generate("random", 4, delta_floor=0.1, seed=1)
+    assert a.n == 4 and a.min_gap >= 0.1 and a.reward_model == "gaussian"
+    b = generate("sttcb", 4, delta=0.1, seed=1, reward_model="bernoulli")
+    assert is_sttcb(b) and b.reward_model == "bernoulli"
+    c = generate("lower-bound", 4, delta=0.2, distinguished=1)
     assert c.reward_model == "bernoulli"
 
 
 def test_generate_same_seed_same_instance():
-    a = generate(GeneratorConfig(family="random", n=5, delta_floor=0.05, seed=9))
-    b = generate(GeneratorConfig(family="random", n=5, delta_floor=0.05, seed=9))
+    a = generate("random", 5, delta_floor=0.05, seed=9)
+    b = generate("random", 5, delta_floor=0.05, seed=9)
     assert a == b
 
 
 def test_generate_rejects_missing_fields_and_unknown_family():
-    with pytest.raises(ConfigInvalidError):
-        generate(GeneratorConfig(family="random", n=4))
-    with pytest.raises(ConfigInvalidError):
-        generate(GeneratorConfig(family="sttcb", n=4))
-    with pytest.raises(ConfigInvalidError):
-        generate(GeneratorConfig(family="lower-bound", n=4, delta=0.2))
-    with pytest.raises(ConfigInvalidError):
-        generate(GeneratorConfig(family="weird", n=4))
+    with pytest.raises(ConfigInvalidError, match="requires delta_floor"):
+        generate("random", 4)
+    with pytest.raises(ConfigInvalidError, match="requires delta"):
+        generate("sttcb", 4)
+    with pytest.raises(ConfigInvalidError, match="requires distinguished"):
+        generate("lower-bound", 4, delta=0.2)
+    with pytest.raises(ConfigInvalidError, match="unknown generator family"):
+        generate("weird", 4)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("lower-bound", {"delta": 0.2, "distinguished": 1, "reward_model": "gaussian"}),
+    ("lower-bound", {"delta": 0.2, "distinguished": 1, "reward_model": "bernoulli"}),
+    ("lower-bound", {"delta": 0.2, "distinguished": 1, "seed": 3}),
+    ("lower-bound", {"delta": 0.2, "distinguished": 1, "delta_floor": 0.1}),
+    ("random", {"delta_floor": 0.1, "delta": 0.2}),
+    ("random", {"delta_floor": 0.1, "distinguished": 1}),
+    ("sttcb", {"delta": 0.2, "delta_floor": 0.1}),
+    ("sttcb", {"delta": 0.2, "distinguished": 1}),
+    ("sttcb", {"delta": 0.2, "rewardmodel": "bernoulli"}),
+])
+def test_generate_refuses_a_parameter_the_family_does_not_read(family, params):
+    with pytest.raises(ConfigInvalidError, match=f"the {family} family does not read"):
+        generate(family, 4, **params)
+
+
+def test_a_none_parameter_counts_as_not_given():
+    assert generate("lower-bound", 4, delta=0.2, distinguished=1, seed=None,
+                    reward_model=None) == lower_bound_instance(4, 0.2, 1)

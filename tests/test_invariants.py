@@ -64,3 +64,38 @@ def test_unused_import_check_sees_a_stale_name():
                      "__all__ = ['PHASE2']\n"
                      "x = np.zeros(1)\n")
     assert _unused_imports(tree) == ["EXPLORE (line 1)"]
+
+
+def _cached_functions(tree: ast.Module) -> list[str]:
+    """Functions decorated with functools.lru_cache or functools.cache,
+    bare or called, by attribute or by imported name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_no_function_in_package_keeps_a_cache():
+    """A memo decorator keeps state across episodes in one process."""
+    offenders = []
+    for path in SOURCES:
+        offenders += [f"{path.name}: {name}"
+                      for name in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == []
+
+
+def test_cache_check_sees_every_spelling():
+    tree = ast.parse("import functools\n"
+                     "from functools import cache, lru_cache\n"
+                     "@functools.lru_cache(maxsize=8)\ndef a(x): return x\n"
+                     "@lru_cache\ndef b(x): return x\n"
+                     "@cache\ndef c(x): return x\n"
+                     "@functools.cache\ndef d(x): return x\n"
+                     "@staticmethod\ndef e(x): return x\n")
+    assert _cached_functions(tree) == ["a (line 4)", "b (line 6)", "c (line 8)", "d (line 10)"]
