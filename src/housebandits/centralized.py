@@ -20,7 +20,7 @@ round's matching: ttc is a function of the profile alone and checks
 every ranking, so the reused matching is the one ttc would build.
 Nothing outlives an episode.
 
-Because the profile recurs, an untraced episode can also resolve a
+Because the profile recurs, an episode can also resolve a
 block of rounds at once on the guess that a profile holds, and keep
 the rounds in which it did (hold_profile): in each block round only the
 matched arm's mean and count move, so each round's indices can be

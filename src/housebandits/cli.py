@@ -9,6 +9,7 @@ success, 2 invalid input, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -189,14 +190,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigInvalidError(f"{config.algorithm} produces no player snapshots")
     seed = config.seeds[0]
     try:
-        # opened before the first round and written as the episode plays
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                episode = run_episode(config, seed, trace=fh)
-        else:
-            episode = run_episode(config, seed)
+        with contextlib.ExitStack() as files:
+            # both outputs are opened before round 1, so a bad path fails
+            # before anything is played; the trace is written as it plays
+            trace, snapshots = (files.enter_context(open(path, "w", encoding="utf-8"))
+                                if path else None for path in (args.trace, args.snapshots))
+            episode = run_episode(config, seed, trace=trace)
+            if snapshots is not None:
+                json.dump({"players": episode.player_snapshots}, snapshots, indent=2,
+                          sort_keys=True)
+                snapshots.write("\n")
     except OSError as exc:
-        raise ConfigInvalidError(f"cannot write {args.trace}: {exc}") from exc
+        raise ConfigInvalidError(f"cannot write {exc.filename or 'the outputs'}: {exc}") from exc
     for i in range(config.instance.n):
         print(
             f"player {i + 1}: pseudo_regret={episode.final_pseudo[i]:.6g} "
@@ -207,12 +212,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace written to {args.trace}")
     if args.snapshots:
-        try:
-            with open(args.snapshots, "w", encoding="utf-8") as fh:
-                json.dump({"players": episode.player_snapshots}, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise ConfigInvalidError(f"cannot write {args.snapshots}: {exc}") from exc
         print(f"snapshots written to {args.snapshots}")
     return 0
 

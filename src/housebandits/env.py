@@ -24,6 +24,7 @@ does a give-back.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -51,6 +52,9 @@ TRACE_COLUMNS = (
 )
 
 _NOISE_CHUNK_ROUNDS = 4096
+# rounds of a recorded block whose trace lines are formatted and written
+# at once
+_TRACE_SLICE_ROUNDS = 32
 
 
 class RoundOutcome:
@@ -229,10 +233,13 @@ class RegretLedger:
     that round in snapshots, keyed by round, whether the round was
     recorded alone or inside a block. Given a text file as trace, the
     ledger writes the CSV header at once and then one line per
-    (round, player) as each round is recorded, so a trace takes
-    constant memory. extra_columns lets a caller append per-round values,
-    each repeated on that round's player rows. Values are written with
-    repr, so floats read back exactly.
+    (round, player) as each round or block is recorded, a block in
+    slices of rounds, so a trace takes constant memory. record and
+    record_block write a round's lines through one formatter,
+    _trace_rows, so a block writes what its rounds recorded one by one
+    would. extra_columns lets a caller append per-round values, each
+    repeated on that round's player rows. Values are written with repr,
+    so floats read back exactly.
     """
 
     def __init__(self, instance: MarketInstance, trace: TextIO | None = None,
@@ -254,6 +261,14 @@ class RegretLedger:
         if trace is not None:
             trace.write(",".join(TRACE_COLUMNS + extra_columns) + "\n")
 
+    def _tail(self, extra: tuple) -> str:
+        """The trace text of a round's extra values."""
+        if len(extra) != len(self.extra_columns):
+            raise RuntimeFailure(
+                f"expected {len(self.extra_columns)} extra values, got {len(extra)}"
+            )
+        return "".join(f",{v!r}" for v in extra)
+
     def record(self, outcome: RoundOutcome, extra: tuple = ()) -> None:
         self.t = t = self.t + 1
         core_means = self.core_means
@@ -270,31 +285,22 @@ class RegretLedger:
         if t in self.checkpoints:
             self.snapshots[t] = tuple(pseudo)
         if self.trace:
-            if len(extra) != len(self.extra_columns):
-                raise RuntimeFailure(
-                    f"expected {len(self.extra_columns)} extra values, got {len(extra)}"
-                )
-            proposals = outcome.proposals
-            collided = outcome.collided
-            tail = "".join(f",{v!r}" for v in extra)
-            lines = []
-            for i in range(self.n):
-                p = proposals[i]
-                arm = matched[i]
-                lines.append(
-                    f"{t},{i + 1},{0 if p is None else p + 1},{0 if arm is None else arm + 1},"
-                    f"{int(collided[i])},{rewards[i]!r},{pseudo[i]!r},{realized[i]!r}{tail}\n"
-                )
-            self._file.write("".join(lines))
+            self._file.write(_trace_rows(
+                t, [[0 if p is None else p + 1 for p in outcome.proposals]],
+                [[0 if arm is None else arm + 1 for arm in matched]],
+                [[int(c) for c in outcome.collided]], [rewards], [pseudo], [realized],
+                self._tail(extra)))
 
-    def record_block(self, arms: np.ndarray, rewards: np.ndarray) -> None:
+    def record_block(self, arms: np.ndarray, rewards: np.ndarray, extra: tuple = ()) -> None:
         """Record k rounds at once in which player i matched arms[r, i]
         and drew rewards[r, i], as from MarketEnv.step_block, and fill
         the checkpoints among them. Same sums as k calls of record:
-        np.add.accumulate adds in round order. A traced ledger writes
-        every round and takes no blocks."""
-        if self.trace:
-            raise RuntimeFailure("a traced ledger records round by round")
+        np.add.accumulate adds in round order. extra holds the extra
+        column values, the same in every round of the block. A traced
+        ledger writes the block's rows as k calls of record would, in
+        slices of _TRACE_SLICE_ROUNDS rounds, so the text it holds at
+        once stays small."""
+        tail = self._tail(extra) if self.trace else ""
         core = np.array(self.core_means)
         pseudo = core - self.instance.utilities[self._players, arms]
         realized = core - rewards
@@ -307,3 +313,23 @@ class RegretLedger:
         for c in self.checkpoints:
             if t < c <= self.t:
                 self.snapshots[c] = tuple(pseudo[c - t - 1].tolist())
+        if self.trace:
+            uncollided = itertools.repeat([0] * self.n)
+            for lo in range(0, len(arms), _TRACE_SLICE_ROUNDS):
+                part = slice(lo, lo + _TRACE_SLICE_ROUNDS)
+                chosen = (arms[part] + 1).tolist()
+                self._file.write(_trace_rows(
+                    t + 1 + lo, chosen, chosen, uncollided, rewards[part].tolist(),
+                    pseudo[part].tolist(), realized[part].tolist(), tail))
+
+
+def _trace_rows(t, proposals, matched, collided, rewards, pseudo, realized, tail):
+    """The trace CSV lines of rounds t, t + 1, ..., one per (round,
+    player). Each argument but tail holds one row of per-player values
+    per round: arms 1-based with 0 for none, collided as 0 or 1; tail is
+    the text of the extra values, repeated on every line."""
+    return "".join([
+        f"{t + r},{i},{p},{m},{c},{x!r},{a!r},{b!r}{tail}\n"
+        for r, row in enumerate(zip(proposals, matched, collided, rewards, pseudo, realized))
+        for i, p, m, c, x, a, b in zip(itertools.count(1), *row)
+    ])

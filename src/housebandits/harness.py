@@ -1,18 +1,20 @@
 """Experiment harness: seeded episodes, Monte Carlo aggregation over
 seeds, closed-form regret bound curves, and report export.
 
-An episode is a sequential round loop, which stays the executable spec
-and is what a traced episode plays. An untraced episode of the
-decentralized protocol or the oracle fast-forwards the spans whose
-proposals are fixed in advance (each exploration block's round robin,
-closing round included, play after every player has committed, the
-oracle's whole horizon) in pieces of whole rounds. An untraced
+An episode is a sequential round loop, which stays the executable spec.
+An episode of the decentralized protocol or the oracle fast-forwards
+the spans whose proposals are fixed in advance (each exploration
+block's round robin, closing round included, play after every player
+has committed, the oracle's whole horizon) in pieces of whole rounds. A
 centralized episode, once a round submits the same ranking profile as
 the round before, plays blocks on the guess that the profile holds and
 keeps each block's rounds up to the first that would submit another
 (centralized.hold_profile). Both play through one block driver, with
 the same random stream and the same sums as the loop, so the fast path
-and the loop give the same episode bit for bit.
+and the loop give the same episode bit for bit, trace rows included:
+the ledger writes a kept block's rows itself. Traced or not, every
+episode takes the fast path; only _FAST_FORWARD = False, which the
+tests set, plays the loop alone.
 Parallelism, when wanted, belongs at the seed level only (episodes
 share no mutable state). The headline metric is cumulative
 pseudo-regret per player, snapshotted by the episode's RegretLedger at
@@ -164,14 +166,16 @@ def run_episode(
 # Episode runners: (instance, env, ledger, horizon) -> (stats, player
 # snapshots or None); the ledger keeps the regret checkpoints. The
 # per-round calls go through this module's globals, so they can be
-# swapped at run time. An untraced ledger lets a runner fast-forward
+# swapped at run time. While _FAST_FORWARD holds, a runner fast-forwards
 # collision-free spans through _blocks: the rounds whose proposals are
 # fixed in advance, kept whole, or, for the centralized protocol, the
 # rounds after a repeated profile, kept while it holds (hold_profile).
 # Each block is handed to the players in one call that leaves them as
-# the loop would; a traced ledger plays every round through the loop,
-# the spec.
+# the loop would, and to the ledger, which writes its trace rows if it
+# has a trace. Otherwise every round goes through the loop, the spec.
 
+# whether runners fast-forward; the tests clear it to play the spec loop
+_FAST_FORWARD = True
 # rounds per fast-forward piece; bounds the arrays a piece allocates
 _PIECE_ROUNDS = 1024
 # rounds of a centralized block right after the profile first repeats;
@@ -179,21 +183,22 @@ _PIECE_ROUNDS = 1024
 _BLOCK_ROUNDS = 16
 
 
-def _blocks(env, ledger, t, stop, arms_of, keep, size):
+def _blocks(env, ledger, t, stop, arms_of, keep, size, extra=()):
     """Play rounds t .. stop - 1 in blocks of collision-free rounds,
     where arms_of(rounds) gives the proposals of those rounds. Each
     block of at most size rounds is drawn from some round start, and
     keep(start, rewards) folds into the players the leading rounds they
     keep and returns how many. The rest are given back, the kept rounds
-    recorded, and size doubles up to _PIECE_ROUNDS while blocks are kept
-    whole. Returns the first round not played."""
+    recorded with the extra trace values, and size doubles up to
+    _PIECE_ROUNDS while blocks are kept whole. Returns the first round
+    not played."""
     while t < stop:
         arms = arms_of(np.arange(t, min(t + size, stop)))
         rewards = env.step_block(arms)
         kept = keep(t, rewards)
         env.give_back(len(rewards) - kept)
         if kept:
-            ledger.record_block(arms[:kept], rewards[:kept])
+            ledger.record_block(arms[:kept], rewards[:kept], extra)
             t += kept
         if kept < len(rewards):
             break
@@ -213,7 +218,7 @@ def _keep_all(start, rewards):
 
 def _run_oracle_fixed(instance, env, ledger, horizon):
     proposals = list(instance.core.assignment)
-    if not ledger.trace:
+    if _FAST_FORWARD:
         _blocks(env, ledger, 1, horizon + 1, _repeat(proposals), _keep_all, _PIECE_ROUNDS)
         return {}, None
     for _ in range(horizon):
@@ -233,16 +238,17 @@ def _run_centralized(instance, env, ledger, horizon):
     while t <= horizon:
         rankings, matching, outcome = platform_round(states, t, env, last)
         is_core = matching.assignment == core
-        ledger.record(outcome, extra=(int(is_core),) if ledger.trace else ())
+        extra = (int(is_core),)
+        ledger.record(outcome, extra)
         start = t
         t += 1
-        if not ledger.trace and last is not None and rankings == last[0]:
+        if _FAST_FORWARD and last is not None and rankings == last[0]:
             # the profile repeated: play blocks on the guess that it
             # holds, and go back to the loop where it breaks
             assignment = matching.assignment
             t = _blocks(env, ledger, t, horizon + 1, _repeat(assignment),
                         lambda s, rewards: hold_profile(states, rankings, assignment, s, rewards),
-                        _BLOCK_ROUNDS)
+                        _BLOCK_ROUNDS, extra)
         last = rankings, matching
         if is_core:
             # rounds start .. t - 1 all played this matching
@@ -271,13 +277,13 @@ def _run_decentralized(instance, env, ledger, horizon):
 
     t = 1
     while t <= horizon:
-        if not ledger.trace and lead.stage == EXPLORE:
+        if _FAST_FORWARD and lead.stage == EXPLORE:
             # the rest of the block's round robin, closing round included
             t = _blocks(env, ledger, t, min(t + lead.stage_left, horizon + 1),
                         lambda rounds: explore_arm(ids, rounds[:, None], n), explore,
                         _PIECE_ROUNDS)
             continue
-        if not ledger.trace and all(p.committed is not None for p in players):
+        if _FAST_FORWARD and all(p.committed is not None for p in players):
             # every player pulls its committed arm until the horizon
             _blocks(env, ledger, t, horizon + 1, _repeat([p.committed for p in players]),
                     _keep_all, _PIECE_ROUNDS)

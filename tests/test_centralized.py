@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 from typing import Sequence
 
@@ -186,8 +185,8 @@ def test_submitted_rankings_equal_the_reference(states, t):
 
 
 def test_ttc_runs_exactly_when_the_profile_changes_and_returns_its_matching(monkeypatch):
-    """Over a traced centralized episode, which plays every round
-    through platform_round, the platform calls ttc in exactly the rounds
+    """Over a centralized episode on the loop alone, which plays every
+    round through platform_round, the platform calls ttc in exactly the rounds
     whose ranking profile differs from the round before, on that
     profile, and every round's matching is ttc's matching of that
     round's rankings. A profile that comes back after another calls ttc
@@ -214,9 +213,10 @@ def test_ttc_runs_exactly_when_the_profile_changes_and_returns_its_matching(monk
     monkeypatch.setattr(centralized, "ttc", counting_ttc)
     monkeypatch.setattr(centralized, "submitted_rankings", recording_rankings)
     monkeypatch.setattr(harness, "platform_round", recording_round)
+    monkeypatch.setattr(harness, "_FAST_FORWARD", False)
     inst = sttcb_instance(5, 0.2, np.random.default_rng(7))
     cfg = ExperimentConfig(inst, "centralized-ucb", horizon=20000, seeds=(0,))
-    run_episode(cfg, 0, trace=io.StringIO())
+    run_episode(cfg, 0)
 
     changed = [(t, p) for t, p in enumerate(profiles, 1) if t == 1 or p != profiles[t - 2]]
     assert len(rounds) == 20000

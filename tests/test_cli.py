@@ -145,6 +145,23 @@ class TestRun:
         assert captured.err.startswith("error: cannot write")
         assert not any(line.startswith("player") for line in captured.out.splitlines())
 
+    def test_snapshots_into_missing_directory_exit_2_before_any_episode(
+            self, instance_path, tmp_path, capsys, monkeypatch):
+        """The snapshot file is opened before round 1, as the trace is."""
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode was played")
+
+        monkeypatch.setattr("housebandits.cli.run_episode", no_episode)
+        code = main([
+            "run", "--instance", instance_path, "--algo", "decentralized-etc",
+            "--horizon", "20", "--seeds", "0", "--trace", str(tmp_path / "t.csv"),
+            "--snapshots", str(tmp_path / "missing" / "s.json"),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {tmp_path / 'missing' / 's.json'}")
+        assert captured.out == ""
+
     def test_run_wants_exactly_one_seed(self, instance_path):
         code = main([
             "run", "--instance", instance_path, "--algo", "oracle-fixed",

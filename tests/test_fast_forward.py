@@ -1,9 +1,10 @@
-"""The fast-forward of untraced episodes against the per-round loop.
+"""The fast-forward of episodes against the per-round loop.
 
-A traced episode plays every round through the loop, the executable
-spec; an untraced one skips the rounds its schedule fixes in advance,
-and a centralized one the rounds in which the submitted profile holds.
-Both must give the same episode bit for bit.
+An episode, traced or not, resolves the rounds its schedule fixes in
+advance in blocks, and a centralized one the rounds in which the
+submitted profile holds. With harness._FAST_FORWARD cleared it plays
+every round through the loop, the executable spec. Both must give the
+same episode bit for bit, trace CSV included.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import hashlib
 import io
 import json
-import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,21 +40,37 @@ ALGORITHMS = ("decentralized-etc", "oracle-fixed", "centralized-ucb")
 DIGEST_ALGORITHMS = ("decentralized-etc", "oracle-fixed")
 
 
+def play(cfg, seed, fast):
+    """A traced episode and its trace CSV, on the fast path or, with
+    fast false, on the loop alone."""
+    trace = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_FAST_FORWARD", fast)
+        episode = run_episode(cfg, seed, trace=trace)
+    return episode, trace.getvalue()
+
+
 def both_paths(instance, algorithm, horizon, seed, family):
-    """(traced, untraced) episodes with checkpoints across the horizon,
-    most of them inside a fast-forwarded span."""
+    """(loop, fast) traced episodes with their trace CSVs, and
+    checkpoints across the horizon, most of them inside a fast-forwarded
+    span."""
     cps = tuple(sorted({c for c in (1, 100, 1000, 4096, horizon - 1, horizon) if c <= horizon}))
     cfg = ExperimentConfig(instance, algorithm, horizon, (seed,), reward_family=family,
                            checkpoints=cps)
-    return run_episode(cfg, seed, trace=io.StringIO()), run_episode(cfg, seed)
+    return play(cfg, seed, False), play(cfg, seed, True)
 
 
 def assert_same_episode(loop, fast):
+    """Two (episode, trace CSV) pairs agree bit for bit and byte for
+    byte."""
+    (loop, loop_csv), (fast, fast_csv) = loop, fast
     assert fast.final_pseudo == loop.final_pseudo
     assert fast.final_realized == loop.final_realized
     assert fast.checkpoint_pseudo == loop.checkpoint_pseudo
     assert fast.stats == loop.stats
     assert fast.player_snapshots == loop.player_snapshots
+    # lines, so that a failure names the first line that differs
+    assert fast_csv.splitlines() == loop_csv.splitlines()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -77,8 +94,8 @@ def test_fast_path_equals_the_loop_in_phase_1(name, family, algorithm, seed, hor
 def test_fast_path_equals_the_loop_through_commitment(name, family, seed, horizon):
     """Episodes that enter phase 2 and end in a post-commit span."""
     loop, fast = both_paths(INSTANCES[name](), "decentralized-etc", horizon, seed, family)
-    assert None not in loop.stats["commit_rounds"]
-    assert max(loop.stats["commit_rounds"]) < horizon - 1
+    assert None not in loop[0].stats["commit_rounds"]
+    assert max(loop[0].stats["commit_rounds"]) < horizon - 1
     assert_same_episode(loop, fast)
 
 
@@ -90,8 +107,8 @@ EPISODES_DIGEST = "edb14522c2a6b847e47d404d69fe628518130e4a44f87045bc611e4e4b3ce
 
 
 def test_episodes_match_the_recorded_digest():
-    """Traced and untraced episodes agree with each other, but a change
-    both paths share shows only against recorded output: untraced
+    """The fast path and the loop agree with each other, but a change
+    both share shows only against recorded output: untraced
     episodes of both algorithms (those at T = 70000 commit, outside the
     lower-bound market) and the trace CSV of one committing episode."""
     digest = hashlib.sha256()
@@ -151,13 +168,28 @@ def test_one_span_call_closes_a_block_as_observe_does():
     assert span.sigma == (2, 1, 0)
 
 
-def test_block_record_refuses_a_traced_ledger():
+def test_block_record_writes_the_rows_of_rounds():
+    """A block of 300 rounds, more than one slice of rows, writes what
+    300 calls of record write, with the extra column on every row; a
+    wrong number of extra values is refused."""
     inst = INSTANCES["sttcb"]()
+    n = inst.n
+    arms = (np.arange(1, 302)[:, None] + np.arange(n)) % n  # rounds 1 .. 301
+    traces = io.StringIO(), io.StringIO()
+    by_round, by_block = (RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",))
+                          for trace in traces)
     env = MarketEnv(inst, 0)
-    arms = np.tile(np.array(inst.core.assignment), (3, 1))
-    rewards = env.step_block(arms)
-    with pytest.raises(RuntimeFailure):
-        RegretLedger(inst, trace=io.StringIO()).record_block(arms, rewards)
+    for row in arms:
+        by_round.record(env.step(row.tolist()), (1,))
+    env = MarketEnv(inst, 0)
+    by_block.record(env.step(arms[0].tolist()), (1,))
+    by_block.record_block(arms[1:], env.step_block(arms[1:]), (1,))
+    lines = traces[1].getvalue().splitlines()
+    assert len(lines) == 1 + 301 * n
+    assert lines == traces[0].getvalue().splitlines()
+    assert lines[-1].startswith(f"301,{n},") and lines[-1].endswith(",1")
+    with pytest.raises(RuntimeFailure, match="expected 1 extra values, got 0"):
+        by_block.record_block(arms[:2], env.step_block(arms[:2]))
 
 
 def test_block_record_fills_the_same_snapshots_as_rounds():
@@ -202,18 +234,26 @@ def count_steps(monkeypatch):
     return calls
 
 
-def test_untraced_decentralized_episode_plays_few_rounds_one_by_one(monkeypatch):
-    """Status rounds, block closings and pre-commit phase 2 only."""
+def test_untraced_decentralized_episode_plays_few_rounds_one_by_one(monkeypatch, tmp_path):
+    """Status rounds, block closings and pre-commit phase 2 only, with a
+    trace as without."""
     calls = count_steps(monkeypatch)
     cfg = ExperimentConfig(INSTANCES["sttcb"](), "decentralized-etc", 10**5, (0,))
     episode = run_episode(cfg, 0)
     assert all(episode.stats["committed_is_core"])
     assert 0 < calls[0] < 1000
+    untraced = calls[0]
+    with open(tmp_path / "trace.csv", "w", encoding="utf-8") as fh:
+        run_episode(cfg, 0, trace=fh)
+    assert calls[0] == 2 * untraced
 
 
-def test_untraced_oracle_episode_plays_no_round_one_by_one(monkeypatch):
+def test_untraced_oracle_episode_plays_no_round_one_by_one(monkeypatch, tmp_path):
     calls = count_steps(monkeypatch)
-    run_episode(ExperimentConfig(INSTANCES["sttcb"](), "oracle-fixed", 10**5, (0,)), 0)
+    cfg = ExperimentConfig(INSTANCES["sttcb"](), "oracle-fixed", 10**5, (0,))
+    run_episode(cfg, 0)
+    with open(tmp_path / "trace.csv", "w", encoding="utf-8") as fh:
+        run_episode(cfg, 0, trace=fh)
     assert calls[0] == 0
 
 
@@ -236,12 +276,10 @@ def test_episode_properties_on_both_paths(instance):
     the trading cycles of the certified rankings, and the post-commit
     counters match the trace."""
     horizon = PROPERTY_HORIZONS[instance.n]
-    trace = io.StringIO()
     cfg = ExperimentConfig(instance, "decentralized-etc", horizon, (0,),
                            reward_family="deterministic", checkpoints=(horizon,))
-    loop = run_episode(cfg, 0, trace=trace)
-    fast = run_episode(cfg, 0)
-    for episode in (loop, fast):
+    loop, fast = play(cfg, 0, False), play(cfg, 0, True)
+    for episode, _ in (loop, fast):
         t1 = episode.stats["entry_round"]
         assert t1 is not None
         snaps = episode.player_snapshots
@@ -249,10 +287,9 @@ def test_episode_properties_on_both_paths(instance):
         rankings = tuple(tuple(a - 1 for a in s["ranking"]) for s in snaps)
         committed = tuple(a - 1 for a in episode.stats["committed_arms"])
         assert committed == ttc(rankings).assignment
-    trace.seek(0)
-    rows = list(csv.DictReader(trace))
+    rows = list(csv.DictReader(io.StringIO(loop[1])))
     assert not [row for row in rows if int(row["round"]) > t1 and row["collided"] == "1"]
-    assert_post_commit_counts_match(loop, rows, instance.core.assignment)
+    assert_post_commit_counts_match(loop[0], rows, instance.core.assignment)
     assert_same_episode(loop, fast)
 
 
@@ -272,14 +309,13 @@ def test_commitments_off_the_core_count_no_core_rounds(monkeypatch):
     monkeypatch.setattr(decentralized, "try_extract_ranking", lambda stats, horizon: (0, 1))
     instance = validate_instance([[0.2, 0.9], [0.8, 0.3]])
     cfg = ExperimentConfig(instance, "decentralized-etc", 200, (0,), reward_family="deterministic")
-    trace = io.StringIO()
-    loop = run_episode(cfg, 0, trace=trace)
+    (loop, trace), fast = play(cfg, 0, False), play(cfg, 0, True)
     assert loop.stats["committed_arms"] == [1, 2]
     assert loop.stats["post_commit_core_rounds"] == [0, 0]
     assert min(loop.stats["post_commit_rounds"]) > 0
-    trace.seek(0)
-    assert_post_commit_counts_match(loop, list(csv.DictReader(trace)), instance.core.assignment)
-    assert_same_episode(loop, run_episode(cfg, 0))
+    rows = list(csv.DictReader(io.StringIO(trace)))
+    assert_post_commit_counts_match(loop, rows, instance.core.assignment)
+    assert_same_episode((loop, trace), fast)
 
 
 # --- the centralized fast path ------------------------------------------------
@@ -288,68 +324,87 @@ LONG_HORIZON = 10**5
 LONG_CHECKPOINTS = (1, 100, 1000, 4096, 10_000, 33_333, 65_536, 99_999, LONG_HORIZON)
 
 
+class Digest:
+    """A text sink that keeps only the sha256 of what is written to it,
+    so a long trace costs no memory."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
 @pytest.fixture(scope="module")
 def long_centralized():
-    """An untraced and a traced centralized episode on the lower-bound
-    market at T = 1e5, with the rewards of the rounds the untraced one
-    played through platform_round (and the traced one's rewards in
-    those rounds), the traced one's platform_round count and the
-    untraced one's blocks as (first round, rounds drawn, rounds held)."""
+    """Centralized episodes on the lower-bound market at T = 1e5: a
+    traced one on the fast path, the same on the loop, and an untraced
+    one on the fast path. Holds the fast and the loop (episode, trace
+    sha256) pairs; the rewards of the rounds the fast one played through
+    platform_round, and the loop's rewards in those rounds; the
+    platform_round calls of each episode; and the fast one's blocks as
+    (first round, rounds drawn, rounds held)."""
     cfg = ExperimentConfig(INSTANCES["lower-bound"](), "centralized-ucb", LONG_HORIZON, (2,),
                            checkpoints=LONG_CHECKPOINTS)
     platform_round = harness.platform_round
     hold_profile = harness.hold_profile
-    fast_rounds, loop_rounds, traced_calls, blocks = {}, {}, [0], []
+    run = SimpleNamespace(fast_rounds={}, loop_rounds={}, calls={}, blocks=[])
 
-    def fast_round(states, t, env, last):
-        result = platform_round(states, t, env, last)
-        fast_rounds[t] = result[2].rewards
-        return result
-
-    def traced_round(states, t, env, last):
-        result = platform_round(states, t, env, last)
-        traced_calls[0] += 1
-        if t in fast_rounds:
-            loop_rounds[t] = result[2].rewards
-        return result
+    def counting_round(path):
+        def round_(states, t, env, last):
+            result = platform_round(states, t, env, last)
+            run.calls[path] = run.calls.get(path, 0) + 1
+            if path == "fast":
+                run.fast_rounds[t] = result[2].rewards
+            elif path == "loop" and t in run.fast_rounds:
+                run.loop_rounds[t] = result[2].rewards
+            return result
+        return round_
 
     def recording_hold(states, rankings, assignment, t, rewards):
         held = hold_profile(states, rankings, assignment, t, rewards)
-        blocks.append((t, len(rewards), held))
+        run.blocks.append((t, len(rewards), held))
         return held
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "hold_profile", recording_hold)
-        mp.setattr(harness, "platform_round", fast_round)
-        fast = run_episode(cfg, 2)
-        mp.setattr(harness, "platform_round", traced_round)
-        with open(os.devnull, "w", encoding="utf-8") as sink:
-            loop = run_episode(cfg, 2, trace=sink)
-    return loop, fast, fast_rounds, loop_rounds, traced_calls[0], blocks
+        for path, fast in (("fast", True), ("loop", False)):
+            mp.setattr(harness, "_FAST_FORWARD", fast)
+            mp.setattr(harness, "hold_profile", recording_hold if fast else hold_profile)
+            mp.setattr(harness, "platform_round", counting_round(path))
+            trace = Digest()
+            setattr(run, path, (run_episode(cfg, 2, trace=trace), trace.sha.hexdigest()))
+        mp.setattr(harness, "_FAST_FORWARD", True)
+        mp.setattr(harness, "platform_round", counting_round("untraced"))
+        run.untraced = run_episode(cfg, 2)
+    return run
 
 
 def test_long_centralized_episode_equals_the_loop(long_centralized):
     """Checkpoints fall inside held blocks."""
-    loop, fast, _, _, _, blocks = long_centralized
-    assert_same_episode(loop, fast)
-    assert any(t < c < t + held - 1 for c in LONG_CHECKPOINTS for t, _, held in blocks)
+    run = long_centralized
+    assert_same_episode(run.loop, run.fast)
+    assert run.untraced.checkpoint_pseudo == run.fast[0].checkpoint_pseudo
+    assert run.untraced.stats == run.fast[0].stats
+    assert any(t < c < t + held - 1 for c in LONG_CHECKPOINTS for t, _, held in run.blocks)
 
 
 def test_untraced_centralized_episode_plays_few_rounds_one_by_one(long_centralized):
-    """The traced episode calls platform_round every round."""
-    _, _, fast_rounds, _, traced_calls, _ = long_centralized
-    assert traced_calls == LONG_HORIZON
-    assert 0 < len(fast_rounds) < LONG_HORIZON // 10
+    """So does the traced one on the fast path; the loop calls
+    platform_round every round."""
+    calls = long_centralized.calls
+    assert calls["loop"] == LONG_HORIZON
+    assert calls["untraced"] == calls["fast"] == len(long_centralized.fast_rounds)
+    assert 0 < calls["fast"] < LONG_HORIZON // 10
 
 
 def test_rounds_after_a_broken_block_draw_the_loop_noise(long_centralized):
     """A block that breaks early hands its unheld rounds back, so the
     round that broke it draws in platform_round what the loop draws."""
-    _, _, fast_rounds, loop_rounds, _, blocks = long_centralized
-    broken = [t + held for t, drawn, held in blocks if held < drawn]
+    run = long_centralized
+    broken = [t + held for t, drawn, held in run.blocks if held < drawn]
     assert len(broken) > 100
-    assert set(broken) <= fast_rounds.keys()
-    assert fast_rounds == loop_rounds
+    assert set(broken) <= run.fast_rounds.keys()
+    assert run.fast_rounds == run.loop_rounds
 
 
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])

@@ -12,6 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from housebandits import harness
+from housebandits.env import RegretLedger
 from housebandits.errors import ConfigInvalidError
 from housebandits.harness import (
     ExperimentConfig,
@@ -117,13 +119,24 @@ class TestEpisodes:
         assert first == trace()
         assert first.count("\n") == 1 + 2 * 300
 
-    def test_traced_episode_memory_does_not_grow_with_horizon(self, tmp_path):
+    def test_traced_episode_memory_does_not_grow_with_horizon(self, tmp_path, monkeypatch):
         """The trace streams to its file: the peak of a traced episode is
-        about the same at 2,000 and at 20,000 rounds."""
+        about the same at 2,000 and at 12,000 rounds, on the loop and on
+        the fast path. The fast path's blocks reach 1024 rounds, whose
+        rows the ledger writes in slices, so its peak stays near the
+        loop's."""
+        blocks = []
+        record_block = RegretLedger.record_block
+
+        def recording(ledger, arms, rewards, extra=()):
+            blocks.append(len(arms))
+            record_block(ledger, arms, rewards, extra)
+
+        monkeypatch.setattr(RegretLedger, "record_block", recording)
+        market = sttcb_instance(3, 0.2, np.random.default_rng(7))
 
         def peak(horizon):
-            cfg = ExperimentConfig(swap_market(), "oracle-fixed", horizon, (0,),
-                                   checkpoints=(horizon,))
+            cfg = ExperimentConfig(market, "oracle-fixed", horizon, (0,), checkpoints=(horizon,))
             with open(tmp_path / f"trace-{horizon}.csv", "w", encoding="utf-8") as fh:
                 tracemalloc.start()
                 try:
@@ -132,11 +145,19 @@ class TestEpisodes:
                 finally:
                     tracemalloc.stop()
 
-        peak(2_000)  # first-call allocations inside numpy are not the trace's
-        small, large = peak(2_000), peak(20_000)
-        # interpreter free lists and the 4096-round noise chunk stay; the
-        # rows (10x more at 20,000) must not
-        assert large < 1.5 * small, (small, large)
+        peaks = {}
+        for fast in (False, True):
+            monkeypatch.setattr(harness, "_FAST_FORWARD", fast)
+            peak(2_000)  # first-call allocations inside numpy are not the trace's
+            small, large = peak(2_000), peak(12_000)
+            # interpreter free lists and the 4096-round noise chunk stay;
+            # the rows (6x more at 12,000) must not
+            assert large < 1.5 * small, (fast, small, large)
+            peaks[fast] = large
+        assert max(blocks) == 1024
+        # a block's arrays and one slice of its rows; the rows of a whole
+        # block at once take about 1.1 MiB more than the loop
+        assert peaks[True] < peaks[False] + 512 * 1024, peaks
 
     def test_deterministic_family_equates_regret_flavors(self):
         cfg = ExperimentConfig(

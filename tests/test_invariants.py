@@ -1,7 +1,8 @@
 """Source checks on the package. Invariant checks must survive
 `python -O`: the package raises typed errors (DesyncError,
 RuntimeFailure, ...) instead of asserting or raising a bare
-RuntimeError. And no module keeps an import it never uses."""
+RuntimeError. No module keeps an import it never uses or a memo
+decorator, and the harness never asks whether an episode is traced."""
 
 from __future__ import annotations
 
@@ -88,6 +89,29 @@ def test_no_function_in_package_keeps_a_cache():
         offenders += [f"{path.name}: {name}"
                       for name in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))]
     assert offenders == []
+
+
+def _trace_reads(tree: ast.Module) -> list[int]:
+    """Lines that read an attribute named trace."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "trace"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_harness_never_reads_whether_an_episode_is_traced():
+    """Tracing must not fork the episode path: a traced ledger takes the
+    same blocks and writes their rows itself."""
+    path = Path(housebandits.__file__).parent / "harness.py"
+    assert _trace_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_trace_check_sees_a_read():
+    tree = ast.parse("if ledger.trace:\n    pass\n"
+                     "run_episode(config, seed, trace=fh)\n"
+                     "trace = None\n"
+                     "self.trace = trace is not None\n"
+                     "fast = not self.ledger.trace\n")
+    assert _trace_reads(tree) == [1, 6]
 
 
 def test_cache_check_sees_every_spelling():
