@@ -27,13 +27,15 @@ matched arm's mean and count move, so each round's indices can be
 computed in numpy with the loop's own float operations (3 ln s from
 math.log per round, then +, *, / and sqrt, which numpy rounds exactly
 as Python does), and the round holds if every ranking in the profile
-is still the stable sort of its negated indices.
+is still the stable sort of its negated indices. A stretch of such
+blocks reads the other arms' means and counts once, when the profile
+repeats; each block then reads only its matched arms' runs of means.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,40 +76,65 @@ def platform_round(
 
 def hold_profile(
     states: Sequence[ArmStats], rankings: tuple[Ranking, ...], assignment: Sequence[int],
-    t: int, rewards: np.ndarray,
-) -> int:
-    """Resolve a block of rounds t .. t + k - 1 drawn on the guess that
-    every player keeps submitting its ranking in rankings, so that
-    player i is matched to arm assignment[i] (the profile's matching)
-    and draws rewards[r, i] in round t + r (rewards is k x n). Returns
-    the number of leading rounds in which the guess holds, the rounds
-    before the first that would submit another profile, and folds
-    exactly those rounds' rewards into the states, as platform_round
-    would have."""
-    k, n = rewards.shape
+) -> Callable[[int, np.ndarray], int]:
+    """Prepare a stretch of rounds played on the guess that every player
+    keeps submitting its ranking in rankings, so that player i is
+    matched to arm assignment[i] (the profile's matching), which it has
+    pulled before. Returns keep(t, rewards), which resolves the block of
+    rounds t .. t + k - 1 in which player i draws rewards[r, i] in
+    round t + r (rewards is k x n): it returns the number of leading
+    rounds in which the guess holds, the rounds before the first that
+    would submit another profile, and folds exactly those rounds'
+    rewards into the states, as platform_round would have. Blocks
+    follow one another, each from the round after the last one kept.
+
+    While the profile holds only the matched arms move, so the other
+    arms' means and doubled counts are read once, in ranking order, and
+    a block broadcasts them over its rounds; only the matched arms'
+    means and counts are new in each block round. An unpulled arm keeps
+    mean and doubled count +inf, whose index is +inf in every round, as
+    in submitted_rankings. The guess holds in a round while every
+    ranking is still the stable sort of the round's negated indices:
+    along it the indices do not rise, and an equal pair keeps the lower
+    arm first."""
+    n = len(states)
     rows = np.arange(n)
-    means = np.array([st.means for st in states])
-    counts = np.array([st.counts for st in states], dtype=float)
-    start = [(st.means[a], st.counts[a]) for st, a in zip(states, assignment)]
-    runs = [st.update_run(a, col) for st, a, col in zip(states, assignment, rewards.T.tolist())]
-    # round t + r ranks on the matched arm's mean and count after r rewards
-    m = np.repeat(means[None], k, axis=0)
-    c = np.repeat(counts[None], k, axis=0)
-    m[1:, rows, assignment] = np.array(runs).T[:-1]
-    c[:, rows, assignment] += np.arange(k)[:, None]
-    explore = np.array([3.0 * math.log(s) for s in range(t, t + k)])[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        neg = -(m + np.sqrt(explore / (2.0 * c)))
-    neg[c == 0] = -math.inf
-    # along each ranking the negated indices rise, a tie with the lower arm first
-    order = np.array(rankings)
-    ranked = neg[:, rows[:, None], order]
-    ahead, behind = ranked[..., :-1], ranked[..., 1:]
-    sorted_ok = (ahead < behind) | ((ahead == behind) & (order[:, :-1] < order[:, 1:]))
-    holds = sorted_ok.all(axis=(1, 2))
-    held = k if holds.all() else int(holds.argmin())
-    if held < k:
-        for st, a, run, (mean, count) in zip(states, assignment, runs, start):
-            st.means[a] = run[held - 1] if held else mean
-            st.counts[a] = count + held
-    return held
+    at = [ranking.index(a) for ranking, a in zip(rankings, assignment)]
+    # [player, position, round] arrays: a block's rounds run along the last axis
+    order = np.array(rankings, dtype=int)[:, :, None]
+    ties_broken = order[:, :-1] > order[:, 1:]
+    in_order = [(st, a) for st, ranking in zip(states, rankings) for a in ranking]
+    means = np.array([st.means[a] if st.counts[a] else math.inf
+                      for st, a in in_order]).reshape(n, n, 1)
+    twice = np.array([2.0 * st.counts[a] if st.counts[a] else math.inf
+                      for st, a in in_order]).reshape(n, n, 1)
+    # the matched arms' doubled counts before the next block's first round
+    twice_next = np.array([2.0 * st.counts[a] for st, a in zip(states, assignment)])[:, None]
+
+    def keep(t: int, rewards: np.ndarray) -> int:
+        k = len(rewards)
+        # row i: player i's matched mean before each block reward, then after the last
+        runs = [[st.means[a], *st.update_run(a, col)]
+                for st, a, col in zip(states, assignment, rewards.T.tolist())]
+        explore = 3.0 * np.fromiter(map(math.log, range(t, t + k)), float, k)
+        index = means + np.sqrt(explore / twice)
+        # round t + r ranks on the matched arm's mean and count after r rewards
+        index[rows, at] = np.array(runs, dtype=float)[:, :-1] + np.sqrt(
+            explore / (twice_next + np.arange(0.0, 2.0 * k, 2.0)))
+        # an adjacent pair breaks its ranking where the arm behind has the
+        # higher index, or an equal one with the higher arm ranked ahead
+        ahead, behind = index[:, :-1], index[:, 1:]
+        broken = np.less(ahead, behind)
+        np.less_equal(ahead, behind, out=broken, where=ties_broken)
+        broken = broken.any(axis=(0, 1))
+        held = int(broken.argmax())
+        if not broken[held]:
+            held = k
+        twice_next[:] += 2.0 * held
+        if held < k:
+            for st, a, run in zip(states, assignment, runs):
+                st.means[a] = run[held]
+                st.counts[a] -= k - held
+        return held
+
+    return keep

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -20,12 +21,13 @@ from .errors import ConfigInvalidError, InputError, RuntimeFailure
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
+    bound_curves,
     default_checkpoints,
-    export,
     monte_carlo,
     run_episode,
     theoretical_bounds,
     validate_checkpoints,
+    write_report,
 )
 from .instances import GENERATOR_FAMILIES, generate
 from .market import (
@@ -41,30 +43,31 @@ from .market import (
 )
 
 
-def parse_seeds(text: str) -> tuple[int, ...]:
-    """Comma-separated seeds; an a:b item expands to range(a, b)."""
-    seeds: list[int] = []
+# a Monte Carlo run keeps one episode record per seed; a longer seed
+# list is refused before any range in it is expanded
+MAX_SEEDS = 10**6
+
+
+def parse_seeds(text: str) -> list[range]:
+    """A comma-separated seed list, unexpanded: a seed s as
+    range(s, s + 1), an a:b item as range(a, b)."""
+    ranges = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
-        if ":" in item:
-            lo_text, hi_text = item.split(":", 1)
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError as exc:
-                raise ConfigInvalidError(f"bad seed range {item!r}") from exc
-            if hi <= lo:
-                raise ConfigInvalidError(f"empty seed range {item!r}")
-            seeds.extend(range(lo, hi))
-        else:
-            try:
-                seeds.append(int(item))
-            except ValueError as exc:
-                raise ConfigInvalidError(f"bad seed {item!r}") from exc
-    if not seeds:
+        lo_text, colon, hi_text = item.partition(":")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if colon else lo + 1
+        except ValueError as exc:
+            raise ConfigInvalidError(f"bad seed {'range ' if colon else ''}{item!r}") from exc
+        if hi <= lo:
+            raise ConfigInvalidError(f"empty seed range {item!r}")
+        ranges.append(range(lo, hi))
+    if not ranges:
         raise ConfigInvalidError(f"no seeds in {text!r}")
-    return tuple(seeds)
+    return ranges
 
 
 def parse_checkpoints(text: str) -> tuple[int, ...]:
@@ -134,18 +137,23 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> Experim
     if not is_json_int(horizon):
         raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}")
     if args.seeds is not None:
-        seeds = parse_seeds(args.seeds)
+        ranges = parse_seeds(args.seeds)
     elif "seeds" in raw:
         seeds_raw = raw["seeds"]
         if not isinstance(seeds_raw, list) or not all(map(is_json_int, seeds_raw)):
             raise ConfigInvalidError("config seeds must be a list of integers")
-        seeds = tuple(seeds_raw)
+        ranges = [range(s, s + 1) for s in seeds_raw]
     else:
         raise ConfigInvalidError("seeds are required (--seeds or config)")
-    if need_many_seeds and len(seeds) < 2:
+    # counted without len(), which overflows on a wide range
+    count = sum(r.stop - r.start for r in ranges)
+    if need_many_seeds and count < 2:
         raise ConfigInvalidError("mc needs at least 2 seeds")
-    if not need_many_seeds and len(seeds) != 1:
-        raise ConfigInvalidError("run takes exactly one seed")
+    if need_many_seeds and count > MAX_SEEDS:
+        raise ConfigInvalidError(f"mc takes at most {MAX_SEEDS} seeds, got {count}")
+    if not need_many_seeds and count != 1:
+        raise ConfigInvalidError(f"run takes exactly one seed, got {count}")
+    seeds = tuple(itertools.chain.from_iterable(ranges))
     if args.checkpoints is not None:
         checkpoints = parse_checkpoints(args.checkpoints)
     elif "checkpoints" in raw:
@@ -218,10 +226,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     config = build_experiment(args, need_many_seeds=True)
-    report = monte_carlo(config)
+    # a market with no finite bound is refused before a file is opened
+    bound_curves(config)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
-    export(report, csv_path, json_path)
+    try:
+        # both reports are opened before the first episode, so a bad path
+        # fails before anything is played
+        with open(csv_path, "w", encoding="utf-8") as csv_file, \
+                open(json_path, "w", encoding="utf-8") as json_file:
+            report = monte_carlo(config)
+            write_report(report, csv_file, json_file)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot write {exc.filename or 'the report'}: {exc}") from exc
     print(f"wrote {csv_path} and {json_path}")
     last = len(report.checkpoints) - 1
     if last >= 0:

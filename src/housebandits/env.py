@@ -194,22 +194,24 @@ class MarketEnv:
         min(k, rounds left in the noise chunk) rounds and returns their
         rewards, row r for round r; every player is matched to the arm
         it proposed. The deterministic family draws nothing, so it
-        resolves all k rounds at once."""
-        if (np.sort(arms, axis=1) != self._players).any():
+        resolves all k rounds at once. A broadcast of one proposal
+        vector is checked and gathered once (see _distinct_rows)."""
+        rows = _distinct_rows(arms)
+        if (np.sort(rows, axis=1) != self._players).any():
             raise RuntimeFailure("a block round is not a collision-free proposal of every arm")
-        if self.family == "deterministic":
-            rewards = self.instance.utilities[self._players, arms]
-        else:
+        k = len(arms)
+        if self.family != "deterministic":
             if self._chunk_pos == len(self._chunk):
                 self._refill()
-            noise = self._chunk[self._chunk_pos:self._chunk_pos + len(arms)]
-            self._chunk_pos += len(noise)
-            means = self.instance.utilities[self._players, arms[:len(noise)]]
-            if self.family == "gaussian":
-                rewards = means + noise
-            else:
-                rewards = (noise < means).astype(float)
-        return rewards
+            noise = self._chunk[self._chunk_pos:self._chunk_pos + k]
+            k = len(noise)
+            self._chunk_pos += k
+        means = self.instance.utilities[self._players, rows[:k]]
+        if self.family == "gaussian":
+            return means + noise
+        if self.family == "bernoulli":
+            return (noise < means).astype(float)
+        return np.broadcast_to(means, (k, self.instance.n)).copy()
 
     def give_back(self, k: int) -> None:
         """Unresolve the last k rounds of the latest step_block: the next
@@ -248,6 +250,7 @@ class RegretLedger:
         self.n = instance.n
         u = instance.utilities.tolist()
         self.core_means = [u[i][instance.core.arm_of(i)] for i in range(self.n)]
+        self._core = np.array(self.core_means)
         self._u = u
         self._players = np.arange(self.n)
         self.t = 0
@@ -296,18 +299,23 @@ class RegretLedger:
         and drew rewards[r, i], as from MarketEnv.step_block, and fill
         the checkpoints among them. Same sums as k calls of record:
         np.add.accumulate adds in round order. extra holds the extra
-        column values, the same in every round of the block. A traced
-        ledger writes the block's rows as k calls of record would, in
-        slices of _TRACE_SLICE_ROUNDS rounds, so the text it holds at
-        once stays small."""
+        column values, the same in every round of the block. A
+        broadcast of one proposal vector is gathered once (see
+        _distinct_rows). A traced ledger writes the block's rows as k
+        calls of record would, in slices of _TRACE_SLICE_ROUNDS rounds,
+        so the text it holds at once stays small."""
         tail = self._tail(extra) if self.trace else ""
-        core = np.array(self.core_means)
-        pseudo = core - self.instance.utilities[self._players, arms]
-        realized = core - rewards
-        for acc, start in ((pseudo, self.pseudo), (realized, self.realized)):
-            acc[0] += start
-            np.add.accumulate(acc, axis=0, out=acc)
-            start[:] = acc[-1].tolist()
+        n = self.n
+        # one row per round: every player's pseudo-regret, then its realized regret
+        sums = np.empty((len(arms), 2 * n))
+        pseudo, realized = sums[:, :n], sums[:, n:]
+        np.subtract(self._core, self.instance.utilities[self._players, _distinct_rows(arms)],
+                    out=pseudo)
+        np.subtract(self._core, rewards, out=realized)
+        sums[0] += self.pseudo + self.realized
+        np.add.accumulate(sums, axis=0, out=sums)
+        last = sums[-1].tolist()
+        self.pseudo[:], self.realized[:] = last[:n], last[n:]
         t = self.t
         self.t = t + len(arms)
         for c in self.checkpoints:
@@ -321,6 +329,13 @@ class RegretLedger:
                 self._file.write(_trace_rows(
                     t + 1 + lo, chosen, chosen, uncollided, rewards[part].tolist(),
                     pseudo[part].tolist(), realized[part].tolist(), tail))
+
+
+def _distinct_rows(arms: np.ndarray) -> np.ndarray:
+    """The rows of a k x n block of proposals that differ: its first row
+    alone when the block repeats one proposal vector as a broadcast view
+    (row stride 0), otherwise the whole block."""
+    return arms[:1] if arms.strides[0] == 0 else arms
 
 
 def _trace_rows(t, proposals, matched, collided, rewards, pseudo, realized, tail):

@@ -9,7 +9,10 @@ has committed, the oracle's whole horizon) in pieces of whole rounds. A
 centralized episode, once a round submits the same ranking profile as
 the round before, plays blocks on the guess that the profile holds and
 keeps each block's rounds up to the first that would submit another
-(centralized.hold_profile). Both play through one block driver, with
+(centralized.hold_profile, prepared once per stretch of blocks). A
+span that repeats one proposal vector hands it to the environment and
+the ledger as a broadcast view, which they check and gather once per
+block. Both play through one block driver, with
 the same random stream and the same sums as the loop, so the fast path
 and the loop give the same episode bit for bit, trace rows included:
 the ledger writes a kept block's rows itself. Traced or not, every
@@ -169,10 +172,13 @@ def run_episode(
 # swapped at run time. While _FAST_FORWARD holds, a runner fast-forwards
 # collision-free spans through _blocks: the rounds whose proposals are
 # fixed in advance, kept whole, or, for the centralized protocol, the
-# rounds after a repeated profile, kept while it holds (hold_profile).
-# Each block is handed to the players in one call that leaves them as
-# the loop would, and to the ledger, which writes its trace rows if it
-# has a trace. Otherwise every round goes through the loop, the spec.
+# rounds after a repeated profile, kept while it holds (hold_profile
+# prepares the stretch once and returns its keep). A span that repeats
+# one proposal vector (the oracle, the committed players, a held
+# profile) draws its proposals from one broadcast (_repeat). Each block
+# is handed to the players in one call that leaves them as the loop
+# would, and to the ledger, which writes its trace rows if it has a
+# trace. Otherwise every round goes through the loop, the spec.
 
 # whether runners fast-forward; the tests clear it to play the spec loop
 _FAST_FORWARD = True
@@ -207,9 +213,12 @@ def _blocks(env, ledger, t, stop, arms_of, keep, size, extra=()):
 
 
 def _repeat(proposals):
-    """arms_of for rounds that all repeat one proposal vector."""
+    """arms_of for rounds that all repeat one proposal vector: views of
+    one broadcast, which step_block and record_block check and gather
+    once per block."""
     fixed = np.array(proposals)
-    return lambda rounds: np.broadcast_to(fixed, (len(rounds), len(fixed)))
+    repeated = np.broadcast_to(fixed, (_PIECE_ROUNDS, len(fixed)))
+    return lambda rounds: repeated[:len(rounds)]
 
 
 def _keep_all(start, rewards):
@@ -247,8 +256,7 @@ def _run_centralized(instance, env, ledger, horizon):
             # holds, and go back to the loop where it breaks
             assignment = matching.assignment
             t = _blocks(env, ledger, t, horizon + 1, _repeat(assignment),
-                        lambda s, rewards: hold_profile(states, rankings, assignment, s, rewards),
-                        _BLOCK_ROUNDS, extra)
+                        hold_profile(states, rankings, assignment), _BLOCK_ROUNDS, extra)
         last = rankings, matching
         if is_core:
             # rounds start .. t - 1 all played this matching
@@ -355,8 +363,7 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
         raise ConfigInvalidError("monte_carlo needs at least 2 seeds for error bars")
     cps = config.effective_checkpoints()
     # a market with no finite bound is refused before any episode
-    bound_rows = [tuple(theoretical_bounds(config.instance, cp, config.algorithm))
-                  for cp in cps]
+    bounds = bound_curves(config)
     traces = [run_episode(config, s) for s in config.seeds]
     k = len(traces)
     mean_rows = []
@@ -376,9 +383,17 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
         checkpoints=cps,
         mean_regret=tuple(mean_rows),
         stderr=tuple(stderr_rows),
-        bounds=tuple(bound_rows),
+        bounds=bounds,
         telemetry=ALGORITHMS[config.algorithm].telemetry(traces),
     )
+
+
+def bound_curves(config: ExperimentConfig) -> tuple[tuple[float, ...], ...]:
+    """The per-player bound at each of the config's checkpoints; a
+    market with no finite bound raises ConfigInvalidError (see
+    theoretical_bounds)."""
+    return tuple(tuple(theoretical_bounds(config.instance, cp, config.algorithm))
+                 for cp in config.effective_checkpoints())
 
 
 def _centralized_telemetry(traces: list[EpisodeTrace]) -> dict:
@@ -498,35 +513,35 @@ ALGORITHMS = {
 
 
 def export(report: AggregateReport, csv_path: str | Path, json_path: str | Path) -> None:
+    """write_report to the files at csv_path and json_path; a path that
+    cannot be written raises ConfigInvalidError."""
+    try:
+        with open(csv_path, "w", encoding="utf-8") as csv_file, \
+                open(json_path, "w", encoding="utf-8") as json_file:
+            write_report(report, csv_file, json_file)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot write {exc.filename or 'the report'}: {exc}") from exc
+
+
+def write_report(report: AggregateReport, csv_file: TextIO, json_file: TextIO) -> None:
     """Write the long-format CSV and a JSON summary; both byte-stable.
 
     CSV rows are ordered by checkpoint then player (1-based players in
     the file). The JSON carries the same numbers plus telemetry.
     """
-    csv_path = Path(csv_path)
-    json_path = Path(json_path)
-    try:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for ci, cp in enumerate(report.checkpoints):
-                for i in range(report.n):
-                    fh.write(
-                        ",".join(
-                            (
-                                report.algorithm,
-                                report.instance_id,
-                                str(report.seed_count),
-                                str(i + 1),
-                                str(cp),
-                                repr(report.mean_regret[ci][i]),
-                                repr(report.stderr[ci][i]),
-                                repr(report.bounds[ci][i]),
-                            )
-                        )
-                        + "\n"
-                    )
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot write CSV to {csv_path}: {exc}") from exc
+    csv_file.write(",".join(CSV_COLUMNS) + "\n")
+    for ci, cp in enumerate(report.checkpoints):
+        for i in range(report.n):
+            csv_file.write(",".join((
+                report.algorithm,
+                report.instance_id,
+                str(report.seed_count),
+                str(i + 1),
+                str(cp),
+                repr(report.mean_regret[ci][i]),
+                repr(report.stderr[ci][i]),
+                repr(report.bounds[ci][i]),
+            )) + "\n")
     summary = {
         "algorithm": report.algorithm,
         "instance_id": report.instance_id,
@@ -540,9 +555,5 @@ def export(report: AggregateReport, csv_path: str | Path, json_path: str | Path)
         "bounds": [list(r) for r in report.bounds],
         "telemetry": report.telemetry,
     }
-    try:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot write JSON to {json_path}: {exc}") from exc
+    json.dump(summary, json_file, indent=2, sort_keys=True)
+    json_file.write("\n")

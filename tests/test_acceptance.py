@@ -7,6 +7,7 @@ full-horizon experiments).
 from __future__ import annotations
 
 import io
+import math
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from housebandits.decentralized import (
     confidence_bounds,
     entry_round_bound,
 )
-from housebandits.env import MarketEnv, RegretLedger
+from housebandits.env import ArmStats, MarketEnv, RegretLedger
 from housebandits.harness import ExperimentConfig, monte_carlo, run_episode, theoretical_bounds
 from housebandits.instances import lower_bound_instance, random_instance, sttcb_instance
 from housebandits.market import core_oracle_bruteforce, ttc, validate_instance, yrmh_igyt
@@ -188,6 +189,97 @@ def test_ac6_log_growth_signature(centralized_report):
     )
 
 
+AC7_HORIZON = 10**4
+
+
+def violated_in_loop(instance, seed, horizon, u):
+    """The per-round loop: whether, after some phase-1 round, a player's
+    matched arm has a confidence interval that misses u, its utility
+    matrix."""
+    n = instance.n
+    env = MarketEnv(instance, seed)
+    players = [DecentralizedPlayer(i, n, horizon) for i in range(n)]
+    flags = [True] * n
+    violated = False
+    for t in range(1, horizon + 1):
+        in_phase2 = players[0].stage == PHASE2
+        proposals = [p.action(t, flags) for p in players]
+        out = env.step(proposals)
+        for i, p in enumerate(players):
+            p.observe(
+                t,
+                PlayerView(out.matched[i], out.rewards[i], out.collided[i], out.owner_view(i)),
+            )
+        if in_phase2:
+            commit_cascade(players, flags)
+        elif not violated:
+            for i, p in enumerate(players):
+                j = out.matched[i]
+                if j is not None and p.stats.counts[j] > 0:
+                    lo, hi = confidence_bounds(p.stats.means[j], p.stats.counts[j], horizon)
+                    if not (lo <= u[i, j] <= hi):
+                        violated = True
+    return violated
+
+
+def violated_on_fast_path(instance, seed, horizon, u):
+    """violated_in_loop from the episode run_episode plays. A player
+    folds a reward only in an exploration round, all before the entry
+    round t1, where the arm it folds into is the one it matched; a
+    status round re-checks a mean that has not moved since. So the
+    loop's flag is a check of every mean a fold produces, and the fast
+    path folds each exploration run with ArmStats.update_run, which
+    returns those means."""
+    folds = []  # (player, arm, count before the run, means after each reward)
+    folding = [None]
+    last_round = [0]
+    explore_span = DecentralizedPlayer.explore_span
+    update_run = ArmStats.update_run
+
+    def span(player, t, rewards):
+        folding[0] = player.id
+        last_round[0] = t + len(rewards) - 1
+        explore_span(player, t, rewards)
+
+    def recorded_run(stats, arm, rewards):
+        count = stats.counts[arm]
+        run = update_run(stats, arm, rewards)
+        folds.append((folding[0], arm, count, run))
+        return run
+
+    def single_fold(stats, arm, reward):
+        raise AssertionError("a reward was folded outside explore_span")
+
+    config = ExperimentConfig(instance, "decentralized-etc", horizon, (seed,),
+                              checkpoints=(horizon,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DecentralizedPlayer, "explore_span", span)
+        mp.setattr(ArmStats, "update_run", recorded_run)
+        mp.setattr(ArmStats, "update", single_fold)
+        t1 = run_episode(config, seed).stats["entry_round"]
+    assert t1 is None or last_round[0] < t1
+    scale = 6.0 * math.log(horizon)
+    for i, arm, count, run in folds:
+        # confidence_bounds elementwise: numpy rounds +, -, / and sqrt as Python does
+        means = np.array(run)
+        radius = np.sqrt(scale / np.arange(count + 1, count + 1 + len(run)))
+        if not ((means - radius <= u[i, arm]) & (u[i, arm] <= means + radius)).all():
+            return True
+    return False
+
+
+def test_ac7_fast_path_flags_equal_the_loop():
+    """On AC-7's market, against its utilities (no violation in the 200
+    seeds) and against utilities 0.1 higher, which seeds 4 and 6 violate
+    and seed 5 does not."""
+    inst3 = sttcb_instance(3, 0.2, np.random.default_rng(7), "gaussian")
+    for seed, u in ((0, inst3.utilities), (4, inst3.utilities + 0.1), (5, inst3.utilities + 0.1),
+                    (6, inst3.utilities + 0.1)):
+        flag = violated_in_loop(inst3, seed, AC7_HORIZON, u)
+        assert flag == (seed in (4, 6))
+        assert violated_on_fast_path(inst3, seed, AC7_HORIZON, u) == flag
+
+
 def test_ac7_environment_statistics():
     # 1) empirical Bernoulli mean over 1e5 pulls of a mean-0.5 arm
     one_arm = validate_instance(np.array([[0.5]]), "bernoulli")
@@ -229,33 +321,8 @@ def test_ac7_environment_statistics():
     inst3 = sttcb_instance(3, 0.2, rng, "gaussian")
 
     # 3) episodes containing a confidence-interval violation are rare
-    horizon, n = 10**4, 3
-    u = inst3.utilities
-    bad_episodes = 0
-    for seed in range(200):
-        env = MarketEnv(inst3, seed)
-        players = [DecentralizedPlayer(i, n, horizon) for i in range(n)]
-        flags = [True] * n
-        violated = False
-        for t in range(1, horizon + 1):
-            in_phase2 = players[0].stage == PHASE2
-            proposals = [p.action(t, flags) for p in players]
-            out = env.step(proposals)
-            for i, p in enumerate(players):
-                p.observe(
-                    t,
-                    PlayerView(out.matched[i], out.rewards[i], out.collided[i], out.owner_view(i)),
-                )
-            if in_phase2:
-                commit_cascade(players, flags)
-            elif not violated:
-                for i, p in enumerate(players):
-                    j = out.matched[i]
-                    if j is not None and p.stats.counts[j] > 0:
-                        lo, hi = confidence_bounds(p.stats.means[j], p.stats.counts[j], horizon)
-                        if not (lo <= u[i, j] <= hi):
-                            violated = True
-        bad_episodes += violated
+    bad_episodes = sum(violated_on_fast_path(inst3, seed, AC7_HORIZON, inst3.utilities)
+                       for seed in range(200))
     violation_frac = bad_episodes / 200
     violations_ok = violation_frac <= 0.05
 

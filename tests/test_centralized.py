@@ -227,6 +227,72 @@ def test_ttc_runs_exactly_when_the_profile_changes_and_returns_its_matching(monk
         assert matching == market.ttc(rankings)
 
 
+# --- the prepared stretch against the all-pairs block check -----------------
+
+def hold_profile_reference(states, rankings, assignment, t, rewards):
+    """One block of a held stretch, every (round, player, arm) index
+    computed afresh from the states: the rounds t .. t + k - 1 in which
+    player i draws rewards[r, i] from arm assignment[i]. Returns the
+    number of leading rounds whose profile is still rankings, and folds
+    exactly those rounds' rewards into the states."""
+    k, n = rewards.shape
+    rows = np.arange(n)
+    means = np.array([st.means for st in states])
+    counts = np.array([st.counts for st in states], dtype=float)
+    start = [(st.means[a], st.counts[a]) for st, a in zip(states, assignment)]
+    runs = [st.update_run(a, col) for st, a, col in zip(states, assignment, rewards.T.tolist())]
+    # round t + r ranks on the matched arm's mean and count after r rewards
+    m = np.repeat(means[None], k, axis=0)
+    c = np.repeat(counts[None], k, axis=0)
+    m[1:, rows, assignment] = np.array(runs).T[:-1]
+    c[:, rows, assignment] += np.arange(k)[:, None]
+    explore = np.array([3.0 * math.log(s) for s in range(t, t + k)])[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg = -(m + np.sqrt(explore / (2.0 * c)))
+    neg[c == 0] = -math.inf
+    # along each ranking the negated indices rise, a tie with the lower arm first
+    order = np.array(rankings)
+    ranked = neg[:, rows[:, None], order]
+    ahead, behind = ranked[..., :-1], ranked[..., 1:]
+    sorted_ok = (ahead < behind) | ((ahead == behind) & (order[:, :-1] < order[:, 1:]))
+    holds = sorted_ok.all(axis=(1, 2))
+    held = k if holds.all() else int(holds.argmin())
+    if held < k:
+        for st, a, run, (mean, count) in zip(states, assignment, runs, start):
+            st.means[a] = run[held - 1] if held else mean
+            st.counts[a] = count + held
+    return held
+
+
+def copy_states(states):
+    copies = []
+    for st in states:
+        copy = ArmStats(len(st.means))
+        copy.means, copy.counts = list(st.means), list(st.counts)
+        copies.append(copy)
+    return copies
+
+
+def hold_stretch(states, rankings, assignment, t, blocks):
+    """Play blocks of rewards one after another through one prepared
+    stretch, and the same blocks through the reference on a copy of
+    the states, until a block breaks; after each block both hold the
+    same states. Returns the held counts."""
+    reference = copy_states(states)
+    keep = hold_profile(states, rankings, assignment)
+    helds = []
+    for rewards in blocks:
+        held = keep(t, rewards)
+        assert held == hold_profile_reference(reference, rankings, assignment, t, rewards)
+        assert [(st.means, st.counts) for st in states] == [
+            (st.means, st.counts) for st in reference]
+        helds.append(held)
+        t += held
+        if held < len(rewards):
+            break
+    return helds
+
+
 def two_players(means, counts):
     states = [ArmStats(2), ArmStats(2)]
     for st, m, c in zip(states, means, counts):
@@ -242,7 +308,7 @@ def test_a_block_breaks_where_a_tie_puts_the_lower_arm_first():
     rankings = submitted_rankings(states, 10)
     assert rankings == ((1, 0), (0, 1))
     assignment = market.ttc(rankings).assignment
-    assert hold_profile(states, rankings, assignment, 10, np.array([[0.5, 1.0]] * 3)) == 1
+    assert hold_stretch(states, rankings, assignment, 10, [np.array([[0.5, 1.0]] * 3)]) == [1]
     assert (states[0].means, states[0].counts) == ([0.5, 0.5], [4, 4])
     assert submitted_rankings(states, 11) == ((0, 1), (0, 1))
 
@@ -254,9 +320,34 @@ def test_a_block_holds_through_a_tie_that_keeps_the_lower_arm_first():
     rankings = submitted_rankings(states, 10)
     assert rankings == ((0, 1), (1, 0))
     assignment = market.ttc(rankings).assignment
-    assert hold_profile(states, rankings, assignment, 10, np.array([[0.5, 1.0]] * 3)) == 2
+    assert hold_stretch(states, rankings, assignment, 10, [np.array([[0.5, 1.0]] * 3)]) == [2]
     assert (states[0].means, states[0].counts) == ([0.5, 0.5], [5, 4])
     assert submitted_rankings(states, 12) == ((1, 0), (1, 0))
+
+
+@st.composite
+def held_stretches(draw):
+    """States whose matched arms have been pulled (some other arms not),
+    the profile they submit in round t, and blocks of rewards."""
+    states = draw(player_states())
+    n = len(states)
+    assignment = draw(st.permutations(range(n)))
+    for stats, a in zip(states, assignment):
+        stats.counts[a] = max(stats.counts[a], 1)
+    t = draw(st.integers(1, 10**7))
+    blocks = [np.array(draw(st.lists(st.lists(MEANS, min_size=n, max_size=n),
+                                     min_size=1, max_size=40)))
+              for _ in range(draw(st.integers(1, 4)))]
+    return states, submitted_rankings(states, t), tuple(assignment), t, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(held_stretches())
+def test_a_prepared_stretch_equals_the_all_pairs_check(stretch):
+    """The first block holds at least its first round, whose profile
+    was read from the same states."""
+    helds = hold_stretch(*stretch)
+    assert helds[0] >= 1
 
 
 # sha256 of (final_pseudo, final_realized, checkpoint_pseudo, stats) of 18

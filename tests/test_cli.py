@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,11 +29,11 @@ def instance_path(tmp_path):
 
 class TestParsing:
     def test_seed_list(self):
-        assert parse_seeds("0,1,2") == (0, 1, 2)
+        assert parse_seeds("0,1,2") == [range(0, 1), range(1, 2), range(2, 3)]
 
     def test_seed_range_is_half_open(self):
-        assert parse_seeds("0:5") == (0, 1, 2, 3, 4)
-        assert parse_seeds("7,0:3") == (7, 0, 1, 2)
+        assert list(parse_seeds("0:5")[0]) == [0, 1, 2, 3, 4]
+        assert parse_seeds("7,0:3") == [range(7, 8), range(0, 3)]
 
     def test_bad_seeds_rejected(self):
         with pytest.raises(ConfigInvalidError):
@@ -196,12 +198,63 @@ class TestMc:
         assert summary["seed_count"] == 3
         assert summary["mean_regret"] == [[0.0] * 3, [0.0] * 3]
 
+    def test_report_into_missing_directory_exits_2_before_any_episode(
+            self, instance_path, tmp_path, capsys, monkeypatch):
+        """Both report files are opened before the first episode, as
+        run opens its outputs before round 1."""
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode was played")
+
+        monkeypatch.setattr(harness, "run_episode", no_episode)
+        code = main([
+            "mc", "--instance", instance_path, "--algo", "oracle-fixed",
+            "--horizon", "200", "--seeds", "0:6", "--out", str(tmp_path / "missing" / "r"),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {tmp_path / 'missing' / 'r.csv'}")
+        assert captured.out == ""
+
     def test_single_seed_exits_2(self, instance_path, tmp_path):
         code = main([
             "mc", "--instance", instance_path, "--algo", "oracle-fixed",
             "--horizon", "200", "--seeds", "0", "--out", str(tmp_path / "r"),
         ])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, seeds, error",
+    [
+        ("run", "0:2000000", "run takes exactly one seed, got 2000000"),
+        ("run", f"0:{10**30}", f"run takes exactly one seed, got {10**30}"),
+        ("run", f"7,0:{10**18}", f"run takes exactly one seed, got {10**18 + 1}"),
+        ("mc", f"0:{10**30}", f"mc takes at most {10**6} seeds, got {10**30}"),
+        ("mc", f"0:{10**6},{10**6}", f"mc takes at most {10**6} seeds, got {10**6 + 1}"),
+    ],
+    ids=["run-2e6", "run-1e30", "run-seed-and-1e18", "mc-1e30", "mc-one-past-the-cap"],
+)
+def test_wide_seed_range_exits_2_before_expanding(command, seeds, error, instance_path,
+                                                  tmp_path, capsys):
+    """The seeds are counted, not listed: refusing a range of 10**30
+    seeds takes no time, allocates almost nothing and writes no file."""
+    argv = [command, "--instance", instance_path, "--algo", "oracle-fixed", "--horizon", "50",
+            "--seeds", seeds]
+    if command == "mc":
+        argv += ["--out", str(tmp_path / "r")]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert elapsed < 2.0
+    assert peak < 2**20
+    assert not list(tmp_path.glob("r.*"))
 
 
 class TestConfigFile:

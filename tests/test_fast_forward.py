@@ -211,6 +211,38 @@ def test_block_record_fills_the_same_snapshots_as_rounds():
     assert (by_block.pseudo, by_block.realized) == (by_round.pseudo, by_round.realized)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_repeated_proposal_block_equals_its_rows_spelled_out(family):
+    """A broadcast of one proposal vector, which step_block and
+    record_block check and gather once, against the same rounds as a
+    k x n array: equal rewards, sums, snapshots and trace rows, over a
+    block that ends at a noise-chunk refill and is partly given back,
+    one that ends the chunk and one drawn from the next."""
+    inst = INSTANCES["lower-bound"]()
+    n = inst.n
+    fixed = np.array(inst.core.assignment)
+    sides = []
+    for repeated in (True, False):
+        env = MarketEnv(inst, 0, family)
+        trace = io.StringIO()
+        ledger = RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",),
+                              checkpoints=(1, 100, 4090, 4096, 4100))
+        drawn = []
+        for size, keep in ((4090, 4090), (16, 4), (64, 64), (64, 64)):
+            arms = np.broadcast_to(fixed, (size, n)) if repeated else np.tile(fixed, (size, 1))
+            assert (arms.strides[0] == 0) == repeated
+            rewards = env.step_block(arms)
+            kept = min(keep, len(rewards))
+            env.give_back(len(rewards) - kept)
+            ledger.record_block(arms[:kept], rewards[:kept], (1,))
+            drawn.append(rewards.tobytes())
+        sides.append((drawn, ledger.pseudo, ledger.realized, ledger.snapshots,
+                      trace.getvalue().splitlines()))
+    if family != "deterministic":
+        assert [len(d) for d in sides[0][0]] == [8 * n * k for k in (4090, 6, 2, 64)]
+    assert sides[0] == sides[1]
+
+
 def test_block_rejects_colliding_rounds():
     """No noise is consumed, so the next valid block is a fresh
     environment's first."""
@@ -218,6 +250,8 @@ def test_block_rejects_colliding_rounds():
     env = MarketEnv(inst, 0)
     with pytest.raises(RuntimeFailure):
         env.step_block(np.zeros((2, 5), dtype=int))
+    with pytest.raises(RuntimeFailure):
+        env.step_block(np.broadcast_to(np.zeros(5, dtype=int), (2, 5)))
     arms = np.tile(np.array(inst.core.assignment), (2, 1))
     assert np.array_equal(env.step_block(arms), MarketEnv(inst, 0).step_block(arms))
 
@@ -361,10 +395,14 @@ def long_centralized():
             return result
         return round_
 
-    def recording_hold(states, rankings, assignment, t, rewards):
-        held = hold_profile(states, rankings, assignment, t, rewards)
-        run.blocks.append((t, len(rewards), held))
-        return held
+    def recording_hold(states, rankings, assignment):
+        keep = hold_profile(states, rankings, assignment)
+
+        def recording_keep(t, rewards):
+            held = keep(t, rewards)
+            run.blocks.append((t, len(rewards), held))
+            return held
+        return recording_keep
 
     with pytest.MonkeyPatch.context() as mp:
         for path, fast in (("fast", True), ("loop", False)):
