@@ -85,7 +85,10 @@ class ArmStats:
 
     The mean is the exact running mean (m * c + x) / (c + 1), folded in
     one reward at a time, so a run of k rewards to one arm gives the
-    same floats as k updates."""
+    same floats as k updates. update_run carries the count as a float
+    inside its loop, which is cheaper than an int, and stores an int
+    back: below 2^53, float * int and float / int convert the int to
+    this same double, so every mean is unchanged."""
 
     __slots__ = ("means", "counts")
 
@@ -104,11 +107,11 @@ class ArmStats:
         """Fold rewards into arm's mean in order; returns the mean after
         each of them."""
         m = self.means[arm]
-        c = self.counts[arm]
+        c = float(self.counts[arm])
         # the numerator reads c before the denominator counts the reward
-        run = [m := (m * c + x) / (c := c + 1) for x in rewards]
+        run = [m := (m * c + x) / (c := c + 1.0) for x in rewards]
         self.means[arm] = m
-        self.counts[arm] = c
+        self.counts[arm] = int(c)
         return run
 
 

@@ -276,7 +276,9 @@ def _run_decentralized(instance, env, ledger, horizon):
     players = [DecentralizedPlayer(i, n, horizon) for i in range(n)]
     flags = [True] * n
     lead = players[0]
-    ids = np.arange(n)
+    # round t's round-robin proposals are row t mod n of one table,
+    # built once per episode
+    cycle = explore_arm(np.arange(n), np.arange(n + _PIECE_ROUNDS)[:, None], n)
 
     def explore(start, rewards):
         for i, p in enumerate(players):
@@ -288,7 +290,7 @@ def _run_decentralized(instance, env, ledger, horizon):
         if _FAST_FORWARD and lead.stage == EXPLORE:
             # the rest of the block's round robin, closing round included
             t = _blocks(env, ledger, t, min(t + lead.stage_left, horizon + 1),
-                        lambda rounds: explore_arm(ids, rounds[:, None], n), explore,
+                        lambda rounds: cycle[rounds[0] % n:][:len(rounds)], explore,
                         _PIECE_ROUNDS)
             continue
         if _FAST_FORWARD and all(p.committed is not None for p in players):

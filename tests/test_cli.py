@@ -123,6 +123,21 @@ class TestRun:
         assert len(players) == 3
         assert players[0]["phase"] == 1
 
+    def test_readme_snapshots_write_counts_as_json_integers(self, tmp_path):
+        """The README market's run at T = 1e5, past phase 1: every pull
+        count is written as an integer, so the file stays byte-stable
+        however the statistics fold their counts."""
+        market = tmp_path / "market.json"
+        snap_path = tmp_path / "s.json"
+        assert main(["gen", "--family", "sttcb", "--n", "5", "--delta", "0.2", "--seed", "7",
+                     "--out", str(market)]) == 0
+        assert main(["run", "--instance", str(market), "--algo", "decentralized-etc",
+                     "--horizon", "100000", "--seeds", "0", "--snapshots", str(snap_path)]) == 0
+        players = json.loads(snap_path.read_text())["players"]
+        assert [p["phase"] for p in players] == [2] * 5
+        counts = [c for p in players for c in p["counts"]]
+        assert len(counts) == 25 and all(type(c) is int and c > 0 for c in counts)
+
     def test_snapshots_refused_for_centralized(self, instance_path, tmp_path, capsys):
         """Refused before the episode: nothing played, nothing written."""
         trace_path = tmp_path / "t.csv"

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from housebandits import decentralized, harness
 from housebandits.decentralized import EXPLORE, DecentralizedPlayer, PlayerView, explore_arm
-from housebandits.env import MarketEnv, RegretLedger
+from housebandits.env import ArmStats, MarketEnv, RegretLedger
 from housebandits.errors import DesyncError, RuntimeFailure
 from housebandits.harness import ExperimentConfig, run_episode
 from housebandits.instances import lower_bound_instance, random_instance, sttcb_instance
@@ -131,6 +131,27 @@ def test_episodes_match_the_recorded_digest():
     assert None not in run_episode(cfg, 0, trace=trace).stats["commit_rounds"]
     digest.update(trace.getvalue().encode())
     assert digest.hexdigest() == EPISODES_DIGEST
+
+
+@pytest.mark.parametrize("name,algorithm", [("lower-bound", "centralized-ucb"),
+                                            ("sttcb", "decentralized-etc")])
+def test_every_fold_of_an_episode_stores_int_counts(monkeypatch, name, algorithm):
+    """ArmStats.update_run carries its count as a float and must store
+    an int back after every call, or player snapshots would print
+    counts as 5.0; a count compares equal either way."""
+    update_run = ArmStats.update_run
+    calls = []
+
+    def checked(stats, arm, rewards):
+        run = update_run(stats, arm, rewards)
+        assert all(type(c) is int for c in stats.counts)
+        calls.append(arm)
+        return run
+
+    monkeypatch.setattr(ArmStats, "update_run", checked)
+    cfg = ExperimentConfig(INSTANCES[name](), algorithm, 20000, (0,), checkpoints=(20000,))
+    run_episode(cfg, 0)
+    assert calls
 
 
 def test_one_span_call_closes_a_block_as_observe_does():
