@@ -18,8 +18,11 @@ and the loop give the same episode bit for bit, trace rows included:
 the ledger writes a kept block's rows itself. Traced or not, every
 episode takes the fast path; only _FAST_FORWARD = False, which the
 tests set, plays the loop alone.
-Parallelism, when wanted, belongs at the seed level only (episodes
-share no mutable state). The headline metric is cumulative
+Monte Carlo plays its seeds on every usable CPU, one forked worker per
+CPU beyond the first (episodes share no mutable state), and merges the
+episodes back into seed order, so its reports are byte-identical to a
+one-process run; wrappers and counters installed in the calling process
+see only the episodes it plays itself. The headline metric is cumulative
 pseudo-regret per player, snapshotted by the episode's RegretLedger at
 log-spaced checkpoints and compared against per-player bound curves.
 """
@@ -29,6 +32,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
@@ -46,8 +53,8 @@ from .decentralized import (
     explore_arm,
 )
 from .env import SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
-from .errors import ConfigInvalidError, DesyncError
-from .market import MarketInstance, gap_term
+from .errors import ConfigInvalidError, DesyncError, RuntimeFailure
+from .market import MarketInstance, gap_term, is_json_int
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +108,12 @@ class ExperimentConfig:
             raise ConfigInvalidError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}"
             )
+        # the CLI's integer rule: a bool or a float is not an integer
+        if not is_json_int(self.horizon):
+            raise ConfigInvalidError(f"horizon must be an integer, got {self.horizon!r}")
+        for name, values in (("seeds", self.seeds), ("checkpoints", self.checkpoints or ())):
+            if not all(map(is_json_int, values)):
+                raise ConfigInvalidError(f"{name} must be integers, got {tuple(values)!r}")
         min_horizon = ALGORITHMS[self.algorithm].min_horizon
         if self.horizon < min_horizon:
             raise ConfigInvalidError(
@@ -356,17 +369,22 @@ class AggregateReport:
 
 
 def monte_carlo(config: ExperimentConfig) -> AggregateReport:
-    """Run every seed sequentially and aggregate checkpoint statistics.
+    """Play every seed on every usable CPU and aggregate checkpoint
+    statistics.
 
-    Distinct seeds are fully independent; run them elsewhere in
-    parallel if wanted and aggregate equivalently.
+    Distinct seeds are fully independent, so the episodes are played by
+    this process and one forked worker per further usable CPU (see
+    _play_seeds) and merged back into seed order: the report is
+    byte-identical to a one-process run. Anything installed in this
+    process to watch the episodes (wrappers of module globals, call
+    counters, profilers) sees only this process's share of them.
     """
     if len(config.seeds) < 2:
         raise ConfigInvalidError("monte_carlo needs at least 2 seeds for error bars")
     cps = config.effective_checkpoints()
     # a market with no finite bound is refused before any episode
     bounds = bound_curves(config)
-    traces = [run_episode(config, s) for s in config.seeds]
+    traces = _play_seeds(config)
     k = len(traces)
     mean_rows = []
     stderr_rows = []
@@ -388,6 +406,89 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
         bounds=bounds,
         telemetry=ALGORITHMS[config.algorithm].telemetry(traces),
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork safely:
+    no os.fork or os.sched_getaffinity, or another thread running."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _play_seeds(config: ExperimentConfig) -> list[EpisodeTrace]:
+    """Every seed's episode, in seed order. With w workers, forked child
+    j = 1 .. w - 1 plays seeds[j::w] while this process plays
+    seeds[0::w]; each child sends back one pickle, its traces or its
+    error, which is raised here as it was raised there. Any error or
+    interrupt here kills and reaps every child still running."""
+    seeds = config.seeds
+    w = min(_usable_cpus(), len(seeds))
+    live = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for j in range(1, w):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                # the child leaves only here: no unwinding into the
+                # caller's stack, no flush of inherited buffers
+                code = 1
+                try:
+                    _send_share(config, seeds[j::w], write_end)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            live.append((pid, read_end))
+        shares = [[run_episode(config, s) for s in seeds[0::w]]]
+        while live:
+            pid, read_end = live[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            live.pop(0)
+            os.close(read_end)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeFailure(f"a seed worker exited with status {code} "
+                                     "without sending its episodes")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            shares.append(payload)
+    finally:
+        for pid, read_end in live:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    traces = [None] * len(seeds)
+    for j, share in enumerate(shares):
+        traces[j::w] = share
+    return traces
+
+
+def _send_share(config: ExperimentConfig, seeds: tuple[int, ...], write_end: int) -> None:
+    """A child's work: play its seeds and write one pickle of (True,
+    traces), or of (False, error) for the first error, to its pipe. An
+    error that does not survive pickling is sent as a RuntimeFailure
+    carrying its repr."""
+    try:
+        result = True, [run_episode(config, s) for s in seeds]
+    except BaseException as exc:  # handed to the parent, which raises it
+        result = False, exc
+    try:
+        data = pickle.dumps(result)
+        pickle.loads(data)  # an error can pickle yet fail to rebuild
+    except Exception:
+        data = pickle.dumps((False, RuntimeFailure(repr(result[1]))))
+    with open(write_end, "wb") as pipe:
+        pipe.write(data)
 
 
 def bound_curves(config: ExperimentConfig) -> tuple[tuple[float, ...], ...]:

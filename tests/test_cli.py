@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 import tracemalloc
 
@@ -229,6 +230,27 @@ class TestMc:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {tmp_path / 'missing' / 'r.csv'}")
         assert captured.out == ""
+
+    def test_runtime_failure_in_a_worker_exits_3(self, instance_path, tmp_path, capsys,
+                                                  monkeypatch):
+        parent = os.getpid()
+        play = harness.run_episode
+
+        def episode(config, seed, trace=None):
+            if os.getpid() != parent:
+                raise RuntimeFailure(f"synthetic failure in seed {seed}")
+            return play(config, seed, trace)
+
+        monkeypatch.setattr(harness, "run_episode", episode)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        code = main([
+            "mc", "--instance", instance_path, "--algo", "oracle-fixed",
+            "--horizon", "200", "--seeds", "0:3", "--out", str(tmp_path / "r"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "runtime failure: synthetic failure in seed 1\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_single_seed_exits_2(self, instance_path, tmp_path):
         code = main([

@@ -6,7 +6,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import statistics
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from housebandits import harness
 from housebandits.env import RegretLedger
-from housebandits.errors import ConfigInvalidError
+from housebandits.errors import ConfigInvalidError, DesyncError, RuntimeFailure
 from housebandits.harness import (
     ExperimentConfig,
     default_checkpoints,
@@ -78,6 +80,25 @@ class TestConfig:
     def test_rejects_unsorted_checkpoints(self):
         with pytest.raises(ConfigInvalidError):
             ExperimentConfig(swap_market(), "oracle-fixed", 100, (0,), checkpoints=(50, 20))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", (0.5, 1)),
+        ("seeds", (True, 2)),
+        ("horizon", 100.5),
+        ("horizon", True),
+        ("checkpoints", (50.5, 100)),
+        ("checkpoints", (50, False)),
+    ])
+    def test_rejects_non_integers(self, field, value, monkeypatch):
+        """The CLI's integer rule holds for the API too, before any
+        episode is played."""
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode was played")
+
+        monkeypatch.setattr(harness, "run_episode", no_episode)
+        fields = {"horizon": 100, "seeds": (0, 1), "checkpoints": None, field: value}
+        with pytest.raises(ConfigInvalidError, match=f"{field} must be"):
+            monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", **fields))
 
     def test_default_checkpoints_clip_to_horizon(self):
         assert default_checkpoints(10**5) == (100, 1000, 10000, 100000)
@@ -231,6 +252,124 @@ class TestAggregation:
         assert rep.telemetry["episodes_entering_phase2"] == 0
         assert rep.telemetry["player_commitments"] == 0
         assert rep.telemetry["post_commit_core_fraction"] == 1.0
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def report_text(report):
+    csv_file, json_file = io.StringIO(), io.StringIO()
+    harness.write_report(report, csv_file, json_file)
+    return csv_file.getvalue(), json_file.getvalue()
+
+
+def fail_in_a_worker(monkeypatch, fail):
+    """Two workers; fail(seed) runs in place of each episode a forked
+    worker plays, while this process plays its share as usual."""
+    parent = os.getpid()
+    play = harness.run_episode
+
+    def episode(config, seed, trace=None):
+        if os.getpid() != parent:
+            fail(seed)
+        return play(config, seed, trace)
+
+    monkeypatch.setattr(harness, "run_episode", episode)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+
+class HoldsALambda(RuntimeFailure):
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None
+
+
+class NeedsTwoArguments(Exception):
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+class TestSeedWorkers:
+    """monte_carlo plays seeds[j::w] in forked worker j; the CPU count
+    is patched so that these tests fork on any machine."""
+
+    @pytest.mark.parametrize("seeds", [(0, 1), (4, 2, 9)], ids=["even", "uneven"])
+    @pytest.mark.parametrize("algorithm", sorted(harness.ALGORITHMS))
+    def test_forked_report_is_byte_identical(self, algorithm, seeds, monkeypatch):
+        inst = sttcb_instance(3, 0.2, np.random.default_rng(7), "gaussian")
+        cfg = ExperimentConfig(inst, algorithm, 20000, seeds)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        alone = report_text(monte_carlo(cfg))
+        episodes = [run_episode(cfg, s) for s in seeds]
+        played_here = []
+        play = harness.run_episode
+
+        def counted(config, seed, trace=None):
+            played_here.append(seed)
+            return play(config, seed, trace)
+
+        monkeypatch.setattr(harness, "run_episode", counted)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        assert report_text(monte_carlo(cfg)) == alone
+        # a wrapper in this process sees only this process's share
+        assert played_here == list(seeds[0::2])
+        # the merge restores seed order, which the means may not show
+        assert harness._play_seeds(cfg) == episodes
+        no_child_left()
+
+    def test_a_workers_error_reaches_the_caller_typed(self, monkeypatch):
+        def desync(seed):
+            raise DesyncError(f"phase-2 collision in seed {seed}")
+
+        fail_in_a_worker(monkeypatch, desync)
+        with pytest.raises(DesyncError, match="^phase-2 collision in seed 1$"):
+            monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1, 2)))
+        no_child_left()
+
+    @pytest.mark.parametrize("error", [HoldsALambda("no pickle"), NeedsTwoArguments(1, 2)],
+                             ids=["cannot-pickle", "cannot-unpickle"])
+    def test_an_error_that_cannot_travel_comes_back_as_its_repr(self, error, monkeypatch):
+        def fail(seed):
+            raise error
+
+        fail_in_a_worker(monkeypatch, fail)
+        with pytest.raises(RuntimeFailure) as caught:
+            monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1)))
+        assert type(caught.value) is RuntimeFailure
+        assert str(caught.value) == repr(error)
+        no_child_left()
+
+    def test_a_worker_that_dies_names_its_exit_status(self, monkeypatch):
+        fail_in_a_worker(monkeypatch, lambda seed: os._exit(7))
+        with pytest.raises(RuntimeFailure, match="exited with status 7"):
+            monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1)))
+        no_child_left()
+
+    def test_an_error_here_kills_the_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def episode(config, seed, trace=None):
+            if os.getpid() == parent:
+                raise DesyncError("here")
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "run_episode", episode)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        start = time.monotonic()
+        with pytest.raises(DesyncError, match="^here$"):
+            monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1, 2)))
+        assert time.monotonic() - start < 30
+        no_child_left()
+
+    def test_a_worker_never_flushes_inherited_buffers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        path = tmp_path / "out.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("written once\n")
+            monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1)))
+        assert path.read_text(encoding="utf-8") == "written once\n"
 
 
 class TestBounds:

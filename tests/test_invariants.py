@@ -2,7 +2,8 @@
 `python -O`: the package raises typed errors (DesyncError,
 RuntimeFailure, ...) instead of asserting or raising a bare
 RuntimeError. No module keeps an import it never uses or a memo
-decorator, and the harness never asks whether an episode is traced."""
+decorator, the harness never asks whether an episode is traced, and the
+one fork in the package ends its child in os._exit."""
 
 from __future__ import annotations
 
@@ -123,3 +124,83 @@ def test_cache_check_sees_every_spelling():
                      "@functools.cache\ndef d(x): return x\n"
                      "@staticmethod\ndef e(x): return x\n")
     assert _cached_functions(tree) == ["a (line 4)", "b (line 6)", "c (line 8)", "d (line 10)"]
+
+
+def _is_call(node: ast.AST, name: str, module: str | None = None) -> bool:
+    """A call of name, as module.name, or bare when module is None."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == name and (module is None or ast.unparse(func.value) == module)
+    return module is None and isinstance(func, ast.Name) and func.id == name
+
+
+def _ends_in_exit(body: list[ast.stmt]) -> bool:
+    """The statements end in os._exit, directly or in a try's finally."""
+    last = body[-1]
+    if isinstance(last, ast.Try) and last.finalbody:
+        return _ends_in_exit(last.finalbody)
+    return isinstance(last, ast.Expr) and _is_call(last.value, "_exit", "os")
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a module or function outside its nested functions
+    and classes (which are scopes of their own)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _fork_sites(tree: ast.Module) -> list[tuple[int, bool]]:
+    """(line, exits) for every call of a function named fork: exits
+    holds when the call is `pid = os.fork()` and the same function has
+    an `if pid == 0:` whose branch ends in os._exit."""
+    sites = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(scope))
+        exiting = {ast.unparse(node.test)[:-len(" == 0")] for node in nodes
+                   if isinstance(node, ast.If) and ast.unparse(node.test).endswith(" == 0")
+                   and _ends_in_exit(node.body)}
+        safe = {id(node.value) for node in nodes
+                if isinstance(node, ast.Assign) and _is_call(node.value, "fork", "os")
+                and len(node.targets) == 1 and ast.unparse(node.targets[0]) in exiting}
+        sites += [(node.lineno, id(node) in safe) for node in nodes if _is_call(node, "fork")]
+    return sorted(sites)
+
+
+def test_the_package_forks_once_and_the_child_ends_in_exit():
+    """A forked child that returned would run its caller's code a second
+    time; one that exited normally would flush inherited buffers."""
+    sites = []
+    for path in SOURCES:
+        sites += [(path.name, ok) for _, ok in _fork_sites(ast.parse(path.read_text(
+            encoding="utf-8")))]
+    assert sites == [("harness.py", True)]
+
+
+def test_fork_check_sees_a_stray_fork():
+    tree = ast.parse("import os\n"
+                     "def good():\n"
+                     "    pid = os.fork()\n"
+                     "    if pid == 0:\n"
+                     "        try:\n"
+                     "            work()\n"
+                     "        finally:\n"
+                     "            os._exit(0)\n"
+                     "def returns():\n"
+                     "    pid = os.fork()\n"
+                     "    if pid == 0:\n"
+                     "        work()\n"
+                     "def untested():\n"
+                     "    os.fork()\n"
+                     "    os._exit(0)\n"
+                     "from os import fork\n"
+                     "child = fork()\n")
+    assert _fork_sites(tree) == [(3, True), (10, False), (14, False), (17, False)]
