@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -92,6 +93,29 @@ def _read_json(path: str, what: str):
         raise ConfigInvalidError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+def _refuse_overwrites(inputs: tuple[str | None, ...], outputs: tuple[str | None, ...]) -> None:
+    """Refuse an output path that names an input or another output,
+    however spelled, before any file is opened for writing; a path of
+    None is not given."""
+    given = [p for p in outputs if p]
+    for k, out in enumerate(given):
+        for other in [p for p in inputs if p] + given[:k]:
+            if _same_file(out, other):
+                raise ConfigInvalidError(f"output {out} would overwrite {other}")
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one regular file, existing or not; a
+    device such as /dev/null takes any number of writers. A path the
+    system cannot encode names no file, and fails when it is opened."""
+    try:
+        if os.path.exists(a) and os.path.exists(b):
+            return os.path.samefile(a, b) and os.path.isfile(a)
+        return os.path.realpath(a) == os.path.realpath(b)
+    except (OSError, ValueError):
+        return False
+
+
 def _read_instance(path: str) -> MarketInstance:
     return instance_from_json_dict(_read_json(path, "instance"))
 
@@ -114,9 +138,11 @@ _CONFIG_KEYS = {
 }
 
 
-def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> ExperimentConfig:
+def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
+                     outputs: tuple[str | None, ...] = ()) -> ExperimentConfig:
     """Merge an optional JSON config file with CLI flags; explicit
-    flags win over config values."""
+    flags win over config values. An output path that names the config,
+    the instance or another output is refused."""
     raw: dict = {}
     if args.config:
         raw = _read_config_file(args.config)
@@ -128,6 +154,7 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool) -> Experim
         raise ConfigInvalidError("an instance file path is required (--instance or config)")
     if "\0" in instance_path:
         raise ConfigInvalidError(f"instance path {instance_path!r} holds a NUL byte")
+    _refuse_overwrites((args.config, instance_path), outputs)
     algorithm = args.algo or raw.get("algorithm")
     if not algorithm or not isinstance(algorithm, str):
         raise ConfigInvalidError("an algorithm name is required (--algo or config)")
@@ -193,7 +220,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_experiment(args, need_many_seeds=False)
+    config = build_experiment(args, need_many_seeds=False, outputs=(args.trace, args.snapshots))
     if args.snapshots and not ALGORITHMS[config.algorithm].snapshots:
         raise ConfigInvalidError(f"{config.algorithm} produces no player snapshots")
     seed = config.seeds[0]
@@ -225,11 +252,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    config = build_experiment(args, need_many_seeds=True)
-    # a market with no finite bound is refused before a file is opened
-    bound_curves(config)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
+    config = build_experiment(args, need_many_seeds=True, outputs=(csv_path, json_path))
+    # a market with no finite bound is refused before a file is opened
+    bound_curves(config)
     try:
         # both reports are opened before the first episode, so a bad path
         # fails before anything is played
@@ -252,6 +279,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_mechanisms(args: argparse.Namespace) -> int:
+    _refuse_overwrites((args.instance,), (args.out,))
     instance = _read_instance(args.instance)
     matching = instance.core
     print(f"core matching: {[a + 1 for a in matching.assignment]}")

@@ -25,6 +25,7 @@ does a give-back.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -245,10 +246,17 @@ class RegretLedger:
     would. extra_columns lets a caller append per-round values, each
     repeated on that round's player rows. Values are written with repr,
     so floats read back exactly.
+
+    rows = (lo, hi) is the ledger's row window: it writes the header
+    only when lo is 0, and the lines of rounds lo < t <= hi only. Its
+    sums, snapshots and checkpoints cover every round all the same, so
+    ledgers that play one episode with windows that tile 0 .. T write,
+    in window order, the trace of one unwindowed ledger.
     """
 
     def __init__(self, instance: MarketInstance, trace: TextIO | None = None,
-                 extra_columns: tuple[str, ...] = (), checkpoints: Iterable[int] = ()):
+                 extra_columns: tuple[str, ...] = (), checkpoints: Iterable[int] = (),
+                 rows: tuple[int, float] = (0, math.inf)):
         self.instance = instance
         self.n = instance.n
         u = instance.utilities.tolist()
@@ -263,8 +271,9 @@ class RegretLedger:
         self.snapshots: dict[int, tuple[float, ...]] = {}
         self.trace = trace is not None
         self._file = trace
+        self._lo, self._hi = rows
         self.extra_columns = extra_columns
-        if trace is not None:
+        if trace is not None and self._lo == 0:
             trace.write(",".join(TRACE_COLUMNS + extra_columns) + "\n")
 
     def _tail(self, extra: tuple) -> str:
@@ -290,7 +299,7 @@ class RegretLedger:
             realized[i] += core_means[i] - rewards[i]
         if t in self.checkpoints:
             self.snapshots[t] = tuple(pseudo)
-        if self.trace:
+        if self.trace and self._lo < t <= self._hi:
             self._file.write(_trace_rows(
                 t, [[0 if p is None else p + 1 for p in outcome.proposals]],
                 [[0 if arm is None else arm + 1 for arm in matched]],
@@ -304,9 +313,9 @@ class RegretLedger:
         np.add.accumulate adds in round order. extra holds the extra
         column values, the same in every round of the block. A
         broadcast of one proposal vector is gathered once (see
-        _distinct_rows). A traced ledger writes the block's rows as k
-        calls of record would, in slices of _TRACE_SLICE_ROUNDS rounds,
-        so the text it holds at once stays small."""
+        _distinct_rows). A traced ledger writes the rows in its window
+        as k calls of record would, in slices of _TRACE_SLICE_ROUNDS
+        rounds, so the text it holds at once stays small."""
         tail = self._tail(extra) if self.trace else ""
         n = self.n
         # one row per round: every player's pseudo-regret, then its realized regret
@@ -326,8 +335,10 @@ class RegretLedger:
                 self.snapshots[c] = tuple(pseudo[c - t - 1].tolist())
         if self.trace:
             uncollided = itertools.repeat([0] * self.n)
-            for lo in range(0, len(arms), _TRACE_SLICE_ROUNDS):
-                part = slice(lo, lo + _TRACE_SLICE_ROUNDS)
+            # block row r is round t + 1 + r; keep the rows in the window
+            stop = min(len(arms), self._hi - t)
+            for lo in range(max(0, self._lo - t), stop, _TRACE_SLICE_ROUNDS):
+                part = slice(lo, min(lo + _TRACE_SLICE_ROUNDS, stop))
                 chosen = (arms[part] + 1).tolist()
                 self._file.write(_trace_rows(
                     t + 1 + lo, chosen, chosen, uncollided, rewards[part].tolist(),

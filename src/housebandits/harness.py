@@ -18,23 +18,29 @@ and the loop give the same episode bit for bit, trace rows included:
 the ledger writes a kept block's rows itself. Traced or not, every
 episode takes the fast path; only _FAST_FORWARD = False, which the
 tests set, plays the loop alone.
-Monte Carlo plays its seeds on every usable CPU, one forked worker per
-CPU beyond the first (episodes share no mutable state), and merges the
-episodes back into seed order, so its reports are byte-identical to a
+Two jobs run on every usable CPU, one forked worker per CPU beyond the
+first, through one helper (_forked): Monte Carlo plays its seeds there
+(episodes share no mutable state) and merges the episodes back into
+seed order, and a long traced episode is replayed by every worker,
+each formatting the trace rows of its own window of rounds, which are
+appended in round order. Reports and traces are byte-identical to a
 one-process run; wrappers and counters installed in the calling process
-see only the episodes it plays itself. The headline metric is cumulative
+see only what it plays itself. The headline metric is cumulative
 pseudo-regret per player, snapshotted by the episode's RegretLedger at
 log-spaced checkpoints and compared against per-player bound curves.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 import os
 import pickle
+import shutil
 import signal
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,14 +163,59 @@ def run_episode(
     config: ExperimentConfig, seed: int, trace: TextIO | None = None
 ) -> EpisodeTrace:
     """Play one episode to the horizon and collect regret snapshots;
-    with a text file as trace, write the per-round trace CSV to it."""
+    with a text file as trace, write the per-round trace CSV to it.
+
+    A long trace is written on every usable CPU: rounds 1 .. T are cut
+    into w equal windows of at least _MIN_WINDOW_ROUNDS rounds (see
+    _forked), worker j = 1 .. w - 1 replays the episode and writes
+    window j's rows to a temporary file of its own, this process plays
+    window 0 straight into trace and then appends the workers' files in
+    window order. The file is byte-identical to a one-process trace; a
+    worker whose final regrets differ from this process's raises
+    DesyncError.
+    """
+    horizon = config.horizon
+    w = _usable_cpus() if trace is not None else 1
+    while w > 1 and w * _MIN_WINDOW_ROUNDS > horizon:
+        w -= 1
+    if w == 1:
+        return _play_window(config, seed, trace)
+    # ceilings, so that only window 0 starts at round 0 and writes the
+    # header, also when the horizon is shorter than w
+    cuts = [-(-horizon * j // w) for j in range(w + 1)]
+    with contextlib.ExitStack() as stack:
+        parts = [trace] + [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", newline="")) for _ in range(1, w)]
+
+        def window(j):
+            episode = _play_window(config, seed, parts[j], (cuts[j], cuts[j + 1]))
+            if j == 0:
+                return episode
+            parts[j].flush()  # a worker leaves through os._exit, which flushes nothing
+            return episode.final_pseudo, episode.final_realized
+
+        episode, *finals = _forked([lambda j=j: window(j) for j in range(w)])
+        for final in finals:
+            if final != (episode.final_pseudo, episode.final_realized):
+                raise DesyncError(f"a trace worker's final regrets {final} differ from "
+                                  f"{(episode.final_pseudo, episode.final_realized)}")
+        for part in parts[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part, trace, _COPY_CHARS)
+    return episode
+
+
+def _play_window(config: ExperimentConfig, seed: int, trace: TextIO | None = None,
+                 rows: tuple[int, float] = (0, math.inf)) -> EpisodeTrace:
+    """Play one episode to the horizon; a trace gets the rows of rounds
+    rows[0] < t <= rows[1], and the header when rows[0] is 0."""
     instance = config.instance
     horizon = config.horizon
     cps = config.effective_checkpoints()
     spec = ALGORITHMS[config.algorithm]
     env = MarketEnv(instance, seed, family=config.reward_family)
     ledger = RegretLedger(instance, trace=trace, extra_columns=spec.extra_columns,
-                          checkpoints=cps)
+                          checkpoints=cps, rows=rows)
     stats, snapshots = spec.run(instance, env, ledger, horizon)
     return EpisodeTrace(
         algorithm=config.algorithm,
@@ -177,6 +228,15 @@ def run_episode(
         stats=stats,
         player_snapshots=snapshots,
     )
+
+
+# a trace window's rows are formatted by a worker only if it holds at
+# least this many rounds: a worker replays the whole episode untraced
+# (about 0.1 s at T = 1e5), and short traces are cheaper in one process
+_MIN_WINDOW_ROUNDS = 8192
+# characters per read when a worker's trace window is appended; a small
+# bounded chunk keeps the copy's memory flat
+_COPY_CHARS = 64 * 1024
 
 
 # Episode runners: (instance, env, ledger, horizon) -> (stats, player
@@ -418,16 +478,27 @@ def _usable_cpus() -> int:
 
 
 def _play_seeds(config: ExperimentConfig) -> list[EpisodeTrace]:
-    """Every seed's episode, in seed order. With w workers, forked child
-    j = 1 .. w - 1 plays seeds[j::w] while this process plays
-    seeds[0::w]; each child sends back one pickle, its traces or its
-    error, which is raised here as it was raised there. Any error or
-    interrupt here kills and reaps every child still running."""
+    """Every seed's episode, in seed order: with w workers (see
+    _forked), worker j plays seeds[j::w]."""
     seeds = config.seeds
     w = min(_usable_cpus(), len(seeds))
+    shares = _forked([lambda j=j: [run_episode(config, s) for s in seeds[j::w]]
+                      for j in range(w)])
+    traces = [None] * len(seeds)
+    for j, share in enumerate(shares):
+        traces[j::w] = share
+    return traces
+
+
+def _forked(jobs: list[Callable[[], object]]) -> list:
+    """The results of jobs, in job order: forked child j = 1 ..
+    len(jobs) - 1 runs jobs[j] while this process runs jobs[0]. Each
+    child sends back one pickle, its result or its error, which is
+    raised here as it was raised there. Any error or interrupt here
+    kills and reaps every child still running."""
     live = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
-        for j in range(1, w):
+        for job in jobs[1:]:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -440,13 +511,13 @@ def _play_seeds(config: ExperimentConfig) -> list[EpisodeTrace]:
                 # caller's stack, no flush of inherited buffers
                 code = 1
                 try:
-                    _send_share(config, seeds[j::w], write_end)
+                    _send_result(job, write_end)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_end)
             live.append((pid, read_end))
-        shares = [[run_episode(config, s) for s in seeds[0::w]]]
+        results = [jobs[0]()]
         while live:
             pid, read_end = live[0]
             with open(read_end, "rb", closefd=False) as pipe:
@@ -456,30 +527,26 @@ def _play_seeds(config: ExperimentConfig) -> list[EpisodeTrace]:
             os.close(read_end)
             code = os.waitstatus_to_exitcode(status)
             if code != 0:
-                raise RuntimeFailure(f"a seed worker exited with status {code} "
-                                     "without sending its episodes")
+                raise RuntimeFailure(f"a worker exited with status {code} "
+                                     "without sending its result")
             ok, payload = pickle.loads(data)
             if not ok:
                 raise payload
-            shares.append(payload)
+            results.append(payload)
     finally:
         for pid, read_end in live:
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    traces = [None] * len(seeds)
-    for j, share in enumerate(shares):
-        traces[j::w] = share
-    return traces
+    return results
 
 
-def _send_share(config: ExperimentConfig, seeds: tuple[int, ...], write_end: int) -> None:
-    """A child's work: play its seeds and write one pickle of (True,
-    traces), or of (False, error) for the first error, to its pipe. An
-    error that does not survive pickling is sent as a RuntimeFailure
-    carrying its repr."""
+def _send_result(job: Callable[[], object], write_end: int) -> None:
+    """A child's work: run job and write one pickle of (True, result),
+    or of (False, error), to its pipe. An error that does not survive
+    pickling is sent as a RuntimeFailure carrying its repr."""
     try:
-        result = True, [run_episode(config, s) for s in seeds]
+        result = True, job()
     except BaseException as exc:  # handed to the parent, which raises it
         result = False, exc
     try:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import housebandits
 from housebandits import harness
 from housebandits.cli import main, parse_checkpoints, parse_seeds
 from housebandits.errors import ConfigInvalidError, RuntimeFailure
@@ -26,6 +29,14 @@ def instance_path(tmp_path):
         "--seed", "3", "--out", str(path),
     ]) == 0
     return str(path)
+
+
+def test_python_m_runs_the_cli():
+    """`python -m housebandits` needs no installed console script."""
+    src = os.path.dirname(os.path.dirname(housebandits.__file__))
+    done = subprocess.run([sys.executable, "-m", "housebandits", "--version"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, f"housebandits {housebandits.__version__}\n")
 
 
 class TestParsing:
@@ -179,6 +190,52 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {tmp_path / 'missing' / 's.json'}")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("spelling", ["same", "another"])
+    def test_trace_and_snapshots_on_one_file_exit_2(self, spelling, instance_path, tmp_path,
+                                                     capsys, monkeypatch):
+        """Refused before either file is opened, whether the file exists
+        or not, and however its path is spelled."""
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode was played")
+
+        monkeypatch.setattr("housebandits.cli.run_episode", no_episode)
+        path = tmp_path / "out.json"
+        other = path if spelling == "same" else tmp_path / "sub" / ".." / "out.json"
+        (tmp_path / "sub").mkdir()
+        argv = ["run", "--instance", instance_path, "--algo", "decentralized-etc",
+                "--horizon", "30", "--seeds", "0", "--trace", str(path),
+                "--snapshots", str(other)]
+        assert main(argv) == 2
+        assert not path.exists()
+        path.write_text("kept\n")
+        assert main(argv) == 2
+        assert path.read_text() == "kept\n"
+        assert capsys.readouterr().err.startswith(f"error: output {other} would overwrite")
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--algo", "oracle-fixed", "--horizon", "30", "--seeds", "0",
+         "--trace", "{instance}"],
+        ["run", "--algo", "decentralized-etc", "--horizon", "30", "--seeds", "0",
+         "--snapshots", "{instance}"],
+        ["mc", "--algo", "oracle-fixed", "--horizon", "30", "--seeds", "0,1",
+         "--out", "{stem}"],
+        ["mechanisms", "--out", "{instance}"],
+    ], ids=["run-trace", "run-snapshots", "mc-out", "mechanisms-out"])
+    def test_an_output_naming_the_instance_exits_2(self, command, instance_path, capsys):
+        """The user's market is read, never truncated."""
+        before = open(instance_path, "rb").read()
+        stem = instance_path[:-len(".json")]
+        argv = [command[0], "--instance", instance_path] + [
+            a.format(instance=instance_path, stem=stem) for a in command[1:]]
+        assert main(argv) == 2
+        assert open(instance_path, "rb").read() == before
+        assert f"would overwrite {instance_path}" in capsys.readouterr().err
+
+    def test_both_outputs_may_go_to_a_device(self, instance_path):
+        assert main(["run", "--instance", instance_path, "--algo", "decentralized-etc",
+                     "--horizon", "30", "--seeds", "0", "--trace", os.devnull,
+                     "--snapshots", os.devnull]) == 0
 
     def test_run_wants_exactly_one_seed(self, instance_path):
         code = main([

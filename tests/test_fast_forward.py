@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,6 +263,98 @@ def test_a_repeated_proposal_block_equals_its_rows_spelled_out(family):
     if family != "deterministic":
         assert [len(d) for d in sides[0][0]] == [8 * n * k for k in (4090, 6, 2, 64)]
     assert sides[0] == sides[1]
+
+
+# --- trace windows on forked workers --------------------------------------------
+
+WINDOW_HORIZON = 1000
+# checkpoints in each window of two and of three, and at their edges
+WINDOW_CHECKPOINTS = (1, 333, 334, 335, 500, 501, 667, 668, 999, 1000)
+
+
+def windowed(cfg, seed, cpus, trace, monkeypatch):
+    """run_episode with cpus usable CPUs and no minimum window, so that
+    every trace forks one worker per CPU beyond the first."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_MIN_WINDOW_ROUNDS", 0)
+    return run_episode(cfg, seed, trace=trace)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", INSTANCES)
+def test_windowed_trace_equals_the_one_process_trace(name, family, algorithm, monkeypatch):
+    """Windows written by two and three processes give the one-process
+    episode and its trace byte for byte."""
+    cfg = ExperimentConfig(INSTANCES[name](), algorithm, WINDOW_HORIZON, (1,),
+                           reward_family=family, checkpoints=WINDOW_CHECKPOINTS)
+    whole = io.StringIO()
+    alone = windowed(cfg, 1, 1, whole, monkeypatch)
+    for cpus in (2, 3):
+        trace = io.StringIO()
+        episode = windowed(cfg, 1, cpus, trace, monkeypatch)
+        assert_same_episode((alone, whole.getvalue()), (episode, trace.getvalue()))
+        assert trace.getvalue() == whole.getvalue(), f"{cpus} windows"
+    no_child_left()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_windowed_trace_into_a_file_is_byte_identical(algorithm, tmp_path, monkeypatch):
+    """A real file, with a line still in its buffer that a worker must
+    not flush a second time; the matching_is_core column rides along."""
+    cfg = ExperimentConfig(INSTANCES["lower-bound"](), algorithm, WINDOW_HORIZON, (0,),
+                           checkpoints=WINDOW_CHECKPOINTS)
+    whole = io.StringIO()
+    harness._play_window(cfg, 0, whole)
+    for cpus in (2, 3):
+        path = tmp_path / f"trace-{cpus}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("before\n")
+            windowed(cfg, 0, cpus, fh, monkeypatch)
+        assert path.read_bytes() == ("before\n" + whole.getvalue()).encode()
+    no_child_left()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_horizon_shorter_than_the_windows_leaves_some_empty(algorithm, monkeypatch):
+    """Three windows of two rounds: the last is empty, and the header is
+    written once."""
+    cfg = ExperimentConfig(INSTANCES["sttcb"](), algorithm, 2, (0,))
+    whole = io.StringIO()
+    harness._play_window(cfg, 0, whole)
+    trace = io.StringIO()
+    windowed(cfg, 0, 3, trace, monkeypatch)
+    assert trace.getvalue() == whole.getvalue()
+    assert len(whole.getvalue().splitlines()) == 1 + 2 * 5
+    no_child_left()
+
+
+def test_a_trace_forks_only_when_every_window_holds_the_minimum(monkeypatch):
+    """Two CPUs: a horizon of twice the minimum window forks one worker,
+    one round less plays in one process, and so does an untraced
+    episode."""
+    forks = []
+    forked = harness._forked
+
+    def counted(jobs):
+        forks.append(len(jobs))
+        return forked(jobs)
+
+    monkeypatch.setattr(harness, "_forked", counted)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    inst = INSTANCES["sttcb"]()
+    two = 2 * harness._MIN_WINDOW_ROUNDS
+    for horizon in (two - 1, two):
+        cfg = ExperimentConfig(inst, "oracle-fixed", horizon, (0,))
+        run_episode(cfg, 0, trace=io.StringIO())
+        run_episode(cfg, 0)
+    assert forks == [2]
+    no_child_left()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_block_rejects_colliding_rounds():

@@ -16,7 +16,12 @@ import pytest
 
 from housebandits import harness
 from housebandits.env import RegretLedger
-from housebandits.errors import ConfigInvalidError, DesyncError, RuntimeFailure
+from housebandits.errors import (
+    ConfigInvalidError,
+    DesyncError,
+    EntryOutOfRangeError,
+    RuntimeFailure,
+)
 from housebandits.harness import (
     ExperimentConfig,
     default_checkpoints,
@@ -370,6 +375,51 @@ class TestSeedWorkers:
             fh.write("written once\n")
             monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1)))
         assert path.read_text(encoding="utf-8") == "written once\n"
+
+
+class TestTraceWorkers:
+    """A traced run_episode whose windows are written by forked
+    workers; the CPU count and the minimum window are patched so that
+    these tests fork on any machine."""
+
+    def play_with_workers(self, monkeypatch, in_a_worker):
+        """A traced episode on two CPUs in which every worker's window
+        goes through in_a_worker(episode, rows) before it is sent back."""
+        parent = os.getpid()
+        play = harness._play_window
+
+        def window(config, seed, trace=None, rows=(0, math.inf)):
+            episode = play(config, seed, trace, rows)
+            return in_a_worker(episode, rows) if os.getpid() != parent else episode
+
+        monkeypatch.setattr(harness, "_play_window", window)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_MIN_WINDOW_ROUNDS", 0)
+        cfg = ExperimentConfig(swap_market(), "centralized-ucb", 100, (0,))
+        return run_episode(cfg, 0, trace=io.StringIO())
+
+    def test_a_workers_error_reaches_the_caller_typed(self, monkeypatch):
+        def fail(episode, rows):
+            raise EntryOutOfRangeError(f"proposal out of range in rounds {rows}")
+
+        message = r"^proposal out of range in rounds \(50, 100\)$"
+        with pytest.raises(EntryOutOfRangeError, match=message):
+            self.play_with_workers(monkeypatch, fail)
+        no_child_left()
+
+    def test_a_worker_with_other_final_regrets_raises_desync(self, monkeypatch):
+        def drift(episode, rows):
+            episode.final_pseudo = tuple(x + 1.0 for x in episode.final_pseudo)
+            return episode
+
+        with pytest.raises(DesyncError, match="^a trace worker's final regrets"):
+            self.play_with_workers(monkeypatch, drift)
+        no_child_left()
+
+    def test_a_worker_that_dies_names_its_exit_status(self, monkeypatch):
+        with pytest.raises(RuntimeFailure, match="exited with status 7"):
+            self.play_with_workers(monkeypatch, lambda episode, rows: os._exit(7))
+        no_child_left()
 
 
 class TestBounds:
