@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -26,8 +27,8 @@ from .harness import (
     default_checkpoints,
     monte_carlo,
     run_episode,
-    theoretical_bounds,
     validate_checkpoints,
+    validate_horizon,
     write_report,
 )
 from .instances import GENERATOR_FAMILIES, generate
@@ -127,15 +128,7 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
-_CONFIG_KEYS = {
-    "instance",
-    "algorithm",
-    "horizon",
-    "seeds",
-    "reward_family",
-    "checkpoints",
-    "instance_id",
-}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
@@ -161,8 +154,6 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
     horizon = args.horizon if args.horizon is not None else raw.get("horizon")
     if horizon is None:
         raise ConfigInvalidError("a horizon is required (--horizon or config)")
-    if not is_json_int(horizon):
-        raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}")
     if args.seeds is not None:
         ranges = parse_seeds(args.seeds)
     elif "seeds" in raw:
@@ -214,8 +205,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         save_instance(instance, args.out)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot write {args.out}: {exc}") from exc
-    core = [a + 1 for a in instance.core.assignment]
-    print(f"wrote {args.out}: n={instance.n} core={core} min_gap={instance.min_gap:.6g}")
+    print(f"wrote {args.out}: n={instance.n} core={instance.core.to_json_list()} "
+          f"min_gap={instance.min_gap:.6g}")
     return 0
 
 
@@ -256,7 +247,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     json_path = args.out + ".json"
     config = build_experiment(args, need_many_seeds=True, outputs=(csv_path, json_path))
     # a market with no finite bound is refused before a file is opened
-    bound_curves(config)
+    bound_curves(config.instance, config.algorithm, config.effective_checkpoints())
     try:
         # both reports are opened before the first episode, so a bad path
         # fails before anything is played
@@ -282,7 +273,7 @@ def cmd_mechanisms(args: argparse.Namespace) -> int:
     _refuse_overwrites((args.instance,), (args.out,))
     instance = _read_instance(args.instance)
     matching = instance.core
-    print(f"core matching: {[a + 1 for a in matching.assignment]}")
+    print(f"core matching: {matching.to_json_list()}")
     result = yrmh_igyt(instance.rankings)
     agrees = result.matching == matching
     print(
@@ -309,9 +300,7 @@ def cmd_mechanisms(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    min_horizon = ALGORITHMS[args.algo].min_horizon
-    if args.horizon < min_horizon:
-        raise ConfigInvalidError(f"{args.algo} needs horizon >= {min_horizon}, got {args.horizon}")
+    validate_horizon(args.horizon, args.algo)
     instance = _read_instance(args.instance)
     checkpoints = (
         parse_checkpoints(args.checkpoints)
@@ -320,11 +309,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     )
     validate_checkpoints(checkpoints, args.horizon)
     # everything is computed before the header, so a refusal prints nothing
-    curves = [(t, theoretical_bounds(instance, t, args.algo)) for t in checkpoints]
+    curves = bound_curves(instance, args.algo, checkpoints)
     entry_bound = ALGORITHMS[args.algo].entry_bound
     entry = None if entry_bound is None else entry_bound(instance, args.horizon)
     print("checkpoint_t,player,bound")
-    for t, values in curves:
+    for t, values in zip(checkpoints, curves):
         for i, v in enumerate(values):
             print(f"{t},{i + 1},{v:.6g}")
     if entry is not None:

@@ -16,8 +16,10 @@ an episode bit for bit. MarketEnv pregenerates the blocks of 4096 rounds
 as one array, which yields the exact same stream as drawing one block
 per round: step reads one row of it, and step_block, which resolves a
 run of collision-free rounds at once, reads a slice of consecutive rows.
-A caller that resolves a block speculatively keeps a prefix of it and
-hands the rest back with give_back, whose rows the next step or
+The deterministic family resolves the same way with rows of -0.0 noise
+that draw nothing from the generator, so its rewards are the exact
+means. A caller that resolves a block speculatively keeps a prefix of
+it and hands the rest back with give_back, whose rows the next step or
 step_block reads again; since a block never spans two chunks, neither
 does a give-back.
 """
@@ -121,7 +123,8 @@ class MarketEnv:
 
     Noise blocks are pregenerated in chunks purely for speed; the stream
     equals one rng.standard_normal(n) (Gaussian) or rng.random(n)
-    (Bernoulli) draw per round.
+    (Bernoulli) draw per round. A Bernoulli reward is 1 when the uniform
+    variate lies below the mean; any other reward is mean + noise.
     """
 
     def __init__(self, instance: MarketInstance, seed: int, family: str | None = None):
@@ -135,15 +138,25 @@ class MarketEnv:
         self._chunk = np.empty((0, instance.n))  # noise blocks, one row per round
         self._chunk_pos = 0
 
-    def _refill(self) -> None:
-        """Replace the spent noise chunk with the next one."""
-        self._chunk = None  # free the spent chunk before building the next
-        shape = (_NOISE_CHUNK_ROUNDS, self.instance.n)
-        if self.family == "gaussian":
-            self._chunk = self.rng.standard_normal(shape)
-        else:
-            self._chunk = self.rng.random(shape)
-        self._chunk_pos = 0
+    def _draw(self, k: int) -> np.ndarray:
+        """The next min(k, rows left in the noise chunk) noise rows, one
+        per round, after replacing a spent chunk with the next one. The
+        deterministic family's rows are -0.0, which added to a mean
+        gives that mean bit for bit (x + -0.0 == x for every float x,
+        -0.0 included), and draw nothing from the rng."""
+        if self._chunk_pos == len(self._chunk):
+            self._chunk = None  # free the spent chunk before building the next
+            shape = (_NOISE_CHUNK_ROUNDS, self.instance.n)
+            if self.family == "gaussian":
+                self._chunk = self.rng.standard_normal(shape)
+            elif self.family == "bernoulli":
+                self._chunk = self.rng.random(shape)
+            else:
+                self._chunk = np.full(shape, -0.0)
+            self._chunk_pos = 0
+        rows = self._chunk[self._chunk_pos:self._chunk_pos + k]
+        self._chunk_pos += len(rows)
+        return rows
 
     def step(self, proposals: Sequence[int | None]) -> RoundOutcome:
         """Resolve one round of proposals (one slot per player, an arm
@@ -151,13 +164,8 @@ class MarketEnv:
         n = self.instance.n
         if len(proposals) != n:
             raise EntryOutOfRangeError(f"expected {n} proposal slots, got {len(proposals)}")
-        noise_row = None
-        if self.family != "deterministic":
-            if self._chunk_pos == len(self._chunk):
-                self._refill()
-            noise_row = self._chunk[self._chunk_pos].tolist()
-            self._chunk_pos += 1
-        family = self.family
+        noise_row = self._draw(1).tolist()[0]
+        bernoulli = self.family == "bernoulli"
         utilities = self._u
         matched: list[int | None] = [None] * n
         rewards = [0.0] * n
@@ -174,12 +182,10 @@ class MarketEnv:
                 i = apps[0]
                 matched[i] = arm
                 mean = utilities[i][arm]
-                if family == "gaussian":
-                    rewards[i] = mean + noise_row[i]
-                elif family == "bernoulli":
+                if bernoulli:
                     rewards[i] = 1.0 if noise_row[i] < mean else 0.0
                 else:
-                    rewards[i] = mean
+                    rewards[i] = mean + noise_row[i]
             elif len(apps) > 1:
                 for i in apps:
                     collided[i] = True
@@ -197,35 +203,24 @@ class MarketEnv:
         proposal vector, a permutation of the arms. Resolves the leading
         min(k, rounds left in the noise chunk) rounds and returns their
         rewards, row r for round r; every player is matched to the arm
-        it proposed. The deterministic family draws nothing, so it
-        resolves all k rounds at once. A broadcast of one proposal
-        vector is checked and gathered once (see _distinct_rows)."""
+        it proposed. A broadcast of one proposal vector is checked and
+        gathered once (see _distinct_rows)."""
         rows = _distinct_rows(arms)
         if (np.sort(rows, axis=1) != self._players).any():
             raise RuntimeFailure("a block round is not a collision-free proposal of every arm")
-        k = len(arms)
-        if self.family != "deterministic":
-            if self._chunk_pos == len(self._chunk):
-                self._refill()
-            noise = self._chunk[self._chunk_pos:self._chunk_pos + k]
-            k = len(noise)
-            self._chunk_pos += k
-        means = self.instance.utilities[self._players, rows[:k]]
-        if self.family == "gaussian":
-            return means + noise
+        noise = self._draw(len(arms))
+        means = self.instance.utilities[self._players, rows[:len(noise)]]
         if self.family == "bernoulli":
             return (noise < means).astype(float)
-        return np.broadcast_to(means, (k, self.instance.n)).copy()
+        return means + noise
 
     def give_back(self, k: int) -> None:
         """Unresolve the last k rounds of the latest step_block: the next
         step or step_block draws their noise rows again. The rows must
-        lie in the current chunk, so a give-back never crosses a refill;
-        the deterministic family draws nothing and has nothing to give."""
-        if self.family != "deterministic":
-            if not 0 <= k <= self._chunk_pos:
-                raise RuntimeFailure(f"cannot give back {k} rounds at chunk row {self._chunk_pos}")
-            self._chunk_pos -= k
+        lie in the current chunk, so a give-back never crosses a refill."""
+        if not 0 <= k <= self._chunk_pos:
+            raise RuntimeFailure(f"cannot give back {k} rounds at chunk row {self._chunk_pos}")
+        self._chunk_pos -= k
 
 
 class RegretLedger:

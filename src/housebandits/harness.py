@@ -84,6 +84,16 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(c for c in DEFAULT_CHECKPOINT_GRID if 1 <= c <= horizon) or (horizon,)
 
 
+def validate_horizon(horizon, algorithm: str) -> None:
+    """A horizon is an integer (not a bool or a float) of at least the
+    algorithm's min_horizon; the algorithm must be known."""
+    if not is_json_int(horizon):
+        raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}")
+    min_horizon = ALGORITHMS[algorithm].min_horizon
+    if horizon < min_horizon:
+        raise ConfigInvalidError(f"{algorithm} needs horizon >= {min_horizon}, got {horizon}")
+
+
 def validate_checkpoints(checkpoints: tuple[int, ...], horizon: int) -> None:
     """Checkpoints are strictly increasing rounds in [1, horizon]."""
     if any(c < 1 or c > horizon for c in checkpoints):
@@ -114,17 +124,10 @@ class ExperimentConfig:
             raise ConfigInvalidError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}"
             )
-        # the CLI's integer rule: a bool or a float is not an integer
-        if not is_json_int(self.horizon):
-            raise ConfigInvalidError(f"horizon must be an integer, got {self.horizon!r}")
+        validate_horizon(self.horizon, self.algorithm)
         for name, values in (("seeds", self.seeds), ("checkpoints", self.checkpoints or ())):
             if not all(map(is_json_int, values)):
                 raise ConfigInvalidError(f"{name} must be integers, got {tuple(values)!r}")
-        min_horizon = ALGORITHMS[self.algorithm].min_horizon
-        if self.horizon < min_horizon:
-            raise ConfigInvalidError(
-                f"{self.algorithm} needs horizon >= {min_horizon}, got {self.horizon}"
-            )
         if not self.seeds:
             raise ConfigInvalidError("seed list must not be empty")
         if any(s < 0 for s in self.seeds):
@@ -201,7 +204,7 @@ def run_episode(
                                   f"{(episode.final_pseudo, episode.final_realized)}")
         for part in parts[1:]:
             part.seek(0)
-            shutil.copyfileobj(part, trace, _COPY_CHARS)
+            shutil.copyfileobj(part, trace)
     return episode
 
 
@@ -234,9 +237,6 @@ def _play_window(config: ExperimentConfig, seed: int, trace: TextIO | None = Non
 # least this many rounds: a worker replays the whole episode untraced
 # (about 0.1 s at T = 1e5), and short traces are cheaper in one process
 _MIN_WINDOW_ROUNDS = 8192
-# characters per read when a worker's trace window is appended; a small
-# bounded chunk keeps the copy's memory flat
-_COPY_CHARS = 64 * 1024
 
 
 # Episode runners: (instance, env, ledger, horizon) -> (stats, player
@@ -443,7 +443,7 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
         raise ConfigInvalidError("monte_carlo needs at least 2 seeds for error bars")
     cps = config.effective_checkpoints()
     # a market with no finite bound is refused before any episode
-    bounds = bound_curves(config)
+    bounds = bound_curves(config.instance, config.algorithm, cps)
     traces = _play_seeds(config)
     k = len(traces)
     mean_rows = []
@@ -494,18 +494,21 @@ def _forked(jobs: list[Callable[[], object]]) -> list:
     """The results of jobs, in job order: forked child j = 1 ..
     len(jobs) - 1 runs jobs[j] while this process runs jobs[0]. Each
     child sends back one pickle, its result or its error, which is
-    raised here as it was raised there. Any error or interrupt here
-    kills and reaps every child still running."""
+    raised here as it was raised there. A pipe or fork the system
+    refuses raises RuntimeFailure. Any error or interrupt here kills and
+    reaps every child still running."""
     live = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for job in jobs[1:]:
-            read_end, write_end = os.pipe()
+            pipe = ()
             try:
+                pipe = os.pipe()
                 pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+            except OSError as exc:
+                for fd in pipe:
+                    os.close(fd)
+                raise RuntimeFailure(f"cannot start a worker: {exc}") from exc
+            read_end, write_end = pipe
             if pid == 0:
                 # the child leaves only here: no unwinding into the
                 # caller's stack, no flush of inherited buffers
@@ -558,12 +561,20 @@ def _send_result(job: Callable[[], object], write_end: int) -> None:
         pipe.write(data)
 
 
-def bound_curves(config: ExperimentConfig) -> tuple[tuple[float, ...], ...]:
-    """The per-player bound at each of the config's checkpoints; a
-    market with no finite bound raises ConfigInvalidError (see
-    theoretical_bounds)."""
-    return tuple(tuple(theoretical_bounds(config.instance, cp, config.algorithm))
-                 for cp in config.effective_checkpoints())
+def bound_curves(instance: MarketInstance, algorithm: str,
+                 checkpoints: tuple[int, ...]) -> tuple[tuple[float, ...], ...]:
+    """The per-player bound at each checkpoint (see theoretical_bounds);
+    a market with no finite bound raises ConfigInvalidError. A 1x1
+    market, whose infinite g drops the exploration terms, is flagged in
+    the log once per call."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigInvalidError(f"no bound curve for algorithm {algorithm!r}")
+    if any(t < 1 for t in checkpoints):
+        raise ConfigInvalidError(f"bounds need horizon >= 1, got {min(checkpoints)}")
+    if math.isinf(instance.min_gap):
+        log.warning("min gap is infinite (1x1 market); bounds keep only their constant terms")
+    bound = ALGORITHMS[algorithm].bound
+    return tuple(tuple(bound(instance, math.log(t))) for t in checkpoints)
 
 
 def _centralized_telemetry(traces: list[EpisodeTrace]) -> dict:
@@ -613,26 +624,14 @@ def theoretical_bounds(instance: MarketInstance, horizon: int, algorithm: str) -
     finite. A g so small that a term is not finite is refused with
     ConfigInvalidError (see gap_term).
     """
-    if horizon < 1:
-        raise ConfigInvalidError(f"bounds need horizon >= 1, got {horizon}")
-    if algorithm not in ALGORITHMS:
-        raise ConfigInvalidError(f"no bound curve for algorithm {algorithm!r}")
-    return ALGORITHMS[algorithm].bound(instance, math.log(horizon))
-
-
-def _exploration_term(instance: MarketInstance, coef: float, log_t: float) -> float:
-    """coef N ln T / g^2 (see gap_term); logs the 1x1 case, whose
-    infinite g drops the term."""
-    if math.isinf(instance.min_gap):
-        log.warning("min gap is infinite (1x1 market); bound keeps only the constant term")
-    return gap_term(coef * instance.n * log_t, instance.min_gap)
+    return list(bound_curves(instance, algorithm, (horizon,))[0])
 
 
 def _decentralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
     n = instance.n
     u = instance.utilities
     core = instance.core.assignment
-    explore = _exploration_term(instance, 192.0, log_t)
+    explore = gap_term(192.0 * n * log_t, instance.min_gap)
     nested = n * math.log(explore) if explore > 1.0 else 0.0
     rounds_term = explore + max(nested, 0.0) + 3.0 * n * n
     return [rounds_term * float(u[i, core[i]]) for i in range(n)]
@@ -642,7 +641,7 @@ def _centralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
     n = instance.n
     u = instance.utilities
     core = instance.core.assignment
-    pulls_term = 5.0 * n * n + _exploration_term(instance, 12.0, log_t)
+    pulls_term = 5.0 * n * n + gap_term(12.0 * n * log_t, instance.min_gap)
     out = []
     for i in range(n):
         worst = max(max(0.0, float(u[i, core[i]] - u[i, j])) for j in range(n))

@@ -82,7 +82,8 @@ def random_instance(
     least delta_floor (so min_gap >= delta_floor by construction)."""
     if n < 1:
         raise InfeasibleGapFloorError(f"need n >= 1, got {n}")
-    if delta_floor <= 0.0 or delta_floor * n > 1.0:
+    # a NaN floor fails both comparisons, so it is refused too
+    if not (0.0 < delta_floor and delta_floor * n <= 1.0):
         raise InfeasibleGapFloorError(
             f"delta_floor must satisfy 0 < delta_floor and delta_floor*n <= 1, "
             f"got delta_floor={delta_floor}, n={n}"

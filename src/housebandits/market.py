@@ -82,8 +82,9 @@ class MarketInstance:
     """A validated market: utilities, derived rankings, the minimum
     utility gap, and the (unique) core matching.
 
-    Build instances through validate_instance or load_instance, never
-    directly; the derived fields are trusted downstream.
+    Build instances through validate_instance or
+    instance_from_json_dict, never directly; the derived fields are
+    trusted downstream.
     """
 
     utilities: np.ndarray
@@ -494,11 +495,6 @@ def instance_from_json_dict(data: dict) -> MarketInstance:
             f"declared n={data['n']} does not match a {inst.n}x{inst.n} matrix"
         )
     return inst
-
-
-def load_instance(path: str | Path) -> MarketInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json_dict(json.load(fh))
 
 
 def save_instance(instance: MarketInstance, path: str | Path) -> None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from housebandits import harness
 from housebandits.cli import main, parse_checkpoints, parse_seeds
 from housebandits.errors import ConfigInvalidError, RuntimeFailure
 from housebandits.harness import ALGORITHMS
-from housebandits.market import is_json_int, load_instance
+from housebandits.market import instance_from_json_dict, is_json_int
 
 
 @pytest.fixture()
@@ -65,7 +67,8 @@ class TestParsing:
 
 class TestGen:
     def test_writes_loadable_instance(self, instance_path):
-        inst = load_instance(instance_path)
+        with open(instance_path, encoding="utf-8") as fh:
+            inst = instance_from_json_dict(json.load(fh))
         assert inst.n == 3
         assert inst.reward_model == "gaussian"
 
@@ -83,6 +86,15 @@ class TestGen:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_delta_floor_exits_2_naming_the_floor(self, tmp_path, capsys):
+        code = main([
+            "gen", "--family", "random", "--n", "3", "--delta-floor", "nan",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: delta_floor must satisfy")
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestMechanisms:
@@ -317,6 +329,34 @@ class TestMc:
         assert code == 2
 
 
+def refuse(*args):
+    """os.fork or os.pipe on a system out of processes or descriptors."""
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize(
+    "call, argv",
+    [
+        ("pipe", ["mc", "--horizon", "200", "--seeds", "0:3", "--out", "{out}"]),
+        ("fork", ["mc", "--horizon", "200", "--seeds", "0:3", "--out", "{out}"]),
+        # a trace long enough for a second window needs a worker
+        ("fork", ["run", "--horizon", "20000", "--seeds", "0", "--trace", "{out}"]),
+    ],
+    ids=["mc-pipe", "mc-fork", "run-trace-fork"],
+)
+def test_a_refused_worker_exits_3(call, argv, instance_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, call, refuse)
+    out = str(tmp_path / "out")
+    code = main([a.replace("{out}", out) for a in argv]
+                + ["--instance", instance_path, "--algo", "oracle-fixed"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        f"runtime failure: cannot start a worker: [Errno {errno.EAGAIN}]")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize(
     "command, seeds, error",
     [
@@ -420,6 +460,22 @@ class TestBounds:
         ])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_one_by_one_market_notes_the_infinite_gap_once_per_curve(self, tmp_path, caplog):
+        """bounds computes one curve; mc checks the curve before opening
+        its reports and computes it again for them."""
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "utilities": [[0.6]], "reward_model": "gaussian"}))
+        common = ["--instance", str(path), "--algo", "centralized-ucb", "--horizon", "300",
+                  "--checkpoints", "10,100,300"]
+        counts = []
+        for argv in (["bounds"] + common,
+                     ["mc"] + common + ["--seeds", "0:2", "--out", str(tmp_path / "r")]):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert main(argv) == 0
+            counts.append(sum("min gap is infinite" in r.getMessage() for r in caplog.records))
+        assert counts == [1, 2]
 
     @pytest.mark.parametrize("checkpoints", ["500,100,100", "0"])
     def test_bad_checkpoints_exit_2_before_printing(self, instance_path, capsys, checkpoints):
@@ -648,3 +704,27 @@ def test_malformed_config_json_exits_0_or_2(doc, instance_path, tmp_path, capsys
         doc = {**doc, "instance": instance_path}
     assert run_on_file(doc, ["mc", "--config", "{file}", "--out", "{out}"], instance_path,
                        tmp_path, capsys) in (0, 2)
+
+
+def test_deterministic_trace_rewards_are_the_exact_utilities(tmp_path, capsys):
+    """The deterministic family adds -0.0 noise, which leaves every
+    mean as it is, a -0.0 utility included; +0.0 noise would turn it
+    into 0.0. Each trace reward is the matched utility's repr, or 0.0
+    unmatched, across a noise chunk refill."""
+    u = [[-0.0, 0.7, 0.4], [0.55, 0.25, 0.9], [0.8, 0.1, 0.35]]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "utilities": u, "reward_model": "gaussian"}))
+    negative_zeros = 0
+    for algo in ALGORITHMS:
+        trace = tmp_path / f"{algo}.csv"
+        assert main(["run", "--instance", str(path), "--algo", algo, "--family",
+                     "deterministic", "--horizon", "5000", "--seeds", "0",
+                     "--trace", str(trace)]) == 0
+        lines = trace.read_text().splitlines()[1:]
+        assert len(lines) == 5000 * 3
+        for line in lines:
+            _, player, _, arm, _, reward = line.split(",")[:6]
+            expected = repr(u[int(player) - 1][int(arm) - 1]) if arm != "0" else "0.0"
+            assert reward == expected, (algo, line)
+            negative_zeros += reward == "-0.0"
+    assert negative_zeros > 0

@@ -260,8 +260,7 @@ def test_a_repeated_proposal_block_equals_its_rows_spelled_out(family):
             drawn.append(rewards.tobytes())
         sides.append((drawn, ledger.pseudo, ledger.realized, ledger.snapshots,
                       trace.getvalue().splitlines()))
-    if family != "deterministic":
-        assert [len(d) for d in sides[0][0]] == [8 * n * k for k in (4090, 6, 2, 64)]
+    assert [len(d) for d in sides[0][0]] == [8 * n * k for k in (4090, 6, 2, 64)]
     assert sides[0] == sides[1]
 
 

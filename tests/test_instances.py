@@ -61,6 +61,12 @@ def test_random_rejects_infeasible_floor():
         random_instance(0, 0.1, np.random.default_rng(0))
 
 
+def test_random_refuses_a_nan_floor():
+    """NaN fails every comparison, so it must not slip past the bounds."""
+    with pytest.raises(InfeasibleGapFloorError, match="delta_floor=nan"):
+        random_instance(3, float("nan"), np.random.default_rng(0))
+
+
 # --- single-cycle markets -----------------------------------------------------
 
 

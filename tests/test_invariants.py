@@ -2,8 +2,9 @@
 `python -O`: the package raises typed errors (DesyncError,
 RuntimeFailure, ...) instead of asserting or raising a bare
 RuntimeError. No module keeps an import it never uses or a memo
-decorator, the harness never asks whether an episode is traced, and the
-one fork in the package ends its child in os._exit."""
+decorator, the harness never asks whether an episode is traced, the
+one fork in the package ends its child in os._exit, and one method
+reads the environment's noise."""
 
 from __future__ import annotations
 
@@ -204,3 +205,45 @@ def test_fork_check_sees_a_stray_fork():
                      "from os import fork\n"
                      "child = fork()\n")
     assert _fork_sites(tree) == [(3, True), (10, False), (14, False), (17, False)]
+
+
+def _noise_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(scope, line) of every read of an attribute named rng or _chunk,
+    scope being the dotted names of the enclosing classes and
+    functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        elif (isinstance(node, ast.Attribute) and node.attr in ("rng", "_chunk")
+              and isinstance(node.ctx, ast.Load)):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_only_the_draw_method_reads_the_noise():
+    """Every family resolves a round through one draw of noise rows, so
+    no other code can consume the stream out of order or skip it."""
+    scopes = set()
+    for path in SOURCES:
+        scopes |= {f"{path.name}: {scope}"
+                   for scope, _ in _noise_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert scopes == {"env.py: MarketEnv._draw"}
+
+
+def test_noise_check_sees_a_stray_read():
+    tree = ast.parse("class MarketEnv:\n"
+                     "    def _draw(self, k):\n"
+                     "        return self._chunk[:k], self.rng\n"
+                     "    def step(self):\n"
+                     "        self._chunk = None\n"
+                     "        return self.rng.random()\n"
+                     "def peek(env):\n"
+                     "    return env._chunk_pos, env._chunk\n")
+    assert _noise_reads(tree) == [("MarketEnv._draw", 3), ("MarketEnv._draw", 3),
+                                  ("MarketEnv.step", 6), ("peek", 8)]

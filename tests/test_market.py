@@ -5,6 +5,7 @@ mechanism definitions and cross-checked against the brute-force oracle
 inside the tests themselves.
 """
 
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from housebandits.market import (
     core_oracle_bruteforce,
     find_blocking_coalition,
     instance_from_json_dict,
-    load_instance,
     min_gap,
     ranking_from_utilities,
     save_instance,
@@ -392,7 +392,7 @@ def test_instance_json_roundtrip(tmp_path):
     inst = validate_instance(random_utilities(11, 4), "bernoulli")
     p = tmp_path / "inst.json"
     save_instance(inst, p)
-    again = load_instance(p)
+    again = instance_from_json_dict(json.loads(p.read_text()))
     assert again == inst
     assert again.core == inst.core
 
