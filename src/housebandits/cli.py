@@ -3,13 +3,13 @@
 Subcommands: gen (write an instance file), run (single seeded episode),
 mc (Monte Carlo aggregate over seeds), mechanisms (offline matching on
 an instance file), bounds (closed-form regret curves). Exit codes: 0
-success, 2 invalid input, 3 runtime failure.
+success, 2 invalid input (an output that cannot be written included), 3
+runtime failure (any other error the system raises included).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -41,6 +41,7 @@ from .market import (
     is_json_int,
     save_instance,
     save_matching,
+    written,
     yrmh_igyt,
 )
 
@@ -121,13 +122,6 @@ def _read_instance(path: str) -> MarketInstance:
     return instance_from_json_dict(_read_json(path, "instance"))
 
 
-def _read_config_file(path: str) -> dict:
-    data = _read_json(path, "config")
-    if not isinstance(data, dict):
-        raise ConfigInvalidError(f"config {path} must hold a JSON object")
-    return data
-
-
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
@@ -138,7 +132,9 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
     the instance or another output is refused."""
     raw: dict = {}
     if args.config:
-        raw = _read_config_file(args.config)
+        raw = _read_json(args.config, "config")
+        if not isinstance(raw, dict):
+            raise ConfigInvalidError(f"config {args.config} must hold a JSON object")
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
@@ -165,8 +161,6 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
         raise ConfigInvalidError("seeds are required (--seeds or config)")
     # counted without len(), which overflows on a wide range
     count = sum(r.stop - r.start for r in ranges)
-    if need_many_seeds and count < 2:
-        raise ConfigInvalidError("mc needs at least 2 seeds")
     if need_many_seeds and count > MAX_SEEDS:
         raise ConfigInvalidError(f"mc takes at most {MAX_SEEDS} seeds, got {count}")
     if not need_many_seeds and count != 1:
@@ -201,10 +195,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     instance = generate(args.family, args.n, delta_floor=args.delta_floor, delta=args.delta,
                         distinguished=args.distinguished, seed=args.seed,
                         reward_model=args.reward_model)
-    try:
-        save_instance(instance, args.out)
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot write {args.out}: {exc}") from exc
+    save_instance(instance, args.out)
     print(f"wrote {args.out}: n={instance.n} core={instance.core.to_json_list()} "
           f"min_gap={instance.min_gap:.6g}")
     return 0
@@ -214,20 +205,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_experiment(args, need_many_seeds=False, outputs=(args.trace, args.snapshots))
     if args.snapshots and not ALGORITHMS[config.algorithm].snapshots:
         raise ConfigInvalidError(f"{config.algorithm} produces no player snapshots")
-    seed = config.seeds[0]
-    try:
-        with contextlib.ExitStack() as files:
-            # both outputs are opened before round 1, so a bad path fails
-            # before anything is played; the trace is written as it plays
-            trace, snapshots = (files.enter_context(open(path, "w", encoding="utf-8"))
-                                if path else None for path in (args.trace, args.snapshots))
-            episode = run_episode(config, seed, trace=trace)
-            if snapshots is not None:
-                json.dump({"players": episode.player_snapshots}, snapshots, indent=2,
-                          sort_keys=True)
-                snapshots.write("\n")
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot write {exc.filename or 'the outputs'}: {exc}") from exc
+    # made before round 1, so a bad path fails before anything is played
+    with written(args.trace, args.snapshots) as (trace, snapshots):
+        episode = run_episode(config, config.seeds[0], trace=trace)
+        if snapshots is not None:
+            json.dump({"players": episode.player_snapshots}, snapshots, indent=2, sort_keys=True)
+            snapshots.write("\n")
     for i in range(config.instance.n):
         print(
             f"player {i + 1}: pseudo_regret={episode.final_pseudo[i]:.6g} "
@@ -246,17 +229,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     config = build_experiment(args, need_many_seeds=True, outputs=(csv_path, json_path))
-    # a market with no finite bound is refused before a file is opened
-    bound_curves(config.instance, config.algorithm, config.effective_checkpoints())
-    try:
-        # both reports are opened before the first episode, so a bad path
-        # fails before anything is played
-        with open(csv_path, "w", encoding="utf-8") as csv_file, \
-                open(json_path, "w", encoding="utf-8") as json_file:
-            report = monte_carlo(config)
-            write_report(report, csv_file, json_file)
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot write {exc.filename or 'the report'}: {exc}") from exc
+    # made before the first episode, so a bad path fails before any is played
+    with written(csv_path, json_path) as (csv_file, json_file):
+        report = monte_carlo(config)
+        write_report(report, csv_file, json_file)
     print(f"wrote {csv_path} and {json_path}")
     last = len(report.checkpoints) - 1
     if last >= 0:
@@ -291,10 +267,7 @@ def cmd_mechanisms(args: argparse.Namespace) -> int:
     else:
         print(f"exhaustive verification: skipped (n > {MAX_ORACLE_N})")
     if args.out:
-        try:
-            save_matching(matching, args.out)
-        except OSError as exc:
-            raise ConfigInvalidError(f"cannot write {args.out}: {exc}") from exc
+        save_matching(matching, args.out)
         print(f"matching written to {args.out}")
     return 0
 
@@ -391,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeFailure as exc:
+    except (RuntimeFailure, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

@@ -33,6 +33,7 @@ log-spaced checkpoints and compared against per-player bound curves.
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import logging
 import math
@@ -60,7 +61,7 @@ from .decentralized import (
 )
 from .env import SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
 from .errors import ConfigInvalidError, DesyncError, RuntimeFailure
-from .market import MarketInstance, gap_term, is_json_int
+from .market import MarketInstance, gap_term, is_json_int, written
 
 log = logging.getLogger(__name__)
 
@@ -423,10 +424,6 @@ class AggregateReport:
     bounds: tuple[tuple[float, ...], ...]
     telemetry: dict = field(default_factory=dict)
 
-    @property
-    def seed_count(self) -> int:
-        return len(self.seeds)
-
 
 def monte_carlo(config: ExperimentConfig) -> AggregateReport:
     """Play every seed on every usable CPU and aggregate checkpoint
@@ -563,10 +560,16 @@ def _send_result(job: Callable[[], object], write_end: int) -> None:
 
 def bound_curves(instance: MarketInstance, algorithm: str,
                  checkpoints: tuple[int, ...]) -> tuple[tuple[float, ...], ...]:
-    """The per-player bound at each checkpoint (see theoretical_bounds);
-    a market with no finite bound raises ConfigInvalidError. A 1x1
-    market, whose infinite g drops the exploration terms, is flagged in
-    the log once per call."""
+    """The closed-form per-player regret bound at each checkpoint T.
+    Decentralized: (192 N ln T / g^2 + N ln(192 N ln T / g^2) + 3 N^2)
+    times the per-player per-round regret cap U(i, core arm), where g
+    is the smallest adjacent utility gap of the instance. Centralized:
+    max_j max(0, U(i, core arm) - U(i, j)) times (5 N^2 + 12 N ln T /
+    g^2). The oracle baseline has a zero curve. An infinite g (1x1
+    market) drops the exploration terms and is flagged in the log once
+    per call; the nested log term is capped below at zero so tiny
+    horizons stay finite. A g so small that a term is not finite is
+    refused with ConfigInvalidError (see gap_term)."""
     if algorithm not in ALGORITHMS:
         raise ConfigInvalidError(f"no bound curve for algorithm {algorithm!r}")
     if any(t < 1 for t in checkpoints):
@@ -609,22 +612,6 @@ def _decentralized_telemetry(traces: list[EpisodeTrace]) -> dict:
         # vacuously 1.0 when no post-commitment rounds exist
         "post_commit_core_fraction": (post_core / post_rounds) if post_rounds else 1.0,
     }
-
-
-def theoretical_bounds(instance: MarketInstance, horizon: int, algorithm: str) -> list[float]:
-    """Closed-form per-player regret bound at the given horizon.
-
-    Decentralized: (192 N ln T / g^2 + N ln(192 N ln T / g^2) + 3 N^2)
-    times the per-player per-round regret cap U(i, core arm), where g
-    is the smallest adjacent utility gap of the instance. Centralized:
-    max_j max(0, U(i, core arm) - U(i, j)) times (5 N^2 + 12 N ln T /
-    g^2). The oracle baseline has a zero curve. An infinite g (1x1
-    market) drops the exploration terms and is flagged in the log; the
-    nested log term is capped below at zero so tiny horizons stay
-    finite. A g so small that a term is not finite is refused with
-    ConfigInvalidError (see gap_term).
-    """
-    return list(bound_curves(instance, algorithm, (horizon,))[0])
 
 
 def _decentralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
@@ -682,42 +669,32 @@ ALGORITHMS = {
 
 
 def export(report: AggregateReport, csv_path: str | Path, json_path: str | Path) -> None:
-    """write_report to the files at csv_path and json_path; a path that
-    cannot be written raises ConfigInvalidError."""
-    try:
-        with open(csv_path, "w", encoding="utf-8") as csv_file, \
-                open(json_path, "w", encoding="utf-8") as json_file:
-            write_report(report, csv_file, json_file)
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot write {exc.filename or 'the report'}: {exc}") from exc
+    """write_report to new files at csv_path and json_path (see written)."""
+    with written(csv_path, json_path) as (csv_file, json_file):
+        write_report(report, csv_file, json_file)
 
 
 def write_report(report: AggregateReport, csv_file: TextIO, json_file: TextIO) -> None:
     """Write the long-format CSV and a JSON summary; both byte-stable.
 
     CSV rows are ordered by checkpoint then player (1-based players in
-    the file). The JSON carries the same numbers plus telemetry.
+    the file); csv.writer quotes a field that holds a comma, quote or
+    newline. The JSON carries the same numbers plus telemetry.
     """
-    csv_file.write(",".join(CSV_COLUMNS) + "\n")
+    seed_count = len(report.seeds)
+    rows = csv.writer(csv_file, lineterminator="\n")
+    rows.writerow(CSV_COLUMNS)
     for ci, cp in enumerate(report.checkpoints):
         for i in range(report.n):
-            csv_file.write(",".join((
-                report.algorithm,
-                report.instance_id,
-                str(report.seed_count),
-                str(i + 1),
-                str(cp),
-                repr(report.mean_regret[ci][i]),
-                repr(report.stderr[ci][i]),
-                repr(report.bounds[ci][i]),
-            )) + "\n")
+            rows.writerow((report.algorithm, report.instance_id, seed_count, i + 1, cp,
+                           report.mean_regret[ci][i], report.stderr[ci][i], report.bounds[ci][i]))
     summary = {
         "algorithm": report.algorithm,
         "instance_id": report.instance_id,
         "n": report.n,
         "horizon": report.horizon,
         "seeds": list(report.seeds),
-        "seed_count": report.seed_count,
+        "seed_count": seed_count,
         "checkpoints": list(report.checkpoints),
         "mean_regret": [list(r) for r in report.mean_regret],
         "stderr": [list(r) for r in report.stderr],

@@ -14,9 +14,12 @@ indices; conversion happens only at (de)serialization boundaries.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -497,13 +500,60 @@ def instance_from_json_dict(data: dict) -> MarketInstance:
     return inst
 
 
+class _Output(io.FileIO):
+    """Made as _Output(path, "w", opener=lambda *_: fd): a failed write names path."""
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise ConfigInvalidError(f"cannot write {self.name}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
+def written(*paths: str | Path | None):
+    """A UTF-8 text file per path (None for None) for the block, made
+    beside the resolved path (a symlink's target) with a new file's mode
+    and moved over it once the block and every close succeed: a failed
+    or interrupted block changes no path and leaves no file. A path that
+    exists but is not a regular file (/dev/null, a FIFO) is written
+    directly. A system error raises ConfigInvalidError naming the output."""
+    files, moves, path = [], [], None  # moves: (new file, resolved path, path)
+    try:
+        for path in filter(None, paths):
+            direct = os.path.exists(path) and not os.path.isfile(path)
+            target = path if direct else os.path.realpath(path)
+            temp = target if direct else f"{target}.{os.urandom(4).hex()}.tmp"
+            flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if direct else os.O_EXCL)
+            fd = os.open(temp, flags, 0o666)
+            moves += [] if direct else [(temp, target, path)]
+            raw = _Output(path, "w", opener=lambda *_: fd)
+            files.append(io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8"))
+        opened, path = iter(files), None  # an error of the block names no output
+        yield [next(opened) if p else None for p in paths]
+        for fh in files:
+            fh.close()
+        for temp, target, path in moves:
+            os.replace(temp, target)
+    except BaseException as exc:
+        for fh in files:
+            with contextlib.suppress(Exception):
+                fh.close()
+        for temp, _, _ in moves:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        if path is not None and isinstance(exc, OSError):
+            raise ConfigInvalidError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+
+
 def save_instance(instance: MarketInstance, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with written(path) as (fh,):
         json.dump(instance.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def save_matching(matching: Matching, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with written(path) as (fh,):
         json.dump(matching.to_json_list(), fh)
         fh.write("\n")

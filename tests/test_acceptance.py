@@ -22,7 +22,7 @@ from housebandits.decentralized import (
     entry_round_bound,
 )
 from housebandits.env import ArmStats, MarketEnv, RegretLedger
-from housebandits.harness import ExperimentConfig, monte_carlo, run_episode, theoretical_bounds
+from housebandits.harness import ExperimentConfig, bound_curves, monte_carlo, run_episode
 from housebandits.instances import lower_bound_instance, random_instance, sttcb_instance
 from housebandits.market import core_oracle_bruteforce, ttc, validate_instance, yrmh_igyt
 
@@ -166,7 +166,7 @@ def test_ac5_decentralized_regret_below_curve_and_commit_quality(
     the measured numbers are printed."""
     rep, elapsed = decentralized_report
     means = np.array(rep.mean_regret[-1])
-    curve = np.array(theoretical_bounds(hard_instance, 10**5, "decentralized-etc"))
+    curve = np.array(bound_curves(hard_instance, "decentralized-etc", (10**5,))[0])
     dominated = bool((means <= curve).all())
     frac = rep.telemetry["post_commit_core_fraction"]
     ok = dominated and frac >= 0.98

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import errno
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -345,9 +347,16 @@ def refuse(*args):
     ids=["mc-pipe", "mc-fork", "run-trace-fork"],
 )
 def test_a_refused_worker_exits_3(call, argv, instance_path, tmp_path, capsys, monkeypatch):
+    """The outputs written by an earlier run stay as they were, and no
+    other file is left beside them."""
+    out = str(tmp_path / "out")
+    earlier = {path: f"earlier {path}\n".encode() for path in (out, out + ".csv", out + ".json")}
+    for path, data in earlier.items():
+        with open(path, "wb") as fh:
+            fh.write(data)
+    listed = sorted(os.listdir(tmp_path))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, call, refuse)
-    out = str(tmp_path / "out")
     code = main([a.replace("{out}", out) for a in argv]
                 + ["--instance", instance_path, "--algo", "oracle-fixed"])
     assert code == 3
@@ -355,6 +364,111 @@ def test_a_refused_worker_exits_3(call, argv, instance_path, tmp_path, capsys, m
         f"runtime failure: cannot start a worker: [Errno {errno.EAGAIN}]")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(tmp_path)) == listed
+    for path, data in earlier.items():
+        with open(path, "rb") as fh:
+            assert fh.read() == data
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("full", ["--trace", "--snapshots"])
+def test_a_failing_write_names_its_output_and_publishes_none(full, instance_path, tmp_path,
+                                                             capsys):
+    """One output on /dev/full, whose writes fail, and the other in
+    tmp_path: the run exits 2 naming /dev/full, and the other output is
+    neither created nor, when it exists, changed."""
+    other = "--snapshots" if full == "--trace" else "--trace"
+    path = tmp_path / "other.out"
+    argv = ["run", "--instance", instance_path, "--algo", "decentralized-etc", "--horizon", "30",
+            "--seeds", "0", full, "/dev/full", other, str(path)]
+    listed = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write /dev/full: ")
+    assert sorted(os.listdir(tmp_path)) == listed
+    path.write_text("kept\n")
+    assert main(argv) == 2
+    assert path.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == listed + ["other.out"]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), OSError(errno.EMFILE, "Too many")],
+                         ids=["interrupt", "system-error"])
+def test_an_interrupted_mc_keeps_the_earlier_report(error, instance_path, tmp_path, capsys,
+                                                    monkeypatch):
+    """A system error that is not an output's own is a runtime failure,
+    and names no output."""
+    argv = ["mc", "--instance", instance_path, "--algo", "oracle-fixed", "--horizon", "200",
+            "--seeds", "0:3", "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    listed = sorted(os.listdir(tmp_path))
+    earlier = [(tmp_path / name).read_bytes() for name in ("r.csv", "r.json")]
+    capsys.readouterr()
+
+    def interrupt(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "run_episode", interrupt)
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"runtime failure: [Errno {errno.EMFILE}] Too many\n"
+    assert sorted(os.listdir(tmp_path)) == listed
+    assert [(tmp_path / name).read_bytes() for name in ("r.csv", "r.json")] == earlier
+
+
+def test_an_output_symlink_writes_through_to_its_target(tmp_path):
+    target = tmp_path / "real" / "m.json"
+    target.parent.mkdir()
+    target.write_text("earlier\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2", "--seed", "3",
+                 "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert instance_from_json_dict(json.loads(target.read_text())).n == 3
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real"]
+    assert os.listdir(target.parent) == ["m.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_an_output_gets_the_mode_of_a_new_file(umask, tmp_path):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.json", "w", encoding="utf-8"):
+            pass
+        assert main(["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2", "--seed", "3",
+                     "--out", str(tmp_path / "made.json")]) == 0
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "made.json").stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+
+
+def test_a_directory_as_an_output_exits_2(instance_path, tmp_path, capsys):
+    assert main(["mechanisms", "--instance", instance_path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_a_long_trace_into_dev_null(instance_path, monkeypatch):
+    """A trace of two windows, the second formatted by a worker, goes to
+    a device as it does to a file."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert main(["run", "--instance", instance_path, "--algo", "oracle-fixed",
+                 "--horizon", "20000", "--seeds", "0", "--trace", os.devnull]) == 0
+
+
+def test_report_csv_quotes_an_instance_id_with_a_comma(instance_path, tmp_path):
+    market = tmp_path / "my,market.json"
+    shutil.copyfile(instance_path, market)
+    assert main(["mc", "--instance", str(market), "--algo", "oracle-fixed", "--horizon", "200",
+                 "--seeds", "0:3", "--checkpoints", "100,200", "--out", str(tmp_path / "r")]) == 0
+    with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 2 * 3
+    assert all(len(row) == 8 for row in rows)
+    assert {row[1] for row in rows[1:]} == {"my,market"}
 
 
 @pytest.mark.parametrize(
@@ -462,8 +576,9 @@ class TestBounds:
         assert capsys.readouterr().out == ""
 
     def test_one_by_one_market_notes_the_infinite_gap_once_per_curve(self, tmp_path, caplog):
-        """bounds computes one curve; mc checks the curve before opening
-        its reports and computes it again for them."""
+        """bounds and mc each compute one curve: mc's monte_carlo computes
+        it, and refuses a market without one, before any episode, and
+        a refused run leaves no report behind."""
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"n": 1, "utilities": [[0.6]], "reward_model": "gaussian"}))
         common = ["--instance", str(path), "--algo", "centralized-ucb", "--horizon", "300",
@@ -475,7 +590,7 @@ class TestBounds:
             with caplog.at_level(logging.WARNING):
                 assert main(argv) == 0
             counts.append(sum("min gap is infinite" in r.getMessage() for r in caplog.records))
-        assert counts == [1, 2]
+        assert counts == [1, 1]
 
     @pytest.mark.parametrize("checkpoints", ["500,100,100", "0"])
     def test_bad_checkpoints_exit_2_before_printing(self, instance_path, capsys, checkpoints):

@@ -24,11 +24,11 @@ from housebandits.errors import (
 )
 from housebandits.harness import (
     ExperimentConfig,
+    bound_curves,
     default_checkpoints,
     export,
     monte_carlo,
     run_episode,
-    theoretical_bounds,
 )
 from housebandits.instances import sttcb_instance
 from housebandits.market import validate_instance
@@ -426,7 +426,7 @@ class TestBounds:
     def test_decentralized_bound_hand_value(self):
         """N=5, min gap 0.2, T=1e5, core utility 0.5 for player 0:
         (192*5*ln 1e5/0.04 + 5 ln(...) + 75) * 0.5 = 138 223.93."""
-        bounds = theoretical_bounds(bounded_market(), 10**5, "decentralized-etc")
+        bounds = bound_curves(bounded_market(), "decentralized-etc", (10**5,))[0]
         assert bounds[0] == pytest.approx(138223.93, rel=1e-4)
         # remaining players sit on their top arm (utility 0.9)
         assert bounds[1] == pytest.approx(138223.93 * 0.9 / 0.5, rel=1e-4)
@@ -434,30 +434,30 @@ class TestBounds:
     def test_centralized_bound_hand_value(self):
         # worst per-round gap for player 0 is 0.5 - 0.1 = 0.4 and the
         # pulls term is 5*25 + 12*5*ln(1e5)/0.04 = 17 394.4
-        bounds = theoretical_bounds(bounded_market(), 10**5, "centralized-ucb")
+        bounds = bound_curves(bounded_market(), "centralized-ucb", (10**5,))[0]
         assert bounds[0] == pytest.approx(0.4 * 17394.39, rel=1e-4)
 
     def test_oracle_bound_is_zero(self):
-        assert theoretical_bounds(swap_market(), 10**4, "oracle-fixed") == [0.0, 0.0]
+        assert bound_curves(swap_market(), "oracle-fixed", (10**4,))[0] == (0.0, 0.0)
 
     def test_bounds_grow_with_horizon(self):
         inst = bounded_market()
         for algo in ("decentralized-etc", "centralized-ucb"):
-            small = theoretical_bounds(inst, 10**4, algo)
-            big = theoretical_bounds(inst, 10**5, algo)
+            small = bound_curves(inst, algo, (10**4,))[0]
+            big = bound_curves(inst, algo, (10**5,))[0]
             assert all(b > s for s, b in zip(small, big))
 
     def test_single_player_market_keeps_constant_term(self, caplog):
         inst = validate_instance(np.array([[0.6]]), "gaussian")
         with caplog.at_level("WARNING"):
-            dec = theoretical_bounds(inst, 100, "decentralized-etc")
-        assert dec == [pytest.approx(3.0 * 0.6)]
+            dec = bound_curves(inst, "decentralized-etc", (100,))[0]
+        assert dec == (pytest.approx(3.0 * 0.6),)
         assert "infinite" in caplog.text
-        cen = theoretical_bounds(inst, 100, "centralized-ucb")
-        assert cen == [0.0]
+        cen = bound_curves(inst, "centralized-ucb", (100,))[0]
+        assert cen == (0.0,)
 
     def test_tiny_horizon_stays_finite(self):
-        vals = theoretical_bounds(bounded_market(), 1, "decentralized-etc")
+        vals = bound_curves(bounded_market(), "decentralized-etc", (1,))[0]
         assert all(math.isfinite(v) and v > 0 for v in vals)
 
 

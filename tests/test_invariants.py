@@ -3,8 +3,8 @@
 RuntimeFailure, ...) instead of asserting or raising a bare
 RuntimeError. No module keeps an import it never uses or a memo
 decorator, the harness never asks whether an episode is traced, the
-one fork in the package ends its child in os._exit, and one method
-reads the environment's noise."""
+one fork in the package ends its child in os._exit, one method reads
+the environment's noise, and one function opens files for writing."""
 
 from __future__ import annotations
 
@@ -247,3 +247,81 @@ def test_noise_check_sees_a_stray_read():
                      "    return env._chunk_pos, env._chunk\n")
     assert _noise_reads(tree) == [("MarketEnv._draw", 3), ("MarketEnv._draw", 3),
                                   ("MarketEnv.step", 6), ("peek", 8)]
+
+
+# os.open flags that let a descriptor write
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing: os.open with a write
+    flag, or with flags that name no O_ constant; open, io.open,
+    os.fdopen, io.FileIO or a path's open(mode) whose mode holds w, a,
+    x or + or is not a literal; a path's write_text or write_bytes."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if _is_call(call, "open", "os"):
+        flags = {getattr(node, "attr", getattr(node, "id", "")) for arg in call.args[1:2]
+                 for node in ast.walk(arg)}
+        named = {f for f in flags if f.startswith("O_")}
+        return bool(named & _WRITE_FLAGS) or not named
+    if name not in ("open", "fdopen", "FileIO"):
+        return False
+    # a method of something other than a module takes its mode first
+    on_path = isinstance(func, ast.Attribute) and ast.unparse(func.value) not in ("io", "os")
+    modes = [k.value for k in call.keywords if k.arg == "mode"] or \
+        (call.args[:1] if on_path else call.args[1:2])
+    if not modes:
+        return False
+    mode = modes[0]
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return True
+
+
+def _write_opens(tree: ast.Module) -> list[tuple[str, int]]:
+    """(scope, line) of every call that opens a file for writing, scope
+    being the dotted names of the enclosing classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Call) and _opens_for_writing(node):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_only_the_writer_opens_a_file_for_writing():
+    """Every output is made by market.written, whole or not at all. The
+    listed exceptions are the forked workers' pipe descriptors; the
+    trace windows' tempfile.TemporaryFile is not an open call."""
+    scopes = set()
+    for path in SOURCES:
+        scopes |= {f"{path.name}: {scope}"
+                   for scope, _ in _write_opens(ast.parse(path.read_text(encoding="utf-8")))}
+    assert scopes - {"harness.py: _forked", "harness.py: _send_result"} == {"market.py: written"}
+
+
+def test_write_check_sees_a_stray_open():
+    tree = ast.parse("import io, os, tempfile\n"
+                     "def written(path):\n"
+                     "    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)\n"
+                     "def reads(path, fd):\n"
+                     "    open(path).read(), open(path, 'rb'), path.open()\n"
+                     "    os.open(path, os.O_RDONLY), open(fd, mode='r'), io.open(path)\n"
+                     "def stray(path, mode, flags):\n"
+                     "    open(path, 'w'), io.open(path, mode='a'), path.open('r+')\n"
+                     "    open(path, mode), os.fdopen(3, 'wb'), path.write_text('x')\n"
+                     "    os.open(path, flags), io.FileIO(path, 'w')\n"
+                     "class Windows:\n"
+                     "    def part(self):\n"
+                     "        return tempfile.TemporaryFile('w+')\n")
+    assert _write_opens(tree) == ([("stray", 8)] * 3 + [("stray", 9)] * 3 + [("stray", 10)] * 2
+                                  + [("written", 3)])
