@@ -236,8 +236,8 @@ class RegretLedger:
     ledger writes the CSV header at once and then one line per
     (round, player) as each round or block is recorded, a block in
     slices of rounds, so a trace takes constant memory. record and
-    record_block write a round's lines through one formatter,
-    _trace_rows, so a block writes what its rounds recorded one by one
+    record_block write their lines through one column-wise encoder,
+    _trace_text, so a block writes what its rounds recorded one by one
     would. extra_columns lets a caller append per-round values, each
     repeated on that round's player rows. Values are written with repr,
     so floats read back exactly.
@@ -268,8 +268,13 @@ class RegretLedger:
         self._file = trace
         self._lo, self._hi = rows
         self.extra_columns = extra_columns
-        if trace is not None and self._lo == 0:
-            trace.write(",".join(TRACE_COLUMNS + extra_columns) + "\n")
+        if trace is not None:
+            if self._lo == 0:
+                trace.write(",".join(TRACE_COLUMNS + extra_columns) + "\n")
+            # the ",player,proposal,matched_arm,collided," text of a block
+            # line in which player i matched the arm it proposed, at [i, arm]
+            self._block_mids = np.array([[f",{i},{a},{a},0," for a in range(1, self.n + 1)]
+                                         for i in range(1, self.n + 1)], dtype=object)
 
     def _tail(self, extra: tuple) -> str:
         """The trace text of a round's extra values."""
@@ -295,11 +300,11 @@ class RegretLedger:
         if t in self.checkpoints:
             self.snapshots[t] = tuple(pseudo)
         if self.trace and self._lo < t <= self._hi:
-            self._file.write(_trace_rows(
-                t, [[0 if p is None else p + 1 for p in outcome.proposals]],
-                [[0 if arm is None else arm + 1 for arm in matched]],
-                [[int(c) for c in outcome.collided]], [rewards], [pseudo], [realized],
-                self._tail(extra)))
+            mids = [f",{i},{0 if p is None else p + 1},{0 if arm is None else arm + 1},{int(c)},"
+                    for i, p, arm, c in zip(itertools.count(1), outcome.proposals, matched,
+                                            outcome.collided)]
+            self._file.write(_trace_text(t, mids, np.array([rewards]), np.array([pseudo]),
+                                         np.array([realized]), self._tail(extra)))
 
     def record_block(self, arms: np.ndarray, rewards: np.ndarray, extra: tuple = ()) -> None:
         """Record k rounds at once in which player i matched arms[r, i]
@@ -329,15 +334,13 @@ class RegretLedger:
             if t < c <= self.t:
                 self.snapshots[c] = tuple(pseudo[c - t - 1].tolist())
         if self.trace:
-            uncollided = itertools.repeat([0] * self.n)
             # block row r is round t + 1 + r; keep the rows in the window
             stop = min(len(arms), self._hi - t)
             for lo in range(max(0, self._lo - t), stop, _TRACE_SLICE_ROUNDS):
                 part = slice(lo, min(lo + _TRACE_SLICE_ROUNDS, stop))
-                chosen = (arms[part] + 1).tolist()
-                self._file.write(_trace_rows(
-                    t + 1 + lo, chosen, chosen, uncollided, rewards[part].tolist(),
-                    pseudo[part].tolist(), realized[part].tolist(), tail))
+                mids = self._block_mids[self._players, arms[part]].ravel().tolist()
+                self._file.write(_trace_text(t + 1 + lo, mids, rewards[part], pseudo[part],
+                                             realized[part], tail))
 
 
 def _distinct_rows(arms: np.ndarray) -> np.ndarray:
@@ -347,13 +350,35 @@ def _distinct_rows(arms: np.ndarray) -> np.ndarray:
     return arms[:1] if arms.strides[0] == 0 else arms
 
 
-def _trace_rows(t, proposals, matched, collided, rewards, pseudo, realized, tail):
+def _trace_text(t, mids, rewards, pseudo, realized, tail):
     """The trace CSV lines of rounds t, t + 1, ..., one per (round,
-    player). Each argument but tail holds one row of per-player values
-    per round: arms 1-based with 0 for none, collided as 0 or 1; tail is
-    the text of the extra values, repeated on every line."""
-    return "".join([
-        f"{t + r},{i},{p},{m},{c},{x!r},{a!r},{b!r}{tail}\n"
-        for r, row in enumerate(zip(proposals, matched, collided, rewards, pseudo, realized))
-        for i, p, m, c, x, a, b in zip(itertools.count(1), *row)
-    ])
+    player), the round, its mid, the repr of its reward, pseudo-regret
+    and realized regret joined by commas, and tail. mids holds each
+    line's ",player,proposal,matched_arm,collided," text in line order;
+    rewards, pseudo and realized are k x n arrays, one row of per-player
+    values per round; tail is the text of the extra values, repeated on
+    every line.
+
+    The text is built a column at a time and joined once. A player's
+    pseudo-regret that equals, bit for bit, its value one round above
+    reuses that value's text, so repr runs once per change (comparing
+    the int64 views keeps -0.0 apart from 0.0)."""
+    k, n = pseudo.shape
+    fresh = np.ones((k, n), bool)
+    bits = pseudo.view(np.int64)
+    np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+    texts = list(map(repr, pseudo[fresh].tolist()))
+    # each line's index into texts: the latest fresh value at or above it
+    ranks = np.cumsum(fresh).reshape(k, n)
+    ranks *= fresh
+    source = np.maximum.accumulate(ranks, axis=0).ravel() - 1
+    # eight pieces a line: round, mid, reward, ",", pseudo, ",", realized, tail
+    lines = [None, None, None, ",", None, ",", None, tail + "\n"] * (k * n)
+    rounds = list(map(str, range(t, t + k)))
+    for i in range(n):
+        lines[8 * i::8 * n] = rounds
+    lines[1::8] = mids
+    lines[2::8] = map(repr, rewards.ravel().tolist())
+    lines[4::8] = map(texts.__getitem__, source.tolist())
+    lines[6::8] = map(repr, realized.ravel().tolist())
+    return "".join(lines)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -238,12 +239,12 @@ class TestRun:
     ], ids=["run-trace", "run-snapshots", "mc-out", "mechanisms-out"])
     def test_an_output_naming_the_instance_exits_2(self, command, instance_path, capsys):
         """The user's market is read, never truncated."""
-        before = open(instance_path, "rb").read()
+        before = Path(instance_path).read_bytes()
         stem = instance_path[:-len(".json")]
         argv = [command[0], "--instance", instance_path] + [
             a.format(instance=instance_path, stem=stem) for a in command[1:]]
         assert main(argv) == 2
-        assert open(instance_path, "rb").read() == before
+        assert Path(instance_path).read_bytes() == before
         assert f"would overwrite {instance_path}" in capsys.readouterr().err
 
     def test_both_outputs_may_go_to_a_device(self, instance_path):

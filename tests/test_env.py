@@ -3,6 +3,7 @@ accounting, reproducibility, and trace export."""
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from housebandits.env import (
     ArmStats,
     MarketEnv,
     RegretLedger,
+    _trace_text,
 )
 from housebandits.errors import EntryOutOfRangeError, RuntimeFailure
 from housebandits.market import validate_instance
@@ -383,3 +385,127 @@ def test_trace_export_requires_trace_mode(tri):
     traced = RegretLedger(tri, trace=trace)
     assert traced.trace is True
     assert trace.getvalue() == ",".join(TRACE_COLUMNS) + "\n"
+
+
+# --- the trace encoder --------------------------------------------------------
+#
+# record and record_block both write through _trace_text, so the fast path
+# and the per-round loop can no longer check each other's formatting; the
+# per-row f-string that wrote every line before it is kept here as the spec.
+
+
+def spec_lines(t, proposals, matched, collided, rewards, pseudo, realized, tail):
+    """The trace lines of rounds t, t + 1, ...: each argument but tail
+    holds one row of per-player values per round, arms 1-based with 0 for
+    none, collided as 0 or 1."""
+    return "".join([
+        f"{t + r},{i},{p},{m},{c},{x!r},{a!r},{b!r}{tail}\n"
+        for r, row in enumerate(zip(proposals, matched, collided, rewards, pseudo, realized))
+        for i, p, m, c, x, a, b in zip(itertools.count(1), *row)
+    ])
+
+
+# signed zeros, the smallest subnormal, and both sides of repr's switches
+# to exponent form at 1e16 and 1e-4
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001,
+               1.7976931348623157e308, -1e300, 0.30000000000000004)
+trace_floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+TAILS = ("", ",1", ",0.5,-0.0")
+
+
+@st.composite
+def trace_slices(draw):
+    """A k x n slice of trace columns. Each pseudo-regret cell repeats
+    the one above (None), takes a signed zero or takes any float, so runs
+    of equal values and adjacent 0.0 and -0.0 are common."""
+    k, n = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+
+    def grid(cells):
+        return draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=k, max_size=k))
+
+    pseudo = []
+    for row in grid(st.none() | st.sampled_from((0.0, -0.0)) | trace_floats):
+        above = pseudo[-1] if pseudo else [0.0] * n
+        pseudo.append([a if v is None else v for a, v in zip(above, row)])
+    arms = st.integers(0, n)
+    return (draw(st.integers(1, 10**7)), grid(arms), grid(arms), grid(st.integers(0, 1)),
+            grid(trace_floats), pseudo, grid(trace_floats), draw(st.sampled_from(TAILS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_slices())
+def test_trace_text_equals_the_per_row_spec(columns):
+    t, proposals, matched, collided, rewards, pseudo, realized, tail = columns
+    mids = [f",{i},{p},{m},{c},"
+            for row in zip(proposals, matched, collided)
+            for i, p, m, c in zip(itertools.count(1), *row)]
+    text = _trace_text(t, mids, np.array(rewards), np.array(pseudo), np.array(realized), tail)
+    assert text == spec_lines(*columns)
+
+
+@st.composite
+def traced_episodes(draw):
+    """A market whose utilities may hold -0.0, a mix of single rounds
+    (any proposals, collisions and abstentions included) and blocks
+    (rows of permutations, or one permutation broadcast with row stride
+    0) of up to three trace slices, a row window and the extra columns."""
+    n = draw(st.integers(1, 4))
+    market = validate_instance(
+        [draw(st.permutations((-0.0, 0.25, 0.5, 0.75, 1.0)))[:n] for _ in range(n)])
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            steps.append(draw(st.lists(st.none() | st.integers(0, n - 1), min_size=n, max_size=n)))
+            continue
+        k = draw(st.integers(1, 80))
+        perms = st.permutations(range(n))
+        if draw(st.booleans()):
+            steps.append(np.broadcast_to(np.array(draw(perms)), (k, n)))
+        else:
+            steps.append(np.array(draw(st.lists(perms, min_size=k, max_size=k))))
+    rounds = sum(1 if isinstance(s, list) else len(s) for s in steps)
+    lo = draw(st.integers(0, rounds))
+    hi = draw(st.integers(lo, rounds) | st.just(math.inf))
+    columns, extra = draw(st.sampled_from([((), ()), (("matching_is_core",), (1,)),
+                                           (("a", "b"), (0.5, -0.0))]))
+    return market, steps, (lo, hi), columns, extra
+
+
+@settings(max_examples=100, deadline=None)
+@given(traced_episodes(), st.sampled_from(("gaussian", "deterministic")))
+def test_ledger_trace_equals_the_per_row_spec(episode, family):
+    """record and record_block, broadcast blocks and window edges inside
+    a slice included, write the spec's lines of the rounds in the window,
+    summed by a plain loop."""
+    market, steps, (lo, hi), columns, extra = episode
+    n = market.n
+    trace = io.StringIO()
+    ledger = RegretLedger(market, trace=trace, extra_columns=columns, rows=(lo, hi))
+    env = MarketEnv(market, seed=0, family=family)
+    u = market.utilities.tolist()
+    core = [u[i][market.core.arm_of(i)] for i in range(n)]
+    pseudo, realized = [0.0] * n, [0.0] * n
+    tail = "".join(f",{v!r}" for v in extra)
+    expected = [",".join(TRACE_COLUMNS + columns) + "\n"] if lo == 0 else []
+    t = 0
+    for step in steps:
+        if isinstance(step, list):
+            out = env.step(step)
+            ledger.record(out, extra)
+            rounds = [(step, out.matched, out.collided, out.rewards)]
+        else:
+            rewards = env.step_block(step)
+            ledger.record_block(step, rewards, extra)
+            rounds = [(arms, arms, [False] * n, row)
+                      for arms, row in zip(step.tolist(), rewards.tolist())]
+        for proposals, matched, collided, rewards in rounds:
+            t += 1
+            for i in range(n):
+                pseudo[i] += core[i] - (0.0 if matched[i] is None else u[i][matched[i]])
+                realized[i] += core[i] - rewards[i]
+            if lo < t <= hi:
+                expected.append(spec_lines(
+                    t, [[0 if a is None else a + 1 for a in proposals]],
+                    [[0 if a is None else a + 1 for a in matched]], [[int(c) for c in collided]],
+                    [rewards], [pseudo], [realized], tail))
+    assert trace.getvalue() == "".join(expected)
