@@ -87,10 +87,11 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
 
 def validate_horizon(horizon, algorithm: str) -> None:
     """A horizon is an integer (not a bool or a float) of at least the
-    algorithm's min_horizon; the algorithm must be known."""
+    algorithm's min_horizon; the algorithm must be registered (see
+    algorithm_spec)."""
+    min_horizon = algorithm_spec(algorithm).min_horizon
     if not is_json_int(horizon):
         raise ConfigInvalidError(f"horizon must be an integer, got {horizon!r}")
-    min_horizon = ALGORITHMS[algorithm].min_horizon
     if horizon < min_horizon:
         raise ConfigInvalidError(f"{algorithm} needs horizon >= {min_horizon}, got {horizon}")
 
@@ -121,10 +122,6 @@ class ExperimentConfig:
     instance_id: str = "instance"
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigInvalidError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}"
-            )
         validate_horizon(self.horizon, self.algorithm)
         for name, values in (("seeds", self.seeds), ("checkpoints", self.checkpoints or ())):
             if not all(map(is_json_int, values)):
@@ -570,13 +567,11 @@ def bound_curves(instance: MarketInstance, algorithm: str,
     per call; the nested log term is capped below at zero so tiny
     horizons stay finite. A g so small that a term is not finite is
     refused with ConfigInvalidError (see gap_term)."""
-    if algorithm not in ALGORITHMS:
-        raise ConfigInvalidError(f"no bound curve for algorithm {algorithm!r}")
+    bound = algorithm_spec(algorithm).bound
     if any(t < 1 for t in checkpoints):
         raise ConfigInvalidError(f"bounds need horizon >= 1, got {min(checkpoints)}")
     if math.isinf(instance.min_gap):
         log.warning("min gap is infinite (1x1 market); bounds keep only their constant terms")
-    bound = ALGORITHMS[algorithm].bound
     return tuple(tuple(bound(instance, math.log(t))) for t in checkpoints)
 
 
@@ -666,6 +661,16 @@ ALGORITHMS = {
         _run_oracle_fixed, lambda instance, log_t: [0.0] * instance.n, lambda traces: {}
     ),
 }
+
+
+def algorithm_spec(name) -> Algorithm:
+    """The registered Algorithm called name; any other value, a string
+    or not, raises ConfigInvalidError."""
+    if not isinstance(name, str) or name not in ALGORITHMS:
+        raise ConfigInvalidError(
+            f"unknown algorithm {name!r}; expected one of {tuple(ALGORITHMS)}"
+        )
+    return ALGORITHMS[name]
 
 
 def export(report: AggregateReport, csv_path: str | Path, json_path: str | Path) -> None:

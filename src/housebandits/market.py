@@ -328,27 +328,23 @@ def find_blocking_coalition(utilities: np.ndarray, matching: Matching) -> Coalit
 
     Any blocking coalition contains a blocking trade cycle, so the
     witness returned is always one cycle: each member takes the
-    endowment of the next, listed from the smallest member. The search
-    is the digraph search of _blocking_search, polynomial in n.
+    endowment of the next, listed from the smallest member. It is the
+    cycle that _blocking_search closes, polynomial in n: along the
+    matching from each frame's entry (head in the first) to its tail,
+    then across the strict edge into the next frame.
     """
     rankings, pos = _preference_tables(np.asarray(utilities, dtype=float))
     found = _blocking_search(rankings, pos, matching.assignment)
     if found is None:
         return None
-    held, closing = found
-    if isinstance(held, dict):
-        # mixed cycle: parent links lead from the strict edge's tail
-        # back to its head
-        cycle = [closing]
-        node = held[closing]
-        while node is not None:
-            cycle.append(node)
-            node = held[node]
-        cycle.reverse()
-    else:
-        # strict cycle: the depth-first stack from the node that closed it
-        nodes = [node for node, _ in held]
-        cycle = nodes[nodes.index(closing):]
+    frames, head = found
+    cycle = []
+    for k, (entry, tail, _) in enumerate(frames):
+        member = head if k == 0 else entry
+        cycle.append(member)
+        while member != tail:
+            member = matching.assignment[member]
+            cycle.append(member)
     first = cycle.index(min(cycle))
     cycle = cycle[first:] + cycle[:first]
     k = len(cycle)
@@ -396,71 +392,72 @@ def _preference_tables(u: np.ndarray) -> tuple[list[Ranking], list[list[int]]]:
 
 def _blocking_search(
     rankings: Sequence[Ranking], pos: Sequence[Sequence[int]], matching: Sequence[int]
-) -> tuple | None:
-    """Digraph search for an objection to the matching, tuned for the
-    n! enumeration loop of the oracle.
+) -> tuple[list[list[int]], int] | None:
+    """Depth-first search for an objection to the matching, tuned for
+    the n! enumeration loop of the oracle.
 
     View the market as a digraph on players with a strict edge i -> j
     whenever player i strictly prefers arm a_j to its matched arm (the
     targets are exactly the ranking prefix of i before its match) plus
     a stay edge i -> matching[i] (taking its current arm back from the
     owner of that arm). The matching is weakly dominated iff some cycle
-    uses at least one strict edge; pure stay cycles are the matching
-    itself and object to nothing.
+    uses at least one strict edge. The stay edges form exactly the
+    matching's own trade cycles, so with each trade cycle taken as one
+    node, whose out-edges are its members' strict edges, the matching
+    is blocked iff that graph has a cycle. A loop counts: a strict edge
+    back into its own trade cycle is an individual-rationality
+    violation, or a strict improvement that carries the rest of the
+    trade cycle along.
 
-    Returns None when unblocked. Otherwise returns, without further
-    work, what the search holds when it closes a cycle: (stack, node)
-    for a cycle of strict edges, where stack lists (node, edge pointer)
-    along the depth-first path and node is the stacked node the last
-    edge returns to; or (parent, u) for a mixed cycle, where the strict
-    edge u -> v closes and parent maps each node reached from v to its
-    predecessor (v maps to None).
+    A frame [entry, tail, pointer] searches one trade cycle: entered at
+    player entry, it walks the members along the matching from entry,
+    scanning the strict edges of tail from pointer. Each trade cycle,
+    labelled by its smallest member, has a depth: 0 while new, k while
+    it is on the stack as frame k - 1, -1 once spent.
+
+    Returns None when unblocked. Otherwise returns (frames, head) the
+    moment a strict edge tail -> head closes a cycle: frames runs from
+    the frame of head's trade cycle to the top of the stack, the tail
+    of each frame has a strict edge to the entry of the next, and the
+    top frame's tail is the closing edge's tail.
     """
     n = len(matching)
-    cut = [pos[i][matching[i]] for i in range(n)]
-    # stage 1: cycle made of strict edges only, early-exit depth-first
-    # search; this settles almost every bijection
-    state = [0] * n  # 0 new, 1 on stack, 2 exhausted
+    cycle_of = [-1] * n
+    for i in range(n):
+        j = i
+        while cycle_of[j] < 0:
+            cycle_of[j] = i
+            j = matching[j]
+    depth = [0] * n
     for root in range(n):
-        if state[root] != 0:
+        if depth[cycle_of[root]]:
             continue
-        stack = [(root, 0)]
-        state[root] = 1
+        depth[cycle_of[root]] = 1
+        stack = [[root, root, 0]]
         while stack:
-            node, ptr = stack[-1]
-            edges = rankings[node]
-            limit = cut[node]
-            advanced = False
+            frame = stack[-1]
+            entry, tail, ptr = frame
+            edges = rankings[tail]
+            limit = pos[tail][matching[tail]]
             while ptr < limit:
-                nxt = edges[ptr]
+                head = edges[ptr]
                 ptr += 1
-                s = state[nxt]
-                if s == 1:
-                    return stack, nxt
-                if s == 0:
-                    stack[-1] = (node, ptr)
-                    stack.append((nxt, 0))
-                    state[nxt] = 1
-                    advanced = True
+                d = depth[cycle_of[head]]
+                if d > 0:
+                    return stack[d - 1:], head
+                if d == 0:
+                    frame[2] = ptr
+                    stack.append([head, head, 0])
+                    depth[cycle_of[head]] = len(stack)
                     break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    # stage 2: mixed cycle, some strict edge (u, v) closed back through
-    # strict or stay edges; check v -> u reachability per strict edge
-    adjacency = [list(rankings[i][: cut[i]]) + [matching[i]] for i in range(n)]
-    for u in range(n):
-        for v in rankings[u][: cut[u]]:
-            parent = {v: None}
-            frontier = [v]
-            while frontier:
-                node = frontier.pop()
-                if node == u:
-                    return parent, u
-                for nxt in adjacency[node]:
-                    if nxt not in parent:
-                        parent[nxt] = node
-                        frontier.append(nxt)
+            else:
+                tail = matching[tail]
+                if tail == entry:
+                    depth[cycle_of[entry]] = -1
+                    stack.pop()
+                else:
+                    frame[1] = tail
+                    frame[2] = 0
     return None
 
 

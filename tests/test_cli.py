@@ -116,6 +116,16 @@ class TestMechanisms:
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["mechanisms", "--instance", str(tmp_path / "nope.json")]) == 2
 
+    def test_skips_the_oracle_past_its_limit(self, tmp_path, capsys):
+        path = str(tmp_path / "nine.json")
+        assert main(["gen", "--family", "random", "--n", "9", "--delta-floor", "0.01",
+                     "--seed", "0", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["mechanisms", "--instance", path]) == 0
+        out = capsys.readouterr().out
+        assert "agrees=yes" in out
+        assert "exhaustive verification: skipped (n > 8)" in out
+
 
 class TestRun:
     def test_prints_per_player_regret(self, instance_path, capsys):
@@ -712,6 +722,8 @@ def mc_on_file(algo):
                 "--delta-floor", "0.1", "--out", "{out}"]),
         (None, ["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2",
                 "--distinguished", "1", "--out", "{out}"]),
+        ({"algorithm": "oracle-fixed", "seeds": [0, 1]}, MC_WITH_CONFIG),
+        ({"algorithm": "oracle-fixed", "horizon": 100}, MC_WITH_CONFIG),
     ],
     ids=["ragged-utilities", "n-a-float", "n-a-bool", "utilities-strings", "utilities-bools",
          "instance-not-utf8", "instance-nested-too-deep", "config-not-utf8",
@@ -729,7 +741,8 @@ def mc_on_file(algo):
          "instance-n-too-many-digits", "config-horizon-too-many-digits-mc",
          "config-horizon-too-many-digits-run", "gen-lower-bound-reward-model-gaussian",
          "gen-lower-bound-reward-model-bernoulli", "gen-lower-bound-seed",
-         "gen-random-delta", "gen-sttcb-delta-floor", "gen-sttcb-distinguished"],
+         "gen-random-delta", "gen-sttcb-delta-floor", "gen-sttcb-distinguished",
+         "config-without-horizon", "config-without-seeds"],
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
     assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import statistics
+import threading
 import time
 import tracemalloc
 
@@ -29,6 +30,7 @@ from housebandits.harness import (
     export,
     monte_carlo,
     run_episode,
+    validate_horizon,
 )
 from housebandits.instances import sttcb_instance
 from housebandits.market import validate_instance
@@ -59,8 +61,15 @@ def bounded_market():
 
 class TestConfig:
     def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ConfigInvalidError):
-            ExperimentConfig(swap_market(), "thompson", 100, (0,))
+        """One lookup for every caller: a name that is not registered,
+        unhashable or not a string is refused, never a bare KeyError or
+        TypeError."""
+        for algorithm in ("thompson", ["oracle-fixed"], None):
+            for call in (lambda: ExperimentConfig(swap_market(), algorithm, 100, (0,)),
+                         lambda: validate_horizon(100, algorithm),
+                         lambda: bound_curves(swap_market(), algorithm, (100,))):
+                with pytest.raises(ConfigInvalidError, match="^unknown algorithm"):
+                    call()
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ConfigInvalidError):
@@ -367,6 +376,24 @@ class TestSeedWorkers:
             monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1, 2)))
         assert time.monotonic() - start < 30
         no_child_left()
+
+    def test_another_running_thread_keeps_every_seed_in_this_process(self, monkeypatch):
+        """A fork copies only the forking thread, so while another
+        thread runs no worker is forked and monte_carlo plays alone."""
+        def no_fork():
+            raise AssertionError("forked while another thread was running")
+
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert harness._usable_cpus() == 1
+            monkeypatch.setattr(os, "fork", no_fork)
+            report = monte_carlo(ExperimentConfig(swap_market(), "oracle-fixed", 100, (0, 1)))
+        finally:
+            release.set()
+            waiter.join()
+        assert report.seeds == (0, 1)
 
     def test_a_worker_never_flushes_inherited_buffers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)

@@ -5,6 +5,7 @@ mechanism definitions and cross-checked against the brute-force oracle
 inside the tests themselves.
 """
 
+import itertools
 import json
 import math
 
@@ -343,6 +344,34 @@ def test_blocking_search_is_exact_and_witnessed(case):
     assert (c is None) == (m == validate_instance(u).core)
     if c is not None:
         assert_valid_objection(u, m, c)
+
+
+def blocked_by_definition(u, m):
+    """Some set of players can hand out its own endowments among
+    itself so that nobody is worse off and somebody is strictly better
+    off."""
+    rows = u.tolist()
+    n = len(rows)
+    held = [rows[p][m.arm_of(p)] for p in range(n)]
+    for size in range(1, n + 1):
+        for members in itertools.combinations(range(n), size):
+            for arms in itertools.permutations(members):
+                gains = [rows[p][a] - held[p] for p, a in zip(members, arms)]
+                if min(gains) >= 0 and max(gains) > 0:
+                    return True
+    return False
+
+
+def test_blocking_search_matches_the_definition():
+    """Exact on every matching of small markets, judged by the blocking
+    definition alone: no ttc, no digraph."""
+    markets = [random_utilities(500 + seed, n) for n in (1, 2, 3, 4) for seed in range(10)]
+    markets += [random_utilities(500 + seed, 5) for seed in range(3)]
+    for u in markets:
+        for perm in itertools.permutations(range(len(u))):
+            m = Matching(perm)
+            assert (find_blocking_coalition(u, m) is not None) == blocked_by_definition(u, m), (
+                u.tolist(), perm)
 
 
 def test_oracle_two_player_swap():
