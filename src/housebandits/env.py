@@ -262,7 +262,10 @@ class RegretLedger:
         self.t = 0
         self.pseudo = [0.0] * self.n
         self.realized = [0.0] * self.n
-        self.checkpoints = frozenset(checkpoints)
+        # the checkpoints a round can reach, in order, then a sentinel no
+        # round reaches, and the index of the next one to fill
+        self._due = sorted(c for c in set(checkpoints) if c >= 1) + [math.inf]
+        self._next = 0
         self.snapshots: dict[int, tuple[float, ...]] = {}
         self.trace = trace is not None
         self._file = trace
@@ -297,8 +300,9 @@ class RegretLedger:
             got = u[i][arm] if arm is not None else 0.0
             pseudo[i] += core_means[i] - got
             realized[i] += core_means[i] - rewards[i]
-        if t in self.checkpoints:
+        if t == self._due[self._next]:
             self.snapshots[t] = tuple(pseudo)
+            self._next += 1
         if self.trace and self._lo < t <= self._hi:
             mids = [f",{i},{0 if p is None else p + 1},{0 if arm is None else arm + 1},{int(c)},"
                     for i, p, arm, c in zip(itertools.count(1), outcome.proposals, matched,
@@ -330,9 +334,10 @@ class RegretLedger:
         self.pseudo[:], self.realized[:] = last[:n], last[n:]
         t = self.t
         self.t = t + len(arms)
-        for c in self.checkpoints:
-            if t < c <= self.t:
-                self.snapshots[c] = tuple(pseudo[c - t - 1].tolist())
+        while self._due[self._next] <= self.t:
+            c = self._due[self._next]
+            self.snapshots[c] = tuple(pseudo[c - t - 1].tolist())
+            self._next += 1
         if self.trace:
             # block row r is round t + 1 + r; keep the rows in the window
             stop = min(len(arms), self._hi - t)

@@ -26,6 +26,10 @@ GENERATOR_FAMILIES = {
     "lower-bound": ("delta", "distinguished"),
 }
 
+# a generated market holds an n x n utility matrix (8 MB at this bound);
+# a larger n is refused before anything is allocated
+MAX_PLAYERS = 1000
+
 # Tie-break perturbation scale for the lower-bound construction.
 TIE_BREAK_EPS = 1e-6
 
@@ -36,11 +40,13 @@ def generate(family: str, n: int, **params) -> MarketInstance:
     not given: seed defaults to fresh entropy and reward_model to
     gaussian, and lower-bound is always Bernoulli. A parameter the
     family does not read is refused, so that no explicit choice is
-    silently dropped."""
+    silently dropped. n is at most MAX_PLAYERS."""
     if family not in GENERATOR_FAMILIES:
         raise ConfigInvalidError(
             f"unknown generator family {family!r}; expected one of {tuple(GENERATOR_FAMILIES)}"
         )
+    if n > MAX_PLAYERS:
+        raise ConfigInvalidError(f"a generated market has at most {MAX_PLAYERS} players, got {n}")
     given = {k: v for k, v in params.items() if v is not None}
     ignored = sorted(set(given) - set(GENERATOR_FAMILIES[family]))
     if ignored:

@@ -34,7 +34,6 @@ from .errors import (
     NonSquareMatrixError,
     NonUniqueCoreError,
     OracleTooLargeError,
-    RuntimeFailure,
     TiedPreferenceError,
 )
 
@@ -198,51 +197,48 @@ def validate_instance(utilities: Iterable, reward_model: str = "gaussian") -> Ma
 
 
 def ttc(rankings: Sequence[Ranking]) -> Matching:
-    """Top trading cycles under strict rankings.
+    """Top trading cycles under strict rankings, as one path walk.
 
-    Every remaining player points at the owner of its best remaining
-    arm (the owner of arm j is player j); all cycles of the pointer
-    graph are removed simultaneously, each member taking the arm it
-    points at. Terminates within n removal iterations.
+    Every player still in points at the owner of its best arm still in
+    (arm j is player j's); the players on a pointer cycle leave, each
+    with the arm it points at. A cycle's members point only at each
+    other, so cycles may leave one at a time, as the walk meets them.
+    From each start player still in, the walk pushes it and repeats
+    until the path is empty: advance the top player's best past the
+    arms gone (arm j goes when player j leaves); if that arm's owner is
+    on the path, the players from its place on leave and are cut from
+    the path, else push the owner. A player leaves the path only by
+    leaving the market, so one still in with a place is on the path. A
+    player still in keeps its own arm, so no advance runs off a ranking
+    and no guard is needed.
     """
     n = len(rankings)
     for r in rankings:
         _check_permutation(r, n)
-    remaining = set(range(n))
-    cursor = [0] * n
-    assigned: dict[int, int] = {}
-    iterations = 0
-    while remaining:
-        iterations += 1
-        if iterations > n:
-            raise RuntimeFailure("ttc failed to terminate in n iterations")
-        point: dict[int, int] = {}
-        for i in remaining:
-            c = cursor[i]
+    leaves_with = [-1] * n  # the arm player i leaves with, -1 while it is in
+    best = [0] * n  # the place in i's ranking of its best arm still in
+    place = [-1] * n  # i's place on the path, -1 before it is pushed
+    for start in range(n):
+        if leaves_with[start] >= 0:
+            continue
+        place[start] = 0
+        path = [start]
+        while path:
+            i = path[-1]
             rank = rankings[i]
-            while rank[c] not in remaining:
+            c = best[i]
+            while leaves_with[rank[c]] >= 0:
                 c += 1
-            cursor[i] = c
-            point[i] = rank[c]
-        # every node has out-degree one, so each walk ends in a cycle;
-        # color-marking finds all of them in one pass
-        state = dict.fromkeys(remaining, 0)  # 0 new, 1 on path, 2 done
-        for start in point:
-            if state[start] != 0:
-                continue
-            path = []
-            j = start
-            while state[j] == 0:
-                state[j] = 1
+            best[i] = c
+            j = rank[c]
+            if place[j] >= 0:
+                for m in path[place[j]:]:
+                    leaves_with[m] = rankings[m][best[m]]
+                del path[place[j]:]
+            else:
+                place[j] = len(path)
                 path.append(j)
-                j = point[j]
-            if state[j] == 1:
-                for m in path[path.index(j):]:
-                    assigned[m] = point[m]
-            for m in path:
-                state[m] = 2
-        remaining -= assigned.keys()
-    return Matching(tuple(assigned[i] for i in range(n)))
+    return Matching(tuple(leaves_with))
 
 
 @dataclass(frozen=True)

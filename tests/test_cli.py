@@ -23,6 +23,7 @@ from housebandits import harness
 from housebandits.cli import main, parse_checkpoints, parse_seeds
 from housebandits.errors import ConfigInvalidError, RuntimeFailure
 from housebandits.harness import ALGORITHMS
+from housebandits.instances import MAX_PLAYERS
 from housebandits.market import instance_from_json_dict, is_json_int
 
 
@@ -724,6 +725,10 @@ def mc_on_file(algo):
                 "--distinguished", "1", "--out", "{out}"]),
         ({"algorithm": "oracle-fixed", "seeds": [0, 1]}, MC_WITH_CONFIG),
         ({"algorithm": "oracle-fixed", "horizon": 100}, MC_WITH_CONFIG),
+        (None, ["gen", "--family", "random", "--n", str(10**20), "--delta-floor", "1e-21",
+                "--seed", "1", "--out", "{out}"]),
+        (None, ["gen", "--family", "lower-bound", "--n", str(MAX_PLAYERS + 1), "--delta", "0.2",
+                "--distinguished", "1", "--out", "{out}"]),
     ],
     ids=["ragged-utilities", "n-a-float", "n-a-bool", "utilities-strings", "utilities-bools",
          "instance-not-utf8", "instance-nested-too-deep", "config-not-utf8",
@@ -742,7 +747,8 @@ def mc_on_file(algo):
          "config-horizon-too-many-digits-run", "gen-lower-bound-reward-model-gaussian",
          "gen-lower-bound-reward-model-bernoulli", "gen-lower-bound-seed",
          "gen-random-delta", "gen-sttcb-delta-floor", "gen-sttcb-distinguished",
-         "config-without-horizon", "config-without-seeds"],
+         "config-without-horizon", "config-without-seeds", "gen-n-ten-to-the-20",
+         "gen-n-above-the-player-bound"],
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
     assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2

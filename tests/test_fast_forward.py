@@ -51,11 +51,12 @@ def play(cfg, seed, fast):
     return episode, trace.getvalue()
 
 
-def both_paths(instance, algorithm, horizon, seed, family):
-    """(loop, fast) traced episodes with their trace CSVs, and
-    checkpoints across the horizon, most of them inside a fast-forwarded
-    span."""
-    cps = tuple(sorted({c for c in (1, 100, 1000, 4096, horizon - 1, horizon) if c <= horizon}))
+def both_paths(instance, algorithm, horizon, seed, family, checkpoints=None):
+    """(loop, fast) traced episodes with their trace CSVs, and the given
+    checkpoints, by default checkpoints across the horizon, most of them
+    inside a fast-forwarded span."""
+    cps = checkpoints or tuple(
+        sorted({c for c in (1, 100, 1000, 4096, horizon - 1, horizon) if c <= horizon}))
     cfg = ExperimentConfig(instance, algorithm, horizon, (seed,), reward_family=family,
                            checkpoints=cps)
     return play(cfg, seed, False), play(cfg, seed, True)
@@ -591,5 +592,8 @@ def small_markets(draw):
 @given(small_markets(), st.sampled_from(FAMILIES), st.integers(0, 3), st.integers(2, 3000))
 def test_centralized_paths_agree_on_small_markets(instance, family, seed, horizon):
     """Deterministic and Bernoulli rewards keep means on few values, so
-    indices tie exactly, and the stable-sort tie break must hold."""
-    assert_same_episode(*both_paths(instance, "centralized-ucb", horizon, seed, family))
+    indices tie exactly, and the stable-sort tie break must hold. With a
+    checkpoint at every round too, so that every block fills the
+    checkpoints of all its rounds, its last one included."""
+    for cps in (None, tuple(range(1, horizon + 1))):
+        assert_same_episode(*both_paths(instance, "centralized-ucb", horizon, seed, family, cps))

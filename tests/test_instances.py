@@ -172,6 +172,19 @@ def test_is_sttcb_rejects_identity_top_market():
     assert not is_sttcb(inst)
 
 
+def test_is_sttcb_rejects_a_top_arm_that_is_not_the_core_arm():
+    # players 0 and 1 both rank arm 0 first; player 0 keeps it
+    inst = validate_instance(
+        [
+            [0.9, 0.5, 0.1],
+            [0.9, 0.5, 0.1],
+            [0.1, 0.5, 0.9],
+        ]
+    )
+    assert inst.rankings[1][0] != inst.core.arm_of(1)
+    assert not is_sttcb(inst)
+
+
 def test_is_sttcb_rejects_two_cycles():
     # two 2-cycles at n=4: core is not a single cycle
     inst = validate_instance(

@@ -183,6 +183,16 @@ def test_ttc_output_is_in_core(seed, n):
     assert find_blocking_coalition(u, m) is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40))
+def test_ttc_agrees_with_request_by_turn_past_the_oracle_limit(seed, n):
+    """Up to 40 players, where the n! oracle cannot go: the request-by-turn
+    mechanism gives the same matching and no coalition blocks it."""
+    inst = validate_instance(random_utilities(seed, n))
+    assert inst.core == yrmh_igyt(inst.rankings).matching
+    assert find_blocking_coalition(inst.utilities, inst.core) is None
+
+
 # --- request-by-turn mechanism --------------------------------------------
 
 
