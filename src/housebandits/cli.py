@@ -23,6 +23,7 @@ from .errors import ConfigInvalidError, InputError, RuntimeFailure
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
+    algorithm_spec,
     bound_curves,
     default_checkpoints,
     monte_carlo,
@@ -203,7 +204,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_experiment(args, need_many_seeds=False, outputs=(args.trace, args.snapshots))
-    if args.snapshots and not ALGORITHMS[config.algorithm].snapshots:
+    if args.snapshots and not algorithm_spec(config.algorithm).snapshots:
         raise ConfigInvalidError(f"{config.algorithm} produces no player snapshots")
     # made before round 1, so a bad path fails before anything is played
     with written(args.trace, args.snapshots) as (trace, snapshots):
@@ -283,7 +284,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     validate_checkpoints(checkpoints, args.horizon)
     # everything is computed before the header, so a refusal prints nothing
     curves = bound_curves(instance, args.algo, checkpoints)
-    entry_bound = ALGORITHMS[args.algo].entry_bound
+    entry_bound = algorithm_spec(args.algo).entry_bound
     entry = None if entry_bound is None else entry_bound(instance, args.horizon)
     print("checkpoint_t,player,bound")
     for t, values in zip(checkpoints, curves):

@@ -213,7 +213,7 @@ def _play_window(config: ExperimentConfig, seed: int, trace: TextIO | None = Non
     instance = config.instance
     horizon = config.horizon
     cps = config.effective_checkpoints()
-    spec = ALGORITHMS[config.algorithm]
+    spec = algorithm_spec(config.algorithm)
     env = MarketEnv(instance, seed, family=config.reward_family)
     ledger = RegretLedger(instance, trace=trace, extra_columns=spec.extra_columns,
                           checkpoints=cps, rows=rows)
@@ -458,7 +458,7 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
         mean_regret=tuple(mean_rows),
         stderr=tuple(stderr_rows),
         bounds=bounds,
-        telemetry=ALGORITHMS[config.algorithm].telemetry(traces),
+        telemetry=algorithm_spec(config.algorithm).telemetry(traces),
     )
 
 
@@ -615,7 +615,7 @@ def _decentralized_bound(instance: MarketInstance, log_t: float) -> list[float]:
     core = instance.core.assignment
     explore = gap_term(192.0 * n * log_t, instance.min_gap)
     nested = n * math.log(explore) if explore > 1.0 else 0.0
-    rounds_term = explore + max(nested, 0.0) + 3.0 * n * n
+    rounds_term = explore + nested + 3.0 * n * n
     return [rounds_term * float(u[i, core[i]]) for i in range(n)]
 
 

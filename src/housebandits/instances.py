@@ -170,12 +170,12 @@ def lower_bound_instance(n: int, delta: float, i_star: int) -> MarketInstance:
 
 def is_sttcb(instance: MarketInstance) -> bool:
     """True iff the core matching is one n-cycle and every player's
-    top-ranked arm is its core arm."""
+    top-ranked arm is its core arm. The first implies the second: top
+    trading cycles removes each cycle of its matching in one round, so a
+    core that is one n-cycle left in round 1, where every player points
+    at its top arm."""
     n = instance.n
     core = instance.core
-    for i in range(n):
-        if instance.rankings[i][0] != core.arm_of(i):
-            return False
     # follow the permutation i -> owner of the arm matched to i
     seen = 1
     j = core.arm_of(0)

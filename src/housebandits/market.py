@@ -263,47 +263,43 @@ class SerialDictatorshipResult:
 def yrmh_igyt(rankings: Sequence[Ranking]) -> SerialDictatorshipResult:
     """You-request-my-house-I-get-your-turn, one proposal per round.
 
-    Each epoch the owner of the lowest-indexed remaining arm proposes
-    to its best remaining arm; whoever owns a proposed arm proposes
-    next. The epoch ends the moment a proposal reaches a player who has
-    already proposed; the chain from that player onward is a trading
-    cycle, its members exit with the arms they proposed to. Produces
-    the same matching as ttc, in at most n epochs and n*n rounds total.
+    Each epoch a chain of proposers grows from its leader: the last one
+    proposes to its best arm still in, whose owner (arm j is player j's)
+    proposes next. When a proposal reaches a player already on the
+    chain, the players from its place on are a trading cycle and leave
+    with the arms they proposed to. Each player in index order leads
+    epochs while it is still in; every smaller player has left by then,
+    so the leader is the smallest player still in. Arms only go, so a
+    best arm's place only moves down a ranking; a player still in keeps
+    its own arm, so no scan runs off a ranking and no guard is needed.
+    Produces the same matching as ttc, in at most n epochs and n*n
+    rounds total.
     """
     n = len(rankings)
     for r in rankings:
         _check_permutation(r, n)
-    remaining = set(range(n))
-    assigned: dict[int, int] = {}
-    epochs = 0
-    rounds = 0
+    leaves_with = [-1] * n  # the arm player i leaves with, -1 while it is in
+    best = [0] * n  # the place in i's ranking of its best arm still in
     log: list[EpochRecord] = []
-    while remaining:
-        epochs += 1
-        leader = min(remaining)
-        proposed_to: dict[int, int] = {}
-        chain: list[int] = []
-        current = leader
-        while True:
-            rank = rankings[current]
-            c = 0
-            while rank[c] not in remaining:
-                c += 1
-            proposed_to[current] = rank[c]
-            chain.append(current)
-            rounds += 1
-            owner = rank[c]  # arm j is owned by player j
-            if owner in proposed_to:
-                break
-            current = owner
-        # the repeated proposer is the entry point of the trading cycle
-        cycle = tuple(chain[chain.index(owner):])
-        for m in cycle:
-            assigned[m] = proposed_to[m]
-        remaining -= set(cycle)
-        log.append(EpochRecord(leader=leader, cycle=cycle, closer=chain[-1], rounds=len(chain)))
-    matching = Matching(tuple(assigned[i] for i in range(n)))
-    return SerialDictatorshipResult(matching, epochs, rounds, tuple(log))
+    for leader in range(n):
+        while leaves_with[leader] < 0:
+            place: dict[int, int] = {}  # each proposer's index in the chain
+            i = leader
+            while i not in place:
+                place[i] = len(place)
+                rank = rankings[i]
+                c = best[i]
+                while leaves_with[rank[c]] >= 0:
+                    c += 1
+                best[i] = c
+                i = rank[c]
+            chain = list(place)  # the proposers in proposal order, as a dict keeps them
+            cycle = tuple(chain[place[i]:])
+            for m in cycle:
+                leaves_with[m] = rankings[m][best[m]]
+            log.append(EpochRecord(leader=leader, cycle=cycle, closer=chain[-1], rounds=len(chain)))
+    rounds = sum(record.rounds for record in log)
+    return SerialDictatorshipResult(Matching(tuple(leaves_with)), len(log), rounds, tuple(log))
 
 
 # --- core membership ------------------------------------------------------

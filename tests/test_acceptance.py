@@ -169,6 +169,8 @@ def test_ac5_decentralized_regret_below_curve_and_commit_quality(
     curve = np.array(bound_curves(hard_instance, "decentralized-etc", (10**5,))[0])
     dominated = bool((means <= curve).all())
     frac = rep.telemetry["post_commit_core_fraction"]
+    entering = rep.telemetry["episodes_entering_phase2"]
+    linear = ", linear: no episode certifies" if entering == 0 else ""
     ok = dominated and frac >= 0.98
     report(
         "AC-5",
@@ -176,7 +178,33 @@ def test_ac5_decentralized_regret_below_curve_and_commit_quality(
         f"mean regret at T {np.round(means, 1).tolist()} <= curve "
         f"(~{curve.max():.2g}), post-commit core rate {frac} "
         f"({rep.telemetry['player_commitments']} commitments across "
-        f"{rep.telemetry['episodes_entering_phase2']} entering episodes), {elapsed:.0f}s",
+        f"{entering} entering episodes), summed mean regret / T "
+        f"{means.sum() / rep.horizon:.3f}{linear}, {elapsed:.0f}s",
+    )
+
+
+@pytest.mark.parametrize("n, delta, seed", [(5, 0.2, 7), (3, 0.2, 7)])
+def test_ac5_noisy_markets_enter_phase2_and_commit_to_the_core(n, delta, seed):
+    """AC-5 runs where no episode certifies, so its commitment half is
+    vacuous. On noisy markets whose gaps certify within T = 1e5 (the
+    README market first), every seed must enter phase 2 and every
+    commitment must be to the core arm; a too-narrow confidence radius
+    commits some players elsewhere."""
+    inst = sttcb_instance(n, delta, np.random.default_rng(seed), "gaussian")
+    start = time.monotonic()
+    rep = monte_carlo(ExperimentConfig(inst, "decentralized-etc", 10**5, tuple(range(40))))
+    elapsed = time.monotonic() - start
+    tel = rep.telemetry
+    ok = (
+        tel["episodes_entering_phase2"] == len(rep.seeds)
+        and tel["player_commitments_to_core"] == tel["player_commitments"]
+    )
+    report(
+        f"AC-5 sttcb_instance({n}, {delta}, rng {seed})",
+        ok,
+        f"{tel['episodes_entering_phase2']}/{len(rep.seeds)} seeds entered phase 2, "
+        f"{tel['player_commitments_to_core']}/{tel['player_commitments']} commitments core, "
+        f"{elapsed:.1f}s",
     )
 
 

@@ -5,6 +5,7 @@ mechanism definitions and cross-checked against the brute-force oracle
 inside the tests themselves.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -189,20 +190,43 @@ def test_ttc_agrees_with_request_by_turn_past_the_oracle_limit(seed, n):
     """Up to 40 players, where the n! oracle cannot go: the request-by-turn
     mechanism gives the same matching and no coalition blocks it."""
     inst = validate_instance(random_utilities(seed, n))
-    assert inst.core == yrmh_igyt(inst.rankings).matching
+    res = yrmh_igyt(inst.rankings)
+    assert inst.core == res.matching
     assert find_blocking_coalition(inst.utilities, inst.core) is None
+    left = set()
+    for rec in res.epoch_log:
+        assert rec.leader == min(set(range(n)) - left)
+        left |= set(rec.cycle)
+    assert res.epochs == len(res.epoch_log)
+    assert res.rounds == sum(rec.rounds for rec in res.epoch_log)
 
 
 # --- request-by-turn mechanism --------------------------------------------
 
 
+def epoch_log(res):
+    return [(rec.leader, rec.cycle, rec.closer, rec.rounds) for rec in res.epoch_log]
+
+
 def test_serial_dictatorship_identity_market():
     # own-arm-first rankings: one self-proposal per epoch
-    rankings = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
-    res = yrmh_igyt(rankings)
-    assert res.matching.assignment == (0, 1, 2)
-    assert res.epochs == 3
-    assert res.rounds == 3
+    for n in (1, 2, 3, 7):
+        rankings = tuple((i,) + tuple(j for j in range(n) if j != i) for i in range(n))
+        res = yrmh_igyt(rankings)
+        assert res.matching.assignment == tuple(range(n))
+        assert epoch_log(res) == [(i, (i,), i, 1) for i in range(n)]
+        assert (res.epochs, res.rounds) == (n, n)
+
+
+def test_serial_dictatorship_next_players_arm_on_top_is_one_epoch():
+    # each player's top arm is the next player's: one chain through all
+    # n players, closed by the last one's proposal back to player 0
+    for n in (1, 2, 3, 7):
+        rankings = tuple(tuple((i + 1 + k) % n for k in range(n)) for i in range(n))
+        res = yrmh_igyt(rankings)
+        assert res.matching.assignment == tuple((i + 1) % n for i in range(n))
+        assert epoch_log(res) == [(0, tuple(range(n)), n - 1, n)]
+        assert (res.epochs, res.rounds) == (1, n)
 
 
 def test_serial_dictatorship_three_player_example():
@@ -216,6 +240,32 @@ def test_serial_dictatorship_three_player_example():
     assert res.epoch_log[0].cycle == (0, 1)
     assert res.epoch_log[0].leader == 0
     assert res.epoch_log[1].cycle == (2,)
+
+
+def test_serial_dictatorship_chain_longer_than_its_cycle():
+    # epoch 1: p0 proposes a1, p1 proposes a2, p2 proposes a1 back at p1:
+    #   cycle (p1, p2), closed by p2, three rounds; p0 stays in
+    # epoch 2: p0 leads again; a1 is gone, so it proposes its own a0
+    rankings = ((1, 0, 2), (2, 0, 1), (1, 2, 0))
+    res = yrmh_igyt(rankings)
+    assert res.matching.assignment == (0, 2, 1)
+    assert epoch_log(res) == [(0, (1, 2), 2, 3), (0, (0,), 0, 1)]
+    assert (res.epochs, res.rounds) == (2, 4)
+
+
+# sha256 over the full results (matching, epochs, rounds, epoch log) of
+# three seeded markets per n = 1..40: a change to anything the mechanism
+# reports, not only to its matching, moves it
+REQUEST_BY_TURN_DIGEST = "b46ba46ec3d9f842cec0aaa18f021d90599d1080f09f92a2fc2492711beec0c3"
+
+
+def test_serial_dictatorship_matches_the_recorded_digest():
+    h = hashlib.sha256()
+    for n in range(1, 41):
+        for seed in range(3):
+            res = yrmh_igyt(validate_instance(random_utilities(1000 * seed + n, n)).rankings)
+            h.update(repr((res.matching.assignment, res.epochs, res.rounds, epoch_log(res))).encode())
+    assert h.hexdigest() == REQUEST_BY_TURN_DIGEST
 
 
 def test_serial_dictatorship_leader_is_lowest_remaining():
