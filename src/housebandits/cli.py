@@ -25,10 +25,9 @@ from .harness import (
     ExperimentConfig,
     algorithm_spec,
     bound_curves,
-    default_checkpoints,
     monte_carlo,
+    resolve_checkpoints,
     run_episode,
-    validate_checkpoints,
     validate_horizon,
     write_report,
 )
@@ -146,7 +145,7 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
         raise ConfigInvalidError(f"instance path {instance_path!r} holds a NUL byte")
     _refuse_overwrites((args.config, instance_path), outputs)
     algorithm = args.algo or raw.get("algorithm")
-    if not algorithm or not isinstance(algorithm, str):
+    if not algorithm:
         raise ConfigInvalidError("an algorithm name is required (--algo or config)")
     horizon = args.horizon if args.horizon is not None else raw.get("horizon")
     if horizon is None:
@@ -171,7 +170,7 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
         checkpoints = parse_checkpoints(args.checkpoints)
     elif "checkpoints" in raw:
         cps_raw = raw["checkpoints"]
-        if not isinstance(cps_raw, list) or not all(map(is_json_int, cps_raw)):
+        if not isinstance(cps_raw, list):
             raise ConfigInvalidError("config checkpoints must be a list of integers")
         checkpoints = tuple(cps_raw)
     else:
@@ -276,12 +275,8 @@ def cmd_mechanisms(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     validate_horizon(args.horizon, args.algo)
     instance = _read_instance(args.instance)
-    checkpoints = (
-        parse_checkpoints(args.checkpoints)
-        if args.checkpoints is not None
-        else default_checkpoints(args.horizon)
-    )
-    validate_checkpoints(checkpoints, args.horizon)
+    checkpoints = resolve_checkpoints(
+        None if args.checkpoints is None else parse_checkpoints(args.checkpoints), args.horizon)
     # everything is computed before the header, so a refusal prints nothing
     curves = bound_curves(instance, args.algo, checkpoints)
     entry_bound = algorithm_spec(args.algo).entry_bound

@@ -43,7 +43,7 @@ import shutil
 import signal
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -96,12 +96,18 @@ def validate_horizon(horizon, algorithm: str) -> None:
         raise ConfigInvalidError(f"{algorithm} needs horizon >= {min_horizon}, got {horizon}")
 
 
-def validate_checkpoints(checkpoints: tuple[int, ...], horizon: int) -> None:
-    """Checkpoints are strictly increasing rounds in [1, horizon]."""
+def resolve_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:
+    """The rounds an episode snapshots and bounds are evaluated at:
+    default_checkpoints(horizon) for None, else checkpoints as a tuple,
+    which must be strictly increasing rounds in [1, horizon]."""
+    if checkpoints is None:
+        return default_checkpoints(horizon)
+    checkpoints = tuple(checkpoints)
     if any(c < 1 or c > horizon for c in checkpoints):
         raise ConfigInvalidError(f"checkpoints must lie in [1, horizon], got {checkpoints}")
     if list(checkpoints) != sorted(set(checkpoints)):
         raise ConfigInvalidError(f"checkpoints must be strictly increasing, got {checkpoints}")
+    return checkpoints
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,9 @@ class ExperimentConfig:
     passes the loaded instance in here.
 
     reward_family overrides the instance's family for the run (for
-    example a no-noise diagnostic run via "deterministic").
+    example a no-noise diagnostic run via "deterministic"). checkpoints
+    holds the rounds an episode snapshots once the config is built (see
+    resolve_checkpoints).
     """
 
     instance: MarketInstance
@@ -136,12 +144,7 @@ class ExperimentConfig:
             raise ConfigInvalidError(
                 f"unknown reward family {self.reward_family!r}; expected one of {SAMPLING_FAMILIES}"
             )
-        validate_checkpoints(self.effective_checkpoints(), self.horizon)
-
-    def effective_checkpoints(self) -> tuple[int, ...]:
-        if self.checkpoints is not None:
-            return self.checkpoints
-        return default_checkpoints(self.horizon)
+        object.__setattr__(self, "checkpoints", resolve_checkpoints(self.checkpoints, self.horizon))
 
 
 @dataclass
@@ -212,7 +215,7 @@ def _play_window(config: ExperimentConfig, seed: int, trace: TextIO | None = Non
     rows[0] < t <= rows[1], and the header when rows[0] is 0."""
     instance = config.instance
     horizon = config.horizon
-    cps = config.effective_checkpoints()
+    cps = config.checkpoints
     spec = algorithm_spec(config.algorithm)
     env = MarketEnv(instance, seed, family=config.reward_family)
     ledger = RegretLedger(instance, trace=trace, extra_columns=spec.extra_columns,
@@ -435,7 +438,7 @@ def monte_carlo(config: ExperimentConfig) -> AggregateReport:
     """
     if len(config.seeds) < 2:
         raise ConfigInvalidError("monte_carlo needs at least 2 seeds for error bars")
-    cps = config.effective_checkpoints()
+    cps = config.checkpoints
     # a market with no finite bound is refused before any episode
     bounds = bound_curves(config.instance, config.algorithm, cps)
     traces = _play_seeds(config)
@@ -684,7 +687,7 @@ def write_report(report: AggregateReport, csv_file: TextIO, json_file: TextIO) -
 
     CSV rows are ordered by checkpoint then player (1-based players in
     the file); csv.writer quotes a field that holds a comma, quote or
-    newline. The JSON carries the same numbers plus telemetry.
+    newline. The JSON holds every field of the report plus seed_count.
     """
     seed_count = len(report.seeds)
     rows = csv.writer(csv_file, lineterminator="\n")
@@ -693,18 +696,6 @@ def write_report(report: AggregateReport, csv_file: TextIO, json_file: TextIO) -
         for i in range(report.n):
             rows.writerow((report.algorithm, report.instance_id, seed_count, i + 1, cp,
                            report.mean_regret[ci][i], report.stderr[ci][i], report.bounds[ci][i]))
-    summary = {
-        "algorithm": report.algorithm,
-        "instance_id": report.instance_id,
-        "n": report.n,
-        "horizon": report.horizon,
-        "seeds": list(report.seeds),
-        "seed_count": seed_count,
-        "checkpoints": list(report.checkpoints),
-        "mean_regret": [list(r) for r in report.mean_regret],
-        "stderr": [list(r) for r in report.stderr],
-        "bounds": [list(r) for r in report.bounds],
-        "telemetry": report.telemetry,
-    }
+    summary = {**asdict(report), "seed_count": seed_count}
     json.dump(summary, json_file, indent=2, sort_keys=True)
     json_file.write("\n")

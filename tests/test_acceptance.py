@@ -13,11 +13,10 @@ import time
 import numpy as np
 import pytest
 
+from housebandits import harness
 from housebandits.decentralized import (
     PHASE2,
     DecentralizedPlayer,
-    PlayerView,
-    commit_cascade,
     confidence_bounds,
     entry_round_bound,
 )
@@ -226,33 +225,28 @@ AC7_HORIZON = 10**4
 
 
 def violated_in_loop(instance, seed, horizon, u):
-    """The per-round loop: whether, after some phase-1 round, a player's
-    matched arm has a confidence interval that misses u, its utility
-    matrix."""
-    n = instance.n
-    env = MarketEnv(instance, seed)
-    players = [DecentralizedPlayer(i, n, horizon) for i in range(n)]
-    flags = [True] * n
-    violated = False
-    for t in range(1, horizon + 1):
-        in_phase2 = players[0].stage == PHASE2
-        proposals = [p.action(t, flags) for p in players]
-        out = env.step(proposals)
-        for i, p in enumerate(players):
-            p.observe(
-                t,
-                PlayerView(out.matched[i], out.rewards[i], out.collided[i], out.owner_view(i)),
-            )
-        if in_phase2:
-            commit_cascade(players, flags)
-        elif not violated:
-            for i, p in enumerate(players):
-                j = out.matched[i]
-                if j is not None and p.stats.counts[j] > 0:
-                    lo, hi = confidence_bounds(p.stats.means[j], p.stats.counts[j], horizon)
-                    if not (lo <= u[i, j] <= hi):
-                        violated = True
-    return violated
+    """Whether, after some phase-1 round of the episode run_episode
+    plays on its per-round loop, a player's matched arm has a confidence
+    interval that misses u, its utility matrix. A player's means move
+    only in its own observe, so each player is checked right after it."""
+    violated = [False]
+    observe = DecentralizedPlayer.observe
+
+    def checked(player, t, view):
+        in_phase2 = player.stage == PHASE2
+        observe(player, t, view)
+        j = view.matched
+        if not in_phase2 and j is not None and player.stats.counts[j] > 0:
+            lo, hi = confidence_bounds(player.stats.means[j], player.stats.counts[j], horizon)
+            violated[0] |= not (lo <= u[player.id, j] <= hi)
+
+    config = ExperimentConfig(instance, "decentralized-etc", horizon, (seed,),
+                              checkpoints=(horizon,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_FAST_FORWARD", False)
+        mp.setattr(DecentralizedPlayer, "observe", checked)
+        run_episode(config, seed)
+    return violated[0]
 
 
 def fast_path_check(instance, seed, horizon, u):

@@ -22,7 +22,7 @@ import housebandits
 from housebandits import harness
 from housebandits.cli import main, parse_checkpoints, parse_seeds
 from housebandits.errors import ConfigInvalidError, RuntimeFailure
-from housebandits.harness import ALGORITHMS
+from housebandits.harness import ALGORITHMS, ExperimentConfig
 from housebandits.instances import MAX_PLAYERS
 from housebandits.market import instance_from_json_dict, is_json_int
 
@@ -578,6 +578,27 @@ class TestBounds:
         ])
         assert code == 0
         assert "entry round" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon, expected", [
+        (1, (1,)), (99, (99,)), (100, (100,)), (12_345, (100, 1000, 10_000)),
+        (10**5, (100, 1000, 10_000, 10**5)),
+    ])
+    def test_bounds_config_and_mc_resolve_the_same_checkpoints(
+            self, instance_path, tmp_path, capsys, horizon, expected):
+        """One rule: bounds without --checkpoints, a config without
+        checkpoints and an mc report list the same rounds; an explicit
+        empty list stays empty."""
+        algo = "centralized-ucb" if horizon == 1 else "decentralized-etc"
+        common = ["--instance", instance_path, "--algo", algo, "--horizon", str(horizon)]
+        assert main(["bounds"] + common) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        printed = tuple(dict.fromkeys(int(row.split(",")[0]) for row in rows))
+        instance = instance_from_json_dict(json.loads(Path(instance_path).read_text()))
+        config = ExperimentConfig(instance, algo, horizon, (0, 1), checkpoints=None)
+        assert main(["mc"] + common + ["--seeds", "0:2", "--out", str(tmp_path / "r")]) == 0
+        reported = tuple(json.loads((tmp_path / "r.json").read_text())["checkpoints"])
+        assert printed == config.checkpoints == reported == expected
+        assert ExperimentConfig(instance, algo, horizon, (0, 1), checkpoints=()).checkpoints == ()
 
     def test_checkpoint_beyond_horizon_exits_2(self, instance_path, capsys):
         code = main([

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -19,11 +20,11 @@ from housebandits.decentralized import (
     sub_phase_end,
     try_extract_ranking,
 )
-from housebandits.env import ArmStats
+from housebandits.env import ArmStats, MarketEnv
 from housebandits.errors import ConfigInvalidError, DesyncError
 from housebandits.harness import ExperimentConfig, run_episode
-from housebandits.instances import sttcb_instance
-from housebandits.market import validate_instance
+from housebandits.instances import random_instance, sttcb_instance
+from housebandits.market import validate_instance, yrmh_igyt
 
 
 def swap_market():
@@ -295,6 +296,68 @@ class TestFivePlayerCycle:
         assert tr.stats["committed_is_core"] == [True] * 5
         assert tr.stats["entry_round"] <= entry_round_bound(5, 10**5, inst.min_gap)
         assert tr.stats["post_commit_core_rounds"] == tr.stats["post_commit_rounds"]
+
+
+# (instance, reward family, horizon) of seed-0 episodes that reach phase
+# 2: the zero-noise swap, the README market under noise, and 4-player
+# random markets of two to four epochs each
+PHASE2_EPISODES = [
+    (swap_market, "deterministic", 1100),
+    (lambda: sttcb_instance(5, 0.2, np.random.default_rng(7)), None, 10**5),
+] + [
+    (lambda s=s: random_instance(4, 0.2, np.random.default_rng(s)), "deterministic", 10**5)
+    for s in range(6)
+]
+
+
+@pytest.mark.parametrize("make, family, horizon", PHASE2_EPISODES,
+                         ids=["swap", "readme-market"] + [f"random-4-{s}" for s in range(6)])
+def test_phase2_replays_request_by_turn(make, family, horizon):
+    """Phase 2 is yrmh_igyt under the certified rankings, round for
+    round: each epoch's chain proposes one player per round (leader
+    first, closer last, the trading cycle as its tail), and the cycle
+    commits in the round its closer proposes."""
+    instance = make()
+    n = instance.n
+    calls = []
+    step = MarketEnv.step
+
+    def recorded(env, proposals):
+        calls.append(tuple(proposals))
+        return step(env, proposals)
+
+    config = ExperimentConfig(instance, "decentralized-etc", horizon, (0,),
+                              reward_family=family, checkpoints=(horizon,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MarketEnv, "step", recorded)
+        episode = run_episode(config, 0)
+    t1 = episode.stats["entry_round"]
+    assert t1 is not None
+    log = yrmh_igyt([tuple(a - 1 for a in s["ranking"])
+                     for s in episode.player_snapshots]).epoch_log
+    ends = list(itertools.accumulate(record.rounds for record in log))
+    commit_rounds = [None] * n
+    for record, end in zip(log, ends):
+        for i in record.cycle:
+            commit_rounds[i] = t1 + end
+    assert episode.stats["commit_rounds"] == commit_rounds
+    # once every player has committed the rest of the horizon is played
+    # in blocks, so rounds t1 + 1 .. t1 + ends[-1] are the last steps,
+    # right after round t1, where every player signals on arm n - 1
+    assert calls[-ends[-1] - 1] == (n - 1,) * n
+    phase2 = calls[-ends[-1]:]
+    committed = set()
+    for record, start, end in zip(log, [0] + ends, ends):
+        chain = []
+        for proposals in phase2[start:end]:
+            proposers = [i for i, arm in enumerate(proposals)
+                         if arm is not None and i not in committed]
+            assert len(proposers) == 1, proposals
+            chain += proposers
+        assert len(set(chain)) == len(chain)
+        assert (chain[0], chain[-1]) == (record.leader, record.closer)
+        assert tuple(chain[-len(record.cycle):]) == record.cycle
+        committed.update(record.cycle)
 
 
 class TestNoisyEpisodes:

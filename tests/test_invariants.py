@@ -4,11 +4,14 @@ RuntimeFailure, ...) instead of asserting or raising a bare
 RuntimeError. No module keeps an import it never uses or a memo
 decorator, the harness never asks whether an episode is traced, the
 one fork in the package ends its child in os._exit, one method reads
-the environment's noise, and one function opens files for writing."""
+the environment's noise, and one function opens files for writing.
+Every name the traced benchmark wraps is still defined where it looks."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import housebandits
@@ -325,3 +328,27 @@ def test_write_check_sees_a_stray_open():
                      "        return tempfile.TemporaryFile('w+')\n")
     assert _write_opens(tree) == ([("stray", 8)] * 3 + [("stray", 9)] * 3 + [("stray", 10)] * 2
                                   + [("written", 3)])
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_traced_bench_name_is_defined_by_its_owner(monkeypatch, tmp_path):
+    """bench/run.py --trace 1 wraps each name bench/layers.py lists and
+    fails on one that is gone; this finds a dropped or renamed name
+    (harness.commit_cascade, say) without a traced bench run. Importing
+    the bench writes nothing."""
+    monkeypatch.setattr(sys, "path", [str(BENCH)] + sys.path)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(BENCH.rglob("*"))
+    fresh = [name for name in ("layers", "tracer", "workloads") if name not in sys.modules]
+    try:
+        targets = importlib.import_module("layers").targets()
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+    assert sorted(BENCH.rglob("*")) == before
+    assert list(tmp_path.iterdir()) == []
+    assert targets
+    assert [t.name for t in targets if t.attr not in vars(t.owner)] == []
