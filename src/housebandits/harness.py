@@ -572,7 +572,7 @@ def bound_curves(instance: MarketInstance, algorithm: str,
     refused with ConfigInvalidError (see gap_term)."""
     bound = algorithm_spec(algorithm).bound
     if any(t < 1 for t in checkpoints):
-        raise ConfigInvalidError(f"bounds need horizon >= 1, got {min(checkpoints)}")
+        raise ConfigInvalidError(f"checkpoints must be >= 1, got {min(checkpoints)}")
     if math.isinf(instance.min_gap):
         log.warning("min gap is infinite (1x1 market); bounds keep only their constant terms")
     return tuple(tuple(bound(instance, math.log(t))) for t in checkpoints)

@@ -1,6 +1,9 @@
 """Housing-market primitives: instances, preference rankings, matchings,
 the top-trading-cycles mechanism, a round-by-round serial dictatorship
 (you-request-my-house-I-get-your-turn), and a brute-force core oracle.
+Both mechanisms read one trading-cycle walk (_trading_cycles): ttc
+keeps its matching, and the serial dictatorship also its cuts, one
+per epoch, since it is top trading cycles run in one order.
 
 Markets are one-sided: player i enters owning arm (house) a_i, utilities
 live in an n x n matrix with one row per player, and rows are required
@@ -196,7 +199,9 @@ def validate_instance(utilities: Iterable, reward_model: str = "gaussian") -> Ma
 # --- mechanisms -----------------------------------------------------------
 
 
-def ttc(rankings: Sequence[Ranking]) -> Matching:
+def _trading_cycles(
+    rankings: Sequence[Ranking],
+) -> tuple[list[int], list[tuple[int, tuple[int, ...], int, int]]]:
     """Top trading cycles under strict rankings, as one path walk.
 
     Every player still in points at the owner of its best arm still in
@@ -211,6 +216,11 @@ def ttc(rankings: Sequence[Ranking]) -> Matching:
     leaving the market, so one still in with a place is on the path. A
     player still in keeps its own arm, so no advance runs off a ranking
     and no guard is needed.
+
+    Returns (leaves_with, cuts): leaves_with[i] is the arm player i
+    leaves with, and each cut, in the order the walk makes them, is
+    (start, cycle, closer, len(path)) at the moment of the cut, with
+    the closer the path's top.
     """
     n = len(rankings)
     for r in rankings:
@@ -218,6 +228,7 @@ def ttc(rankings: Sequence[Ranking]) -> Matching:
     leaves_with = [-1] * n  # the arm player i leaves with, -1 while it is in
     best = [0] * n  # the place in i's ranking of its best arm still in
     place = [-1] * n  # i's place on the path, -1 before it is pushed
+    cuts = []
     for start in range(n):
         if leaves_with[start] >= 0:
             continue
@@ -232,13 +243,23 @@ def ttc(rankings: Sequence[Ranking]) -> Matching:
             best[i] = c
             j = rank[c]
             if place[j] >= 0:
-                for m in path[place[j]:]:
+                cycle = path[place[j]:]
+                for m in cycle:
                     leaves_with[m] = rankings[m][best[m]]
+                cuts.append((start, tuple(cycle), i, len(path)))
                 del path[place[j]:]
             else:
                 place[j] = len(path)
                 path.append(j)
-    return Matching(tuple(leaves_with))
+    return leaves_with, cuts
+
+
+def ttc(rankings: Sequence[Ranking]) -> Matching:
+    """Top trading cycles under strict rankings: the matching of
+    _trading_cycles' path walk, without its cuts. Those are yrmh_igyt's
+    epochs; its docstring says why the walk's start is each epoch's
+    leader and the path's length its rounds."""
+    return Matching(tuple(_trading_cycles(rankings)[0]))
 
 
 @dataclass(frozen=True)
@@ -254,6 +275,10 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class SerialDictatorshipResult:
+    """What yrmh_igyt reports: the matching, the number of epochs, the
+    proposal rounds over all epochs, and one EpochRecord per epoch in
+    the order they ran."""
+
     matching: Matching
     epochs: int
     rounds: int
@@ -267,39 +292,21 @@ def yrmh_igyt(rankings: Sequence[Ranking]) -> SerialDictatorshipResult:
     proposes to its best arm still in, whose owner (arm j is player j's)
     proposes next. When a proposal reaches a player already on the
     chain, the players from its place on are a trading cycle and leave
-    with the arms they proposed to. Each player in index order leads
-    epochs while it is still in; every smaller player has left by then,
-    so the leader is the smallest player still in. Arms only go, so a
-    best arm's place only moves down a ranking; a player still in keeps
-    its own arm, so no scan runs off a ranking and no guard is needed.
-    Produces the same matching as ttc, in at most n epochs and n*n
-    rounds total.
+    with the arms they proposed to. The leader is the smallest player
+    still in. This is top trading cycles in one order, so each epoch is
+    one cut of _trading_cycles' path walk. That walk starts players in
+    index order and its start stays at the path's foot until it leaves,
+    so the start is the smallest player still in: the epoch's leader.
+    The players left on the path after a cut still point along it, so
+    the next epoch's chain from the same leader proposes along that
+    prefix again before it goes on: the path at the cut, leader through
+    closer, is the epoch's chain, and len(path) its rounds. Produces
+    the same matching as ttc, in at most n epochs and n*n rounds total.
     """
-    n = len(rankings)
-    for r in rankings:
-        _check_permutation(r, n)
-    leaves_with = [-1] * n  # the arm player i leaves with, -1 while it is in
-    best = [0] * n  # the place in i's ranking of its best arm still in
-    log: list[EpochRecord] = []
-    for leader in range(n):
-        while leaves_with[leader] < 0:
-            place: dict[int, int] = {}  # each proposer's index in the chain
-            i = leader
-            while i not in place:
-                place[i] = len(place)
-                rank = rankings[i]
-                c = best[i]
-                while leaves_with[rank[c]] >= 0:
-                    c += 1
-                best[i] = c
-                i = rank[c]
-            chain = list(place)  # the proposers in proposal order, as a dict keeps them
-            cycle = tuple(chain[place[i]:])
-            for m in cycle:
-                leaves_with[m] = rankings[m][best[m]]
-            log.append(EpochRecord(leader=leader, cycle=cycle, closer=chain[-1], rounds=len(chain)))
+    leaves_with, cuts = _trading_cycles(rankings)
+    log = tuple(EpochRecord(*cut) for cut in cuts)
     rounds = sum(record.rounds for record in log)
-    return SerialDictatorshipResult(Matching(tuple(leaves_with)), len(log), rounds, tuple(log))
+    return SerialDictatorshipResult(Matching(tuple(leaves_with)), len(log), rounds, log)
 
 
 # --- core membership ------------------------------------------------------

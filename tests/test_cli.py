@@ -106,7 +106,7 @@ class TestMechanisms:
         assert main(["mechanisms", "--instance", instance_path]) == 0
         out = capsys.readouterr().out
         assert "core matching: [2, 3, 1]" in out
-        assert "agrees=yes" in out
+        assert "serial mechanism: epochs=1 rounds=3" in out.splitlines()
         assert "unique core confirmed" in out
 
     def test_writes_matching_file(self, instance_path, tmp_path):
@@ -124,7 +124,7 @@ class TestMechanisms:
         capsys.readouterr()
         assert main(["mechanisms", "--instance", path]) == 0
         out = capsys.readouterr().out
-        assert "agrees=yes" in out
+        assert "serial mechanism: epochs=5 rounds=11" in out.splitlines()
         assert "exhaustive verification: skipped (n > 8)" in out
 
 

@@ -90,6 +90,8 @@ class TestConfig:
             ExperimentConfig(swap_market(), "oracle-fixed", 100, (0,), checkpoints=(0, 50))
         with pytest.raises(ConfigInvalidError):
             ExperimentConfig(swap_market(), "oracle-fixed", 100, (0,), checkpoints=(50, 200))
+        with pytest.raises(ConfigInvalidError, match=r"^checkpoints must be >= 1, got 0$"):
+            bound_curves(swap_market(), "oracle-fixed", (0,))
 
     def test_rejects_unsorted_checkpoints(self):
         with pytest.raises(ConfigInvalidError):

@@ -251,6 +251,23 @@ def test_serial_dictatorship_chain_longer_than_its_cycle():
     assert res.matching.assignment == (0, 2, 1)
     assert epoch_log(res) == [(0, (1, 2), 2, 3), (0, (0,), 0, 1)]
     assert (res.epochs, res.rounds) == (2, 4)
+    # the same shape for n = 3..12: player i < n-1 ranks arm i+1 first
+    # and its own arm second, player n-1 ranks arm n-2 first. Epoch 1's
+    # chain 0, 1, ..., n-1 closes the cycle (n-2, n-1) in n rounds; each
+    # later epoch proposes again along the chain 0, ..., m that stayed
+    # in, and m, whose arm m+1 is gone, proposes its own: m+1 rounds
+    for n in range(3, 13):
+        rankings = tuple(
+            (i + 1, i, *(j for j in range(n) if j not in (i, i + 1))) if i < n - 1
+            else (n - 2, n - 1, *range(n - 2))
+            for i in range(n)
+        )
+        res = yrmh_igyt(rankings)
+        assert res.matching.assignment == (*range(n - 2), n - 1, n - 2) == ttc(rankings).assignment
+        assert epoch_log(res) == [(0, (n - 2, n - 1), n - 1, n)] + [
+            (0, (m,), m, m + 1) for m in range(n - 3, -1, -1)
+        ]
+        assert (res.epochs, res.rounds) == (n - 1, n + (n - 1) * (n - 2) // 2)
 
 
 # sha256 over the full results (matching, epochs, rounds, epoch log) of
