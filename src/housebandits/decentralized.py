@@ -233,7 +233,9 @@ class DecentralizedPlayer:
         up to and including its closing round: in round t + r this
         player was matched to explore_arm(id, t + r, n) and drew
         rewards[r]. Each arm's mean takes the same updates as observe
-        gives it, in the same order."""
+        gives it, in the same order: the rounds that explore one arm
+        are every n-th, so each arm folds one strided run with
+        ArmStats.fold."""
         k = len(rewards)
         if t != self.t + 1:
             raise DesyncError(f"player {self.id} observed round {t}, expected {self.t + 1}")
@@ -243,7 +245,7 @@ class DecentralizedPlayer:
             )
         n = self.n
         for r in range(min(n, k)):
-            self.stats.update_run(explore_arm(self.id, t + r, n), rewards[r::n])
+            self.stats.fold(explore_arm(self.id, t + r, n), rewards[r::n])
         self.t = t + k - 1
         self.stage_left -= k
         if self.stage_left == 0:

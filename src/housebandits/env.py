@@ -88,10 +88,12 @@ class ArmStats:
 
     The mean is the exact running mean (m * c + x) / (c + 1), folded in
     one reward at a time, so a run of k rewards to one arm gives the
-    same floats as k updates. update_run carries the count as a float
-    inside its loop, which is cheaper than an int, and stores an int
-    back: below 2^53, float * int and float / int convert the int to
-    this same double, so every mean is unchanged."""
+    same floats as k updates. fold and update_run carry the count as a
+    float inside their loops, which is cheaper than an int, and store
+    an int back: below 2^53, float * int and float / int convert the
+    int to this same double, so every mean is unchanged. Exploration
+    folds its runs with fold; update_run also returns the mean after
+    each reward, for the centralized block check that reads them."""
 
     __slots__ = ("means", "counts")
 
@@ -105,6 +107,17 @@ class ArmStats:
         c = self.counts[arm]
         self.means[arm] = (self.means[arm] * c + reward) / (c + 1)
         self.counts[arm] = c + 1
+
+    def fold(self, arm: int, rewards: Iterable[float]) -> None:
+        """update_run without the list of intermediate means: the same
+        float operations in the same order, so the same final mean."""
+        m = self.means[arm]
+        c = float(self.counts[arm])
+        for x in rewards:
+            # the numerator reads c before the denominator counts the reward
+            m = (m * c + x) / (c := c + 1.0)
+        self.means[arm] = m
+        self.counts[arm] = int(c)
 
     def update_run(self, arm: int, rewards: Iterable[float]) -> list[float]:
         """Fold rewards into arm's mean in order; returns the mean after

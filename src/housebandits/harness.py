@@ -355,8 +355,8 @@ def _run_decentralized(instance, env, ledger, horizon):
     cycle = explore_arm(np.arange(n), np.arange(n + _PIECE_ROUNDS)[:, None], n)
 
     def explore(start, rewards):
-        for i, p in enumerate(players):
-            p.explore_span(start, rewards[:, i].tolist())
+        for p, column in zip(players, rewards.T.tolist()):
+            p.explore_span(start, column)
         return len(rewards)
 
     t = 1

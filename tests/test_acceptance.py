@@ -255,8 +255,10 @@ def fast_path_check(instance, seed, horizon, u):
     exploration round, all before the entry round t1, where the arm it
     folds into is the one it matched; a status round re-checks a mean
     that has not moved since. So the loop's flag is a check of every
-    mean a fold produces, and the fast path folds each exploration run
-    with ArmStats.update_run, which returns those means. The margin is
+    mean a fold produces. The fast path folds each exploration run with
+    ArmStats.fold; the check replays the run with ArmStats.update_run
+    on a copy of the statistics, which returns those means, and the
+    fold must end on the replay's last mean and count. The margin is
     the largest standardized deviation |m - u| / sqrt(6 ln T / c) over
     those means m, c being the count after the fold: how near the
     episode came to leaving an interval, whose edge is 1."""
@@ -264,6 +266,7 @@ def fast_path_check(instance, seed, horizon, u):
     folding = [None]
     last_round = [0]
     explore_span = DecentralizedPlayer.explore_span
+    fold = ArmStats.fold
     update_run = ArmStats.update_run
 
     def span(player, t, rewards):
@@ -271,21 +274,25 @@ def fast_path_check(instance, seed, horizon, u):
         last_round[0] = t + len(rewards) - 1
         explore_span(player, t, rewards)
 
-    def recorded_run(stats, arm, rewards):
-        count = stats.counts[arm]
-        run = update_run(stats, arm, rewards)
-        folds.append((folding[0], arm, count, run))
-        return run
+    def recorded_fold(stats, arm, rewards):
+        replay = ArmStats(0)
+        replay.means, replay.counts = stats.means.copy(), stats.counts.copy()
+        run = update_run(replay, arm, rewards)
+        folds.append((folding[0], arm, stats.counts[arm], run))
+        fold(stats, arm, rewards)
+        assert repr(stats.means[arm]) == repr(replay.means[arm])
+        assert stats.counts[arm] == replay.counts[arm]
 
-    def single_fold(stats, arm, reward):
+    def other_fold(stats, arm, rewards):
         raise AssertionError("a reward was folded outside explore_span")
 
     config = ExperimentConfig(instance, "decentralized-etc", horizon, (seed,),
                               checkpoints=(horizon,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DecentralizedPlayer, "explore_span", span)
-        mp.setattr(ArmStats, "update_run", recorded_run)
-        mp.setattr(ArmStats, "update", single_fold)
+        mp.setattr(ArmStats, "fold", recorded_fold)
+        mp.setattr(ArmStats, "update_run", other_fold)
+        mp.setattr(ArmStats, "update", other_fold)
         t1 = run_episode(config, seed).stats["entry_round"]
     assert t1 is None or last_round[0] < t1
     scale = 6.0 * math.log(horizon)

@@ -138,22 +138,28 @@ def test_episodes_match_the_recorded_digest():
 @pytest.mark.parametrize("name,algorithm", [("lower-bound", "centralized-ucb"),
                                             ("sttcb", "decentralized-etc")])
 def test_every_fold_of_an_episode_stores_int_counts(monkeypatch, name, algorithm):
-    """ArmStats.update_run carries its count as a float and must store
-    an int back after every call, or player snapshots would print
-    counts as 5.0; a count compares equal either way."""
-    update_run = ArmStats.update_run
-    calls = []
+    """ArmStats.fold and ArmStats.update_run carry their count as a
+    float and must store an int back after every call, or player
+    snapshots would print counts as 5.0; a count compares equal either
+    way. Exploration folds with fold, centralized blocks with
+    update_run."""
+    calls = {"fold": 0, "update_run": 0}
 
-    def checked(stats, arm, rewards):
-        run = update_run(stats, arm, rewards)
-        assert all(type(c) is int for c in stats.counts)
-        calls.append(arm)
-        return run
+    def checked(method):
+        original = getattr(ArmStats, method)
 
-    monkeypatch.setattr(ArmStats, "update_run", checked)
+        def call(stats, arm, rewards):
+            result = original(stats, arm, rewards)
+            assert all(type(c) is int for c in stats.counts)
+            calls[method] += 1
+            return result
+        return call
+
+    for method in calls:
+        monkeypatch.setattr(ArmStats, method, checked(method))
     cfg = ExperimentConfig(INSTANCES[name](), algorithm, 20000, (0,), checkpoints=(20000,))
     run_episode(cfg, 0)
-    assert calls
+    assert calls["fold" if algorithm == "decentralized-etc" else "update_run"]
 
 
 def test_one_span_call_closes_a_block_as_observe_does():
