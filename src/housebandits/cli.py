@@ -38,7 +38,6 @@ from .market import (
     MarketInstance,
     core_oracle_bruteforce,
     instance_from_json_dict,
-    is_json_int,
     save_instance,
     save_matching,
     written,
@@ -123,14 +122,18 @@ def _read_instance(path: str) -> MarketInstance:
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# the config keys given as lists; their flags are comma lists
+_LIST_KEYS = {"seeds": parse_seeds, "checkpoints": parse_checkpoints}
 
 
 def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
                      outputs: tuple[str | None, ...] = ()) -> ExperimentConfig:
-    """Merge an optional JSON config file with CLI flags; explicit
-    flags win over config values. An output path that names the config,
-    the instance or another output is refused."""
-    raw: dict = {}
+    """Merge an optional JSON config file with CLI flags: a flag that is
+    given wins, even an empty one, and a config value of null counts as
+    not given. Each flag's dest is its config key. ExperimentConfig
+    checks the merged values; an output path that names the config, the
+    instance or another output is refused."""
+    merged: dict = {}
     if args.config:
         raw = _read_json(args.config, "config")
         if not isinstance(raw, dict):
@@ -138,57 +141,37 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
-    instance_path = args.instance or raw.get("instance")
-    if not instance_path or not isinstance(instance_path, str):
-        raise ConfigInvalidError("an instance file path is required (--instance or config)")
-    if "\0" in instance_path:
-        raise ConfigInvalidError(f"instance path {instance_path!r} holds a NUL byte")
-    _refuse_overwrites((args.config, instance_path), outputs)
-    algorithm = args.algo or raw.get("algorithm")
-    if not algorithm:
-        raise ConfigInvalidError("an algorithm name is required (--algo or config)")
-    horizon = args.horizon if args.horizon is not None else raw.get("horizon")
-    if horizon is None:
-        raise ConfigInvalidError("a horizon is required (--horizon or config)")
-    if args.seeds is not None:
-        ranges = parse_seeds(args.seeds)
-    elif "seeds" in raw:
-        seeds_raw = raw["seeds"]
-        if not isinstance(seeds_raw, list) or not all(map(is_json_int, seeds_raw)):
-            raise ConfigInvalidError("config seeds must be a list of integers")
-        ranges = [range(s, s + 1) for s in seeds_raw]
-    else:
-        raise ConfigInvalidError("seeds are required (--seeds or config)")
-    # counted without len(), which overflows on a wide range
-    count = sum(r.stop - r.start for r in ranges)
+        merged = {key: value for key, value in raw.items() if value is not None}
+        for key in _LIST_KEYS:
+            if not isinstance(merged.get(key, []), list):
+                raise ConfigInvalidError(f"config {key} must be a list of integers")
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            merged[key] = _LIST_KEYS[key](flag) if key in _LIST_KEYS else flag
+    for key in ("instance", "algorithm", "horizon", "seeds"):
+        if key not in merged:
+            raise ConfigInvalidError(f"{key} is required, as a flag or in the config")
+    # a flag gives seed ranges, a config list one seed per item; counted
+    # before any range is expanded, and without len(), which overflows
+    # on a wide range
+    pieces = [s if isinstance(s, range) else (s,) for s in merged["seeds"]]
+    count = sum(s.stop - s.start if isinstance(s, range) else 1 for s in pieces)
     if need_many_seeds and count > MAX_SEEDS:
         raise ConfigInvalidError(f"mc takes at most {MAX_SEEDS} seeds, got {count}")
     if not need_many_seeds and count != 1:
         raise ConfigInvalidError(f"run takes exactly one seed, got {count}")
-    seeds = tuple(itertools.chain.from_iterable(ranges))
-    if args.checkpoints is not None:
-        checkpoints = parse_checkpoints(args.checkpoints)
-    elif "checkpoints" in raw:
-        cps_raw = raw["checkpoints"]
-        if not isinstance(cps_raw, list):
-            raise ConfigInvalidError("config checkpoints must be a list of integers")
-        checkpoints = tuple(cps_raw)
-    else:
-        checkpoints = None
-    family = args.family or raw.get("reward_family")
-    instance_id = raw.get("instance_id", Path(instance_path).stem)
+    merged["seeds"] = tuple(itertools.chain.from_iterable(pieces))
+    instance_path = merged.pop("instance")
+    if not isinstance(instance_path, str):
+        raise ConfigInvalidError(f"instance path must be a string, got {instance_path!r}")
+    if "\0" in instance_path:
+        raise ConfigInvalidError(f"instance path {instance_path!r} holds a NUL byte")
+    _refuse_overwrites((args.config, instance_path), outputs)
+    instance_id = merged.setdefault("instance_id", Path(instance_path).stem)
     if not isinstance(instance_id, str):
         raise ConfigInvalidError(f"config instance_id must be a string, got {instance_id!r}")
-    instance = _read_instance(instance_path)
-    return ExperimentConfig(
-        instance=instance,
-        algorithm=algorithm,
-        horizon=horizon,
-        seeds=seeds,
-        reward_family=family,
-        checkpoints=checkpoints,
-        instance_id=instance_id,
-    )
+    return ExperimentConfig(instance=_read_instance(instance_path), **merged)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -287,12 +270,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--instance", help="instance JSON file")
-    sub.add_argument("--algo", choices=tuple(ALGORITHMS))
+    sub.add_argument("--algo", dest="algorithm", choices=tuple(ALGORITHMS))
     sub.add_argument("--horizon", type=int)
     sub.add_argument("--seeds", help="comma list; a:b expands to range(a, b)")
     sub.add_argument("--checkpoints", help="comma list of snapshot rounds")
     sub.add_argument(
         "--family",
+        dest="reward_family",
         choices=SAMPLING_FAMILIES,
         help="override the instance's reward family",
     )

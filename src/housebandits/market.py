@@ -82,14 +82,15 @@ class Coalition:
     reallocation: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketInstance:
     """A validated market: utilities, derived rankings, the minimum
     utility gap, and the (unique) core matching.
 
     Build instances through validate_instance or
     instance_from_json_dict, never directly; the derived fields are
-    trusted downstream.
+    trusted downstream. Instances compare by identity; two hold the same
+    market when their to_json_dict() are equal.
     """
 
     utilities: np.ndarray
@@ -108,15 +109,6 @@ class MarketInstance:
             "utilities": [[float(v) for v in row] for row in self.utilities],
             "reward_model": self.reward_model,
         }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MarketInstance):
-            return NotImplemented
-        return (
-            self.reward_model == other.reward_model
-            and self.utilities.shape == other.utilities.shape
-            and bool(np.all(self.utilities == other.utilities))
-        )
 
 
 def _check_permutation(seq: Sequence[int], n: int) -> None:

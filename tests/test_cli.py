@@ -556,6 +556,34 @@ class TestConfigFile:
         ])
         assert code == 2
 
+    def test_a_given_flag_wins_even_an_empty_one(self, instance_path, tmp_path, capsys):
+        """--instance "" is given, so the config's valid instance is not
+        played in its place: the empty path cannot be read."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MC_CONFIG, "instance": instance_path}))
+        code = main(["mc", "--config", str(cfg), "--instance", "", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read instance ")
+        assert not list(tmp_path.glob("out*"))
+
+    def test_null_counts_as_not_given(self, instance_path, tmp_path):
+        """Null checkpoints, instance_id and reward_family give the same
+        report bytes as leaving the keys out: the default checkpoints and
+        the instance file's stem."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MC_CONFIG, "checkpoints": None, "instance_id": None,
+                                   "reward_family": None}))
+        assert main(["mc", "--config", str(cfg), "--instance", instance_path,
+                     "--out", str(tmp_path / "nulls")]) == 0
+        assert main(["mc", "--instance", instance_path, "--algo", "oracle-fixed",
+                     "--horizon", "100", "--seeds", "0,1", "--out", str(tmp_path / "flags")]) == 0
+        summary = json.loads((tmp_path / "nulls.json").read_text())
+        assert summary["checkpoints"] == [100]
+        assert summary["instance_id"] == Path(instance_path).stem
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"nulls{suffix}").read_bytes()
+                    == (tmp_path / f"flags{suffix}").read_bytes())
+
 
 class TestBounds:
     def test_prints_curve_rows(self, instance_path, capsys):
@@ -716,6 +744,8 @@ def mc_on_file(algo):
         (None, ["mc", "--instance", "{instance}", "--algo", "oracle-fixed", "--horizon", "50",
                 "--seeds", "0:3,1", "--out", "{out}"]),
         ({**MC_CONFIG, "seeds": [1, 1]}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "checkpoints": 5}, MC_WITH_CONFIG),
+        ({**MC_CONFIG, "seeds": None}, MC_WITH_CONFIG),
         (None, ["gen", "--family", "random", "--n", "3", "--delta-floor", "0.1", "--seed=-1",
                 "--out", "{out}"]),
         (None, ["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2", "--seed=-5",
@@ -758,7 +788,8 @@ def mc_on_file(algo):
          "checkpoint-not-an-integer", "config-trace-key", "algorithm-not-a-string",
          "instance-id-not-a-string", "instance-not-a-path", "config-seed-negative",
          "flag-seed-negative", "horizon-below-algorithm-minimum", "seeds-repeated",
-         "config-seeds-repeated", "gen-seed-negative-random", "gen-seed-negative-sttcb",
+         "config-seeds-repeated", "config-checkpoints-not-a-list", "config-seeds-null",
+         "gen-seed-negative-random", "gen-seed-negative-sttcb",
          "checkpoints-empty-mc", "checkpoints-empty-bounds",
          "gap-square-zero-bounds-centralized", "gap-square-zero-bounds-decentralized",
          "gap-square-zero-mc-centralized", "gap-square-zero-mc-decentralized",

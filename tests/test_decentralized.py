@@ -202,9 +202,17 @@ class TestPlayerStateMachine:
             player.observe(1, view)
 
     def test_round_skew_detected(self):
+        """Acting in round 2, or observing exploration from round 2, is
+        refused before round 1 has been played."""
+        for skewed in (lambda p: p.action(2, [True] * 3), lambda p: p.explore_span(2, [0.5])):
+            player = DecentralizedPlayer(0, 3, 1000)
+            with pytest.raises(DesyncError, match="round 2, expected 1"):
+                skewed(player)
+
+    def test_holding_without_a_commitment_is_a_desync(self):
         player = DecentralizedPlayer(0, 3, 1000)
-        with pytest.raises(DesyncError):
-            player.action(2, [True] * 3)
+        with pytest.raises(DesyncError, match="cannot hold a commitment"):
+            player.hold_commitment(5)
 
     def test_phase2_without_a_ranking_is_a_desync(self):
         """An epoch leader that reached phase 2 with no certified
