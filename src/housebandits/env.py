@@ -16,12 +16,17 @@ an episode bit for bit. MarketEnv pregenerates the blocks of 4096 rounds
 as one array, which yields the exact same stream as drawing one block
 per round: step reads one row of it, and step_block, which resolves a
 run of collision-free rounds at once, reads a slice of consecutive rows.
-The deterministic family resolves the same way with rows of -0.0 noise
-that draw nothing from the generator, so its rewards are the exact
-means. A caller that resolves a block speculatively keeps a prefix of
-it and hands the rest back with give_back, whose rows the next step or
-step_block reads again; since a block never spans two chunks, neither
-does a give-back.
+A block is a pair (rows, index): a table of the distinct proposal
+vectors its rounds play and, per round, the position of its vector in
+the table (a round robin's n rows, or the one row that every round of
+a held profile, a committed stretch or the oracle repeats). step_block
+and RegretLedger.record_block check and price each row of the table
+once and expand the result by the index. The deterministic family
+resolves the same way with rows of -0.0 noise that draw nothing from
+the generator, so its rewards are the exact means. A caller that
+resolves a block speculatively keeps a prefix of it and hands the rest
+back with give_back, whose rows the next step or step_block reads
+again; since a block never spans two chunks, neither does a give-back.
 """
 
 from __future__ import annotations
@@ -210,19 +215,25 @@ class MarketEnv:
             applicants=applicants,
         )
 
-    def step_block(self, arms: np.ndarray) -> np.ndarray:
+    def step_block(self, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Resolve a run of rounds in which every player proposes and no
-        two collide: row r of the k x n array arms (k >= 1) is round r's
-        proposal vector, a permutation of the arms. Resolves the leading
-        min(k, rounds left in the noise chunk) rounds and returns their
-        rewards, row r for round r; every player is matched to the arm
-        it proposed. A broadcast of one proposal vector is checked and
-        gathered once (see _distinct_rows)."""
-        rows = _distinct_rows(arms)
+        two collide: round r proposes row index[r] of the m x n table
+        rows, and each row is a permutation of the arms (k = len(index)
+        >= 1 rounds). Resolves the leading min(k, rounds left in the
+        noise chunk) rounds and returns their rewards, row r for round
+        r; every player is matched to the arm it proposed. Each row is
+        checked and gathered once, and a table of one row is broadcast
+        over the rounds. A row that is not a permutation, or an index
+        outside the table, is refused before any noise is drawn."""
+        m = len(rows)
         if (np.sort(rows, axis=1) != self._players).any():
-            raise RuntimeFailure("a block round is not a collision-free proposal of every arm")
-        noise = self._draw(len(arms))
-        means = self.instance.utilities[self._players, rows[:len(noise)]]
+            raise RuntimeFailure("a block row is not a collision-free proposal of every arm")
+        if index.min(initial=0) < 0 or index.max(initial=0) >= m:
+            raise RuntimeFailure(f"a block round's row index lies outside its {m}-row table")
+        noise = self._draw(len(index))
+        means = self.instance.utilities[self._players, rows]
+        if m > 1:
+            means = means[index[:len(noise)]]
         if self.family == "bernoulli":
             return (noise < means).astype(float)
         return means + noise
@@ -323,49 +334,45 @@ class RegretLedger:
             self._file.write(_trace_text(t, mids, np.array([rewards]), np.array([pseudo]),
                                          np.array([realized]), self._tail(extra)))
 
-    def record_block(self, arms: np.ndarray, rewards: np.ndarray, extra: tuple = ()) -> None:
-        """Record k rounds at once in which player i matched arms[r, i]
-        and drew rewards[r, i], as from MarketEnv.step_block, and fill
-        the checkpoints among them. Same sums as k calls of record:
-        np.add.accumulate adds in round order. extra holds the extra
-        column values, the same in every round of the block. A
-        broadcast of one proposal vector is gathered once (see
-        _distinct_rows). A traced ledger writes the rows in its window
-        as k calls of record would, in slices of _TRACE_SLICE_ROUNDS
-        rounds, so the text it holds at once stays small."""
+    def record_block(self, rows: np.ndarray, index: np.ndarray, rewards: np.ndarray,
+                     extra: tuple = ()) -> None:
+        """Record k = len(index) rounds at once in which player i
+        matched rows[index[r], i] and drew rewards[r, i], as from
+        MarketEnv.step_block, and fill the checkpoints among them. Same
+        sums as k calls of record: the shortfall core - u is priced once
+        per row of the table and expanded by the index (broadcast for a
+        table of one row), and np.add.accumulate adds in round order.
+        extra holds the extra column values, the same in every round of
+        the block. A traced ledger writes the rows in its window as k
+        calls of record would, in slices of _TRACE_SLICE_ROUNDS rounds,
+        so the text it holds at once stays small."""
         tail = self._tail(extra) if self.trace else ""
         n = self.n
+        k = len(index)
         # one row per round: every player's pseudo-regret, then its realized regret
-        sums = np.empty((len(arms), 2 * n))
+        sums = np.empty((k, 2 * n))
         pseudo, realized = sums[:, :n], sums[:, n:]
-        np.subtract(self._core, self.instance.utilities[self._players, _distinct_rows(arms)],
-                    out=pseudo)
+        price = self._core - self.instance.utilities[self._players, rows]
+        pseudo[:] = price if len(rows) == 1 else price[index]
         np.subtract(self._core, rewards, out=realized)
         sums[0] += self.pseudo + self.realized
         np.add.accumulate(sums, axis=0, out=sums)
         last = sums[-1].tolist()
         self.pseudo[:], self.realized[:] = last[:n], last[n:]
         t = self.t
-        self.t = t + len(arms)
+        self.t = t + k
         while self._due[self._next] <= self.t:
             c = self._due[self._next]
             self.snapshots[c] = tuple(pseudo[c - t - 1].tolist())
             self._next += 1
         if self.trace:
+            mids = self._block_mids[self._players, rows]
             # block row r is round t + 1 + r; keep the rows in the window
-            stop = min(len(arms), self._hi - t)
+            stop = min(k, self._hi - t)
             for lo in range(max(0, self._lo - t), stop, _TRACE_SLICE_ROUNDS):
                 part = slice(lo, min(lo + _TRACE_SLICE_ROUNDS, stop))
-                mids = self._block_mids[self._players, arms[part]].ravel().tolist()
-                self._file.write(_trace_text(t + 1 + lo, mids, rewards[part], pseudo[part],
-                                             realized[part], tail))
-
-
-def _distinct_rows(arms: np.ndarray) -> np.ndarray:
-    """The rows of a k x n block of proposals that differ: its first row
-    alone when the block repeats one proposal vector as a broadcast view
-    (row stride 0), otherwise the whole block."""
-    return arms[:1] if arms.strides[0] == 0 else arms
+                self._file.write(_trace_text(t + 1 + lo, mids[index[part]].ravel().tolist(),
+                                             rewards[part], pseudo[part], realized[part], tail))
 
 
 def _trace_text(t, mids, rewards, pseudo, realized, tail):

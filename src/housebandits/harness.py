@@ -10,14 +10,16 @@ centralized episode, once a round submits the same ranking profile as
 the round before, plays blocks on the guess that the profile holds and
 keeps each block's rounds up to the first that would submit another
 (centralized.hold_profile, prepared once per stretch of blocks). A
-span that repeats one proposal vector hands it to the environment and
-the ledger as a broadcast view, which they check and gather once per
-block. Both play through one block driver, with
-the same random stream and the same sums as the loop, so the fast path
-and the loop give the same episode bit for bit, trace rows included:
-the ledger writes a kept block's rows itself. Traced or not, every
-episode takes the fast path; only _FAST_FORWARD = False, which the
-tests set, plays the loop alone.
+block reaches the environment and the ledger as (rows, index): the
+table of the distinct proposal vectors of its span (the n rows of the
+round robin, or the one row of a span that repeats one vector) and
+each round's row in it, so both check and price each row once. Both
+protocols play through one block driver, with the same random stream
+and the same sums as the loop, so the fast path and the loop give the
+same episode bit for bit, trace rows included: the ledger writes a
+kept block's rows itself. Traced or not, every episode takes the fast
+path; only _FAST_FORWARD = False, which the tests set, plays the loop
+alone.
 Two jobs run on every usable CPU, one forked worker per CPU beyond the
 first, through one helper (_forked): Monte Carlo plays its seeds there
 (episodes share no mutable state) and merges the episodes back into
@@ -236,7 +238,9 @@ def _play_window(config: ExperimentConfig, seed: int, trace: TextIO | None = Non
 
 # a trace window's rows are formatted by a worker only if it holds at
 # least this many rounds: a worker replays the whole episode untraced
-# (about 0.1 s at T = 1e5), and short traces are cheaper in one process
+# (about 0.04 s for decentralized-etc and 0.4-0.5 s for centralized-ucb
+# at T = 1e5 on a 2-vCPU box), and short traces are cheaper in one
+# process
 _MIN_WINDOW_ROUNDS = 8192
 
 
@@ -247,12 +251,15 @@ _MIN_WINDOW_ROUNDS = 8192
 # collision-free spans through _blocks: the rounds whose proposals are
 # fixed in advance, kept whole, or, for the centralized protocol, the
 # rounds after a repeated profile, kept while it holds (hold_profile
-# prepares the stretch once and returns its keep). A span that repeats
-# one proposal vector (the oracle, the committed players, a held
-# profile) draws its proposals from one broadcast (_repeat). Each block
-# is handed to the players in one call that leaves them as the loop
-# would, and to the ledger, which writes its trace rows if it has a
-# trace. Otherwise every round goes through the loop, the spec.
+# prepares the stretch once and returns its keep). A span is a table of
+# its distinct proposal vectors, round t playing row t mod m of its m
+# rows: the n rows of the exploration round robin, or the one row that
+# the oracle, the committed players or a held profile repeats. Each
+# block goes to the environment and the ledger as (rows, index), so
+# both check and price each row once; the ledger writes the block's
+# trace rows if it has a trace. The players take the block in one call
+# that leaves them as the loop would. Otherwise every round goes
+# through the loop, the spec.
 
 # whether runners fast-forward; the tests clear it to play the spec loop
 _FAST_FORWARD = True
@@ -263,36 +270,31 @@ _PIECE_ROUNDS = 1024
 _BLOCK_ROUNDS = 16
 
 
-def _blocks(env, ledger, t, stop, arms_of, keep, size, extra=()):
+def _blocks(env, ledger, t, stop, rows, keep, size, extra=()):
     """Play rounds t .. stop - 1 in blocks of collision-free rounds,
-    where arms_of(rounds) gives the proposals of those rounds. Each
-    block of at most size rounds is drawn from some round start, and
-    keep(start, rewards) folds into the players the leading rounds they
-    keep and returns how many. The rest are given back, the kept rounds
-    recorded with the extra trace values, and size doubles up to
-    _PIECE_ROUNDS while blocks are kept whole. Returns the first round
-    not played."""
+    round s proposing row s mod m of the m x n table rows. A block of
+    at most size rounds from round start goes to env.step_block and
+    ledger.record_block as (rows, index), index holding each round's
+    row: a view of one ring of row positions built per call, so a block
+    allocates no index. keep(start, rewards) folds into the players the
+    leading rounds they keep and returns how many. The rest are given
+    back, the kept rounds recorded with the extra trace values, and
+    size doubles up to _PIECE_ROUNDS while blocks are kept whole.
+    Returns the first round not played."""
+    m = len(rows)
+    ring = np.arange(m + _PIECE_ROUNDS) % m
     while t < stop:
-        arms = arms_of(np.arange(t, min(t + size, stop)))
-        rewards = env.step_block(arms)
+        index = ring[t % m:][:min(size, stop - t)]
+        rewards = env.step_block(rows, index)
         kept = keep(t, rewards)
         env.give_back(len(rewards) - kept)
         if kept:
-            ledger.record_block(arms[:kept], rewards[:kept], extra)
+            ledger.record_block(rows, index[:kept], rewards[:kept], extra)
             t += kept
         if kept < len(rewards):
             break
         size = min(2 * size, _PIECE_ROUNDS)
     return t
-
-
-def _repeat(proposals):
-    """arms_of for rounds that all repeat one proposal vector: views of
-    one broadcast, which step_block and record_block check and gather
-    once per block."""
-    fixed = np.array(proposals)
-    repeated = np.broadcast_to(fixed, (_PIECE_ROUNDS, len(fixed)))
-    return lambda rounds: repeated[:len(rounds)]
 
 
 def _keep_all(start, rewards):
@@ -302,7 +304,7 @@ def _keep_all(start, rewards):
 def _run_oracle_fixed(instance, env, ledger, horizon):
     proposals = list(instance.core.assignment)
     if _FAST_FORWARD:
-        _blocks(env, ledger, 1, horizon + 1, _repeat(proposals), _keep_all, _PIECE_ROUNDS)
+        _blocks(env, ledger, 1, horizon + 1, np.array([proposals]), _keep_all, _PIECE_ROUNDS)
         return {}, None
     for _ in range(horizon):
         ledger.record(env.step(proposals))
@@ -329,7 +331,7 @@ def _run_centralized(instance, env, ledger, horizon):
             # the profile repeated: play blocks on the guess that it
             # holds, and go back to the loop where it breaks
             assignment = matching.assignment
-            t = _blocks(env, ledger, t, horizon + 1, _repeat(assignment),
+            t = _blocks(env, ledger, t, horizon + 1, np.array([assignment]),
                         hold_profile(states, rankings, assignment), _BLOCK_ROUNDS, extra)
         last = rankings, matching
         if is_core:
@@ -352,24 +354,24 @@ def _run_decentralized(instance, env, ledger, horizon):
     lead = players[0]
     # round t's round-robin proposals are row t mod n of one table,
     # built once per episode
-    cycle = explore_arm(np.arange(n), np.arange(n + _PIECE_ROUNDS)[:, None], n)
+    cycle = explore_arm(np.arange(n), np.arange(n)[:, None], n)
 
     def explore(start, rewards):
-        for p, column in zip(players, rewards.T.tolist()):
-            p.explore_span(start, column)
+        # each player folds straight from its contiguous row of rewards
+        for p, column in zip(players, np.ascontiguousarray(rewards.T)):
+            p.explore_span(start, memoryview(column))
         return len(rewards)
 
     t = 1
     while t <= horizon:
         if _FAST_FORWARD and lead.stage == EXPLORE:
             # the rest of the block's round robin, closing round included
-            t = _blocks(env, ledger, t, min(t + lead.stage_left, horizon + 1),
-                        lambda rounds: cycle[rounds[0] % n:][:len(rounds)], explore,
+            t = _blocks(env, ledger, t, min(t + lead.stage_left, horizon + 1), cycle, explore,
                         _PIECE_ROUNDS)
             continue
         if _FAST_FORWARD and all(p.committed is not None for p in players):
             # every player pulls its committed arm until the horizon
-            _blocks(env, ledger, t, horizon + 1, _repeat([p.committed for p in players]),
+            _blocks(env, ledger, t, horizon + 1, np.array([[p.committed for p in players]]),
                     _keep_all, _PIECE_ROUNDS)
             for p in players:
                 p.hold_commitment(horizon)

@@ -261,10 +261,14 @@ def fast_path_check(instance, seed, horizon, u):
     fold must end on the replay's last mean and count. The margin is
     the largest standardized deviation |m - u| / sqrt(6 ln T / c) over
     those means m, c being the count after the fold: how near the
-    episode came to leaving an interval, whose edge is 1."""
+    episode came to leaving an interval, whose edge is 1. A span hands
+    fold strided views of a buffer, which both the replay and the fold
+    iterate; the check sees one fold per arm a span reaches and, over
+    a player's folds, every pull the player counts."""
     folds = []  # (player, arm, count before the run, means after each reward)
     folding = [None]
     last_round = [0]
+    span_folds = [0]
     explore_span = DecentralizedPlayer.explore_span
     fold = ArmStats.fold
     update_run = ArmStats.update_run
@@ -272,6 +276,7 @@ def fast_path_check(instance, seed, horizon, u):
     def span(player, t, rewards):
         folding[0] = player.id
         last_round[0] = t + len(rewards) - 1
+        span_folds[0] += min(player.n, len(rewards))
         explore_span(player, t, rewards)
 
     def recorded_fold(stats, arm, rewards):
@@ -293,8 +298,12 @@ def fast_path_check(instance, seed, horizon, u):
         mp.setattr(ArmStats, "fold", recorded_fold)
         mp.setattr(ArmStats, "update_run", other_fold)
         mp.setattr(ArmStats, "update", other_fold)
-        t1 = run_episode(config, seed).stats["entry_round"]
+        episode = run_episode(config, seed)
+    t1 = episode.stats["entry_round"]
     assert t1 is None or last_round[0] < t1
+    assert len(folds) == span_folds[0] > 0
+    for i, snapshot in enumerate(episode.player_snapshots):
+        assert sum(len(run) for p, _, _, run in folds if p == i) == sum(snapshot["counts"])
     scale = 6.0 * math.log(horizon)
     violated, deviation = False, 0.0
     for i, arm, count, run in folds:

@@ -450,8 +450,9 @@ def test_trace_text_equals_the_per_row_spec(columns):
 def traced_episodes(draw):
     """A market whose utilities may hold -0.0, a mix of single rounds
     (any proposals, collisions and abstentions included) and blocks
-    (rows of permutations, or one permutation broadcast with row stride
-    0) of up to three trace slices, a row window and the extra columns."""
+    (rows, index) of up to three trace slices, a table of one to four
+    permutations and each round's row in it, a row window and the extra
+    columns."""
     n = draw(st.integers(1, 4))
     market = validate_instance(
         [draw(st.permutations((-0.0, 0.25, 0.5, 0.75, 1.0)))[:n] for _ in range(n)])
@@ -461,12 +462,10 @@ def traced_episodes(draw):
             steps.append(draw(st.lists(st.none() | st.integers(0, n - 1), min_size=n, max_size=n)))
             continue
         k = draw(st.integers(1, 80))
-        perms = st.permutations(range(n))
-        if draw(st.booleans()):
-            steps.append(np.broadcast_to(np.array(draw(perms)), (k, n)))
-        else:
-            steps.append(np.array(draw(st.lists(perms, min_size=k, max_size=k))))
-    rounds = sum(1 if isinstance(s, list) else len(s) for s in steps)
+        rows = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+        index = draw(st.lists(st.integers(0, len(rows) - 1), min_size=k, max_size=k))
+        steps.append((np.array(rows), np.array(index)))
+    rounds = sum(1 if isinstance(s, list) else len(s[1]) for s in steps)
     lo = draw(st.integers(0, rounds))
     hi = draw(st.integers(lo, rounds) | st.just(math.inf))
     columns, extra = draw(st.sampled_from([((), ()), (("matching_is_core",), (1,)),
@@ -477,7 +476,7 @@ def traced_episodes(draw):
 @settings(max_examples=100, deadline=None)
 @given(traced_episodes(), st.sampled_from(("gaussian", "deterministic")))
 def test_ledger_trace_equals_the_per_row_spec(episode, family):
-    """record and record_block, broadcast blocks and window edges inside
+    """record and record_block, one-row tables and window edges inside
     a slice included, write the spec's lines of the rounds in the window,
     summed by a plain loop."""
     market, steps, (lo, hi), columns, extra = episode
@@ -497,10 +496,11 @@ def test_ledger_trace_equals_the_per_row_spec(episode, family):
             ledger.record(out, extra)
             rounds = [(step, out.matched, out.collided, out.rewards)]
         else:
-            rewards = env.step_block(step)
-            ledger.record_block(step, rewards, extra)
+            rows, index = step
+            rewards = env.step_block(rows, index)
+            ledger.record_block(rows, index, rewards, extra)
             rounds = [(arms, arms, [False] * n, row)
-                      for arms, row in zip(step.tolist(), rewards.tolist())]
+                      for arms, row in zip(rows[index].tolist(), rewards.tolist())]
         for proposals, matched, collided, rewards in rounds:
             t += 1
             for i in range(n):

@@ -197,78 +197,120 @@ def test_one_span_call_closes_a_block_as_observe_does():
     assert span.sigma == (2, 1, 0)
 
 
+def round_robin(n, first, last):
+    """Rounds first .. last of the exploration round robin as a block
+    (rows, index): the table of its n proposal vectors, row j proposing
+    arm (i + j) mod n to player i, and each round's row, t mod n."""
+    return (np.arange(n)[:, None] + np.arange(n)) % n, np.arange(first, last + 1) % n
+
+
 def test_block_record_writes_the_rows_of_rounds():
     """A block of 300 rounds, more than one slice of rows, writes what
     300 calls of record write, with the extra column on every row; a
     wrong number of extra values is refused."""
     inst = INSTANCES["sttcb"]()
     n = inst.n
-    arms = (np.arange(1, 302)[:, None] + np.arange(n)) % n  # rounds 1 .. 301
+    rows, index = round_robin(n, 1, 301)
     traces = io.StringIO(), io.StringIO()
     by_round, by_block = (RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",))
                           for trace in traces)
     env = MarketEnv(inst, 0)
-    for row in arms:
+    for row in rows[index]:
         by_round.record(env.step(row.tolist()), (1,))
     env = MarketEnv(inst, 0)
-    by_block.record(env.step(arms[0].tolist()), (1,))
-    by_block.record_block(arms[1:], env.step_block(arms[1:]), (1,))
+    by_block.record(env.step(rows[index[0]].tolist()), (1,))
+    by_block.record_block(rows, index[1:], env.step_block(rows, index[1:]), (1,))
     lines = traces[1].getvalue().splitlines()
     assert len(lines) == 1 + 301 * n
     assert lines == traces[0].getvalue().splitlines()
     assert lines[-1].startswith(f"301,{n},") and lines[-1].endswith(",1")
     with pytest.raises(RuntimeFailure, match="expected 1 extra values, got 0"):
-        by_block.record_block(arms[:2], env.step_block(arms[:2]))
+        by_block.record_block(rows, index[:2], env.step_block(rows, index[:2]))
 
 
 def test_block_record_fills_the_same_snapshots_as_rounds():
     """Checkpoints at round 1 and at the first and last round of a block."""
     inst = INSTANCES["sttcb"]()
     n = inst.n
-    arms = (np.arange(1, 103)[:, None] + np.arange(n)) % n  # rounds 1 .. 102
+    rows, index = round_robin(n, 1, 102)
     cps = (1, 2, 101)
     by_round, by_block = (RegretLedger(inst, checkpoints=cps) for _ in range(2))
     env = MarketEnv(inst, 0)
-    for row in arms:
+    for row in rows[index]:
         by_round.record(env.step(row.tolist()))
     env = MarketEnv(inst, 0)
-    by_block.record(env.step(arms[0].tolist()))
-    by_block.record_block(arms[1:101], env.step_block(arms[1:101]))
-    by_block.record(env.step(arms[101].tolist()))
+    by_block.record(env.step(rows[index[0]].tolist()))
+    by_block.record_block(rows, index[1:101], env.step_block(rows, index[1:101]))
+    by_block.record(env.step(rows[index[101]].tolist()))
     assert sorted(by_block.snapshots) == list(cps)
     assert by_block.snapshots == by_round.snapshots
     assert (by_block.pseudo, by_block.realized) == (by_round.pseudo, by_round.realized)
 
 
+# (rounds drawn, rounds kept) of each block: one that ends at a noise-chunk
+# refill, one cut short by the refill and partly given back, one that ends
+# the chunk and one drawn from the next
+REFILL_BLOCKS = ((4090, 4090), (16, 4), (64, 64), (64, 64))
+
+
+def play_blocks(inst, family, rows, spelled_out):
+    """The REFILL_BLOCKS of rounds 1, 2, ..., round t proposing row
+    t mod m of the m-row table rows, each block given to step_block and
+    record_block as (rows, index) or, spelled out, as a table of one row
+    per round. Returns each block's drawn rewards as bytes and the
+    ledger's sums, snapshots and trace lines."""
+    env = MarketEnv(inst, 0, family)
+    trace = io.StringIO()
+    ledger = RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",),
+                          checkpoints=(1, 100, 4090, 4096, 4100))
+    drawn = []
+    t = 1
+    for size, keep in REFILL_BLOCKS:
+        index = np.arange(t, t + size) % len(rows)
+        block = (rows[index], np.arange(size)) if spelled_out else (rows, index)
+        rewards = env.step_block(*block)
+        kept = min(keep, len(rewards))
+        env.give_back(len(rewards) - kept)
+        ledger.record_block(block[0], block[1][:kept], rewards[:kept], (1,))
+        drawn.append(rewards.tobytes())
+        t += kept
+    return drawn, ledger.pseudo, ledger.realized, ledger.snapshots, trace.getvalue().splitlines()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_repeated_proposal_block_equals_its_rows_spelled_out(family):
-    """A broadcast of one proposal vector, which step_block and
-    record_block check and gather once, against the same rounds as a
-    k x n array: equal rewards, sums, snapshots and trace rows, over a
-    block that ends at a noise-chunk refill and is partly given back,
-    one that ends the chunk and one drawn from the next."""
+    """A table of one proposal vector, which step_block and
+    record_block check and price once and broadcast over the block,
+    against the same rounds as a table of one row per round: equal
+    rewards, sums, snapshots and trace rows, over REFILL_BLOCKS."""
     inst = INSTANCES["lower-bound"]()
     n = inst.n
-    fixed = np.array(inst.core.assignment)
-    sides = []
-    for repeated in (True, False):
-        env = MarketEnv(inst, 0, family)
-        trace = io.StringIO()
-        ledger = RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",),
-                              checkpoints=(1, 100, 4090, 4096, 4100))
-        drawn = []
-        for size, keep in ((4090, 4090), (16, 4), (64, 64), (64, 64)):
-            arms = np.broadcast_to(fixed, (size, n)) if repeated else np.tile(fixed, (size, 1))
-            assert (arms.strides[0] == 0) == repeated
-            rewards = env.step_block(arms)
-            kept = min(keep, len(rewards))
-            env.give_back(len(rewards) - kept)
-            ledger.record_block(arms[:kept], rewards[:kept], (1,))
-            drawn.append(rewards.tobytes())
-        sides.append((drawn, ledger.pseudo, ledger.realized, ledger.snapshots,
-                      trace.getvalue().splitlines()))
-    assert [len(d) for d in sides[0][0]] == [8 * n * k for k in (4090, 6, 2, 64)]
-    assert sides[0] == sides[1]
+    one_row = play_blocks(inst, family, np.array([inst.core.assignment]), False)
+    assert [len(d) for d in one_row[0]] == [8 * n * k for k in (4090, 6, 2, 64)]
+    assert one_row == play_blocks(inst, family, np.array([inst.core.assignment]), True)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_round_robin_block_across_a_refill_equals_its_rounds(family):
+    """The n-row round robin over REFILL_BLOCKS: its second block
+    crosses the 4,096-round refill, so step_block returns the prefix
+    left in the chunk, and recording the kept rounds as (rows,
+    index[:kept]) gives the sums, snapshots and trace rows of one step
+    and record per round, and of the rounds spelled out."""
+    inst = INSTANCES["lower-bound"]()
+    n = inst.n
+    rows = round_robin(n, 0, 0)[0]
+    blocks = play_blocks(inst, family, rows, False)
+    assert [len(d) for d in blocks[0]] == [8 * n * k for k in (4090, 6, 2, 64)]
+    assert blocks == play_blocks(inst, family, rows, True)
+    env = MarketEnv(inst, 0, family)
+    trace = io.StringIO()
+    ledger = RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",),
+                          checkpoints=(1, 100, 4090, 4096, 4100))
+    for t in range(1, 1 + 4090 + 4 + 2 + 64):  # the rounds the blocks keep
+        ledger.record(env.step(rows[t % n].tolist()), (1,))
+    assert blocks[1:] == (ledger.pseudo, ledger.realized, ledger.snapshots,
+                          trace.getvalue().splitlines())
 
 
 # --- trace windows on forked workers --------------------------------------------
@@ -364,16 +406,24 @@ def no_child_left():
 
 
 def test_block_rejects_colliding_rounds():
-    """No noise is consumed, so the next valid block is a fresh
-    environment's first."""
+    """Each refusal comes before any noise is drawn, so the next valid
+    block is a fresh environment's first: a colliding row, first or not,
+    an out-of-range arm and an index past the table, of one row or
+    several."""
     inst = INSTANCES["sttcb"]()
+    n = inst.n
     env = MarketEnv(inst, 0)
-    with pytest.raises(RuntimeFailure):
-        env.step_block(np.zeros((2, 5), dtype=int))
-    with pytest.raises(RuntimeFailure):
-        env.step_block(np.broadcast_to(np.zeros(5, dtype=int), (2, 5)))
-    arms = np.tile(np.array(inst.core.assignment), (2, 1))
-    assert np.array_equal(env.step_block(arms), MarketEnv(inst, 0).step_block(arms))
+    rows, index = round_robin(n, 1, 12)
+    colliding, out_of_range = rows.copy(), rows.copy()
+    colliding[2, 3] = colliding[2, 4]
+    out_of_range[1, 0] = n
+    for bad in ((np.zeros((2, n), dtype=int), np.arange(2)),
+                (np.zeros((1, n), dtype=int), np.zeros(2, dtype=int)),
+                (colliding, index), (out_of_range, index),
+                (rows, index + 1), (rows, index - n), (rows[:1], np.array([0, 1]))):
+        with pytest.raises(RuntimeFailure):
+            env.step_block(*bad)
+    assert np.array_equal(env.step_block(rows, index), MarketEnv(inst, 0).step_block(rows, index))
 
 
 def count_steps(monkeypatch):
@@ -572,10 +622,10 @@ def test_given_back_rounds_draw_the_same_noise_again(family):
     draw, and a give-back past the chunk's start is refused."""
     inst = INSTANCES["lower-bound"]()
     core = list(inst.core.assignment)
-    arms = np.broadcast_to(np.array(core), (4090, inst.n))
+    rows, index = np.array([core]), np.zeros(4090, dtype=int)
     env, loop = MarketEnv(inst, 0, family), MarketEnv(inst, 0, family)
-    assert len(env.step_block(arms)) == 4090
-    assert len(env.step_block(arms[:16])) == 6
+    assert len(env.step_block(rows, index)) == 4090
+    assert len(env.step_block(rows, index[:16])) == 6
     env.give_back(4)
     with pytest.raises(RuntimeFailure):
         env.give_back(4093)

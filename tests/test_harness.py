@@ -165,9 +165,9 @@ class TestEpisodes:
         blocks = []
         record_block = RegretLedger.record_block
 
-        def recording(ledger, arms, rewards, extra=()):
-            blocks.append(len(arms))
-            record_block(ledger, arms, rewards, extra)
+        def recording(ledger, rows, index, rewards, extra=()):
+            blocks.append(len(index))
+            record_block(ledger, rows, index, rewards, extra)
 
         monkeypatch.setattr(RegretLedger, "record_block", recording)
         market = sttcb_instance(3, 0.2, np.random.default_rng(7))
