@@ -155,13 +155,10 @@ def lower_bound_instance(n: int, delta: float, i_star: int) -> MarketInstance:
         raise InfeasibleDeltaError(
             f"delta={delta} too small for the {TIE_BREAK_EPS} tie-break at n={n}"
         )
-    star = i_star - 1
-    u = np.empty((n, n))
-    for i in range(n):
-        top_arm = (i + 1) % n
-        off = 0.25 if i == star else 0.5 - delta
-        for j in range(n):
-            u[i, j] = 0.5 if j == top_arm else off + TIE_BREAK_EPS * (j + 1)
+    players = np.arange(n)
+    off = np.where(players == i_star - 1, 0.25, 0.5 - delta)
+    u = off[:, None] + TIE_BREAK_EPS * (players + 1)
+    u[players, (players + 1) % n] = 0.5
     instance = validate_instance(u, "bernoulli")
     if not is_sttcb(instance):
         raise RuntimeFailure("lower-bound instance must be single-cycle with top = core")

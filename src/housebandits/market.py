@@ -9,7 +9,11 @@ Markets are one-sided: player i enters owning arm (house) a_i, utilities
 live in an n x n matrix with one row per player, and rows are required
 to be strict (no duplicate values) so every player has a total order
 over arms. Under strict preferences the core of the exchange economy is
-a single matching, which is what both mechanisms here compute.
+a single matching, which is what both mechanisms here compute. One
+stable sort of the matrix (_sorted_rows) gives the rankings, the
+refusal of a tied row and the smallest adjacent gap Delta of a
+validated instance, and the rankings and place table the core oracle
+and the blocking search read.
 
 Players and arms are indexed 0..n-1 internally. JSON files use 1-based
 indices; conversion happens only at (de)serialization boundaries.
@@ -118,28 +122,23 @@ def _check_permutation(seq: Sequence[int], n: int) -> None:
         )
 
 
-def ranking_from_utilities(utilities: np.ndarray, player: int) -> Ranking:
-    """Strict preference order of one player, best arm first.
+def _sorted_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one sort of a utility matrix: (order, ordered), where order[i]
+    is player i's ranking, best arm first (a stable sort on negated
+    values), and ordered[i] its utilities in that order.
 
-    Raises TiedPreferenceError if the row has duplicate values.
+    Raises TiedPreferenceError for the first player with two equal
+    ranking-adjacent values. Equal values sort next to each other, so
+    this refuses any duplicate in a row: 0.0 and -0.0 tie, as do two
+    infinities of one sign, and NaN, sorted last, ties nothing.
     """
-    row = np.asarray(utilities, dtype=float)[player]
-    if len(set(row.tolist())) != len(row):
-        raise TiedPreferenceError(f"player {player} has tied utilities: {row.tolist()}")
-    # stable sort on negated values; ties are impossible past the check
-    return tuple(int(j) for j in np.argsort(-row, kind="stable"))
-
-
-def min_gap(utilities: np.ndarray) -> float:
-    """Smallest utility difference between ranking-adjacent arms, over
-    all players. Positive iff all rows are strict; +inf for a 1x1 market
-    (no adjacent pair exists)."""
-    u = np.asarray(utilities, dtype=float)
-    n = u.shape[0]
-    if n == 1:
-        return math.inf
-    ordered = np.sort(u, axis=1)
-    return float(np.min(ordered[:, 1:] - ordered[:, :-1]))
+    order = np.argsort(-u, axis=1, kind="stable")
+    ordered = np.take_along_axis(u, order, axis=1)
+    tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    if tied.any():
+        player = int(np.argmax(tied))
+        raise TiedPreferenceError(f"player {player} has tied utilities: {u[player].tolist()}")
+    return order, ordered
 
 
 def gap_term(scale: float, gap: float) -> float:
@@ -163,6 +162,12 @@ def validate_instance(utilities: Iterable, reward_model: str = "gaussian") -> Ma
 
     Rejects non-square matrices, entries outside [0, 1] (or non-finite),
     duplicate values within a row, and unknown reward models.
+
+    The rankings, the tie refusal and min_gap all come from one sort of
+    the matrix (_sorted_rows). min_gap, the paper's Delta, is the
+    smallest difference between ranking-adjacent utilities over all
+    players, positive since rows are strict; +inf for a 1x1 market,
+    which has no adjacent pair.
     """
     try:
         u = np.array(utilities, dtype=float)
@@ -176,14 +181,14 @@ def validate_instance(utilities: Iterable, reward_model: str = "gaussian") -> Ma
         raise EntryOutOfRangeError(
             f"reward_model must be one of {REWARD_MODELS}, got {reward_model!r}"
         )
-    n = u.shape[0]
-    rankings = tuple(ranking_from_utilities(u, i) for i in range(n))
+    order, ordered = _sorted_rows(u)
+    rankings = tuple(map(tuple, order.tolist()))
     u.setflags(write=False)
     return MarketInstance(
         utilities=u,
         reward_model=reward_model,
         rankings=rankings,
-        min_gap=min_gap(u),
+        min_gap=float(np.min(ordered[:, :-1] - ordered[:, 1:])) if len(u) > 1 else math.inf,
         core=ttc(rankings),
     )
 
@@ -368,21 +373,19 @@ def core_oracle_bruteforce(utilities: np.ndarray) -> Matching:
     return Matching(unblocked[0])
 
 
-def _preference_tables(u: np.ndarray) -> tuple[list[Ranking], list[list[int]]]:
-    """Rankings plus pos[i][j], the place of arm j in player i's
-    ranking. The arms player i strictly prefers to its match are the
-    ranking prefix before the matched arm."""
-    n = u.shape[0]
-    rankings = [ranking_from_utilities(u, i) for i in range(n)]
-    pos = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for p, j in enumerate(rankings[i]):
-            pos[i][j] = p
-    return rankings, pos
+def _preference_tables(u: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
+    """Rankings (_sorted_rows' order) plus pos[i][j], the place of arm j
+    in player i's ranking: the order's inverse permutation. The arms
+    player i strictly prefers to its match are the ranking prefix before
+    the matched arm."""
+    order, _ = _sorted_rows(u)
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(order.shape[1]), axis=1)
+    return order.tolist(), pos.tolist()
 
 
 def _blocking_search(
-    rankings: Sequence[Ranking], pos: Sequence[Sequence[int]], matching: Sequence[int]
+    rankings: Sequence[Sequence[int]], pos: Sequence[Sequence[int]], matching: Sequence[int]
 ) -> tuple[list[list[int]], int] | None:
     """Depth-first search for an objection to the matching, tuned for
     the n! enumeration loop of the oracle.

@@ -29,8 +29,6 @@ from housebandits.market import (
     core_oracle_bruteforce,
     find_blocking_coalition,
     instance_from_json_dict,
-    min_gap,
-    ranking_from_utilities,
     save_instance,
     ttc,
     validate_instance,
@@ -103,27 +101,28 @@ def test_instance_utilities_are_read_only():
 
 
 def test_ranking_orders_arms_best_first():
-    u = np.array([[0.2, 0.9, 0.5]])
-    assert ranking_from_utilities(u, 0) == (1, 2, 0)
+    u = np.array([[0.2, 0.9, 0.5], [0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    assert validate_instance(u).rankings[0] == (1, 2, 0)
 
 
 def test_ranking_rejects_ties():
     with pytest.raises(TiedPreferenceError):
-        ranking_from_utilities(np.array([[0.3, 0.3, 0.1]]), 0)
+        validate_instance(np.array([[0.3, 0.3, 0.1], [0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]))
 
 
 def test_min_gap_hand_computed():
     # row gaps: |0.9-0.5| = 0.4 and |0.8-0.2| = 0.6
-    assert min_gap(np.array([[0.9, 0.5], [0.2, 0.8]])) == pytest.approx(0.4)
+    assert validate_instance(np.array([[0.9, 0.5], [0.2, 0.8]])).min_gap == pytest.approx(0.4)
 
 
 def test_min_gap_only_adjacent_pairs_count():
     # sorted row 0.1, 0.5, 0.6: adjacent gaps 0.4 and 0.1, not 0.5
-    assert min_gap(np.array([[0.5, 0.1, 0.6], [0.1, 0.4, 0.7], [0.2, 0.5, 0.8]])) == pytest.approx(0.1)
+    u = np.array([[0.5, 0.1, 0.6], [0.1, 0.4, 0.7], [0.2, 0.5, 0.8]])
+    assert validate_instance(u).min_gap == pytest.approx(0.1)
 
 
 def test_min_gap_single_player_is_infinite():
-    assert min_gap(np.array([[0.4]])) == math.inf
+    assert validate_instance(np.array([[0.4]])).min_gap == math.inf
 
 
 # --- matchings ------------------------------------------------------------
