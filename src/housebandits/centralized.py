@@ -29,7 +29,8 @@ math.log per round, then +, *, / and sqrt, which numpy rounds exactly
 as Python does), and the round holds if every ranking in the profile
 is still the stable sort of its negated indices. A stretch of such
 blocks reads the other arms' means and counts once, when the profile
-repeats; each block then reads only its matched arms' runs of means.
+repeats; each block then reads only its matched arms' counts and runs
+of means, and commits the rounds it keeps.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def platform_round(
     matching = last[1] if last is not None and last[0] == rankings else ttc(rankings)
     outcome = env.step(matching.assignment)
     for i, st in enumerate(states):
-        st.update(matching.assignment[i], outcome.rewards[i])
+        st.fold(matching.assignment[i], (outcome.rewards[i],))
     return rankings, matching, outcome
 
 
@@ -90,13 +91,14 @@ def hold_profile(
 
     While the profile holds only the matched arms move, so the other
     arms' means and doubled counts are read once, in ranking order, and
-    a block broadcasts them over its rounds; only the matched arms'
-    means and counts are new in each block round. An unpulled arm keeps
-    mean and doubled count +inf, whose index is +inf in every round, as
-    in submitted_rankings. The guess holds in a round while every
-    ranking is still the stable sort of the round's negated indices:
-    along it the indices do not rise, and an equal pair keeps the lower
-    arm first."""
+    a block broadcasts them over its rounds. Each block reads the
+    matched arms' counts from the states and their means after each
+    block reward from ArmStats.run, which stores nothing, and commits
+    the kept prefix alone. An unpulled arm keeps mean and doubled count
+    +inf, whose index is +inf in every round, as in submitted_rankings.
+    The guess holds in a round while every ranking is still the stable
+    sort of the round's negated indices: along it the indices do not
+    rise, and an equal pair keeps the lower arm first."""
     n = len(states)
     rows = np.arange(n)
     at = [ranking.index(a) for ranking, a in zip(rankings, assignment)]
@@ -108,19 +110,19 @@ def hold_profile(
                       for st, a in in_order]).reshape(n, n, 1)
     twice = np.array([2.0 * st.counts[a] if st.counts[a] else math.inf
                       for st, a in in_order]).reshape(n, n, 1)
-    # the matched arms' doubled counts before the next block's first round
-    twice_next = np.array([2.0 * st.counts[a] for st, a in zip(states, assignment)])[:, None]
 
     def keep(t: int, rewards: np.ndarray) -> int:
         k = len(rewards)
         # row i: player i's matched mean before each block reward, then after the last
-        runs = [[st.means[a], *st.update_run(a, col)]
+        runs = [[st.means[a], *st.run(a, col)]
                 for st, a, col in zip(states, assignment, rewards.T.tolist())]
+        # the matched arms' doubled counts before the block's first round
+        twice_now = np.array([2.0 * st.counts[a] for st, a in zip(states, assignment)])[:, None]
         explore = 3.0 * np.fromiter(map(math.log, range(t, t + k)), float, k)
         index = means + np.sqrt(explore / twice)
         # round t + r ranks on the matched arm's mean and count after r rewards
         index[rows, at] = np.array(runs, dtype=float)[:, :-1] + np.sqrt(
-            explore / (twice_next + np.arange(0.0, 2.0 * k, 2.0)))
+            explore / (twice_now + np.arange(0.0, 2.0 * k, 2.0)))
         # an adjacent pair breaks its ranking where the arm behind has the
         # higher index, or an equal one with the higher arm ranked ahead
         ahead, behind = index[:, :-1], index[:, 1:]
@@ -130,11 +132,9 @@ def hold_profile(
         held = int(broken.argmax())
         if not broken[held]:
             held = k
-        twice_next[:] += 2.0 * held
-        if held < k:
-            for st, a, run in zip(states, assignment, runs):
-                st.means[a] = run[held]
-                st.counts[a] -= k - held
+        for st, a, run in zip(states, assignment, runs):
+            st.means[a] = run[held]
+            st.counts[a] += held
         return held
 
     return keep

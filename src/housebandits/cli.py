@@ -84,7 +84,12 @@ def parse_checkpoints(text: str) -> tuple[int, ...]:
 
 def _read_json(path: str, what: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # ValueError: a path the system cannot encode (a NUL byte, a lone surrogate)
+        fh = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalidError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        with fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot read {what} {path}: {exc}") from exc
@@ -108,7 +113,7 @@ def _refuse_overwrites(inputs: tuple[str | None, ...], outputs: tuple[str | None
 def _same_file(a: str, b: str) -> bool:
     """Whether paths a and b name one regular file, existing or not; a
     device such as /dev/null takes any number of writers. A path the
-    system cannot encode names no file, and fails when it is opened."""
+    system cannot encode names no file, and is refused when it is opened."""
     try:
         if os.path.exists(a) and os.path.exists(b):
             return os.path.samefile(a, b) and os.path.isfile(a)
@@ -336,11 +341,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
     except (RuntimeFailure, OSError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"runtime failure: {exc}", 3
+    # a lone surrogate (in a path the system cannot encode) is escaped as
+    # sys.stderr itself escapes it, so that a strict text stream takes it too
+    print(message.encode("utf-8", "backslashreplace").decode("utf-8"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -206,7 +206,7 @@ class DecentralizedPlayer:
                 raise DesyncError(
                     f"player {self.id} expected a clean exploration match at round {t}"
                 )
-            self.stats.update(view.matched, view.reward)
+            self.stats.fold(view.matched, (view.reward,))
             self.stage_left -= 1
             if self.stage_left == 0:
                 self._close_block()

@@ -91,14 +91,16 @@ class RoundOutcome:
 class ArmStats:
     """One player's empirical mean and pull count per arm.
 
-    The mean is the exact running mean (m * c + x) / (c + 1), folded in
-    one reward at a time, so a run of k rewards to one arm gives the
-    same floats as k updates. fold and update_run carry the count as a
-    float inside their loops, which is cheaper than an int, and store
-    an int back: below 2^53, float * int and float / int convert the
-    int to this same double, so every mean is unchanged. Exploration
-    folds its runs with fold; update_run also returns the mean after
-    each reward, for the centralized block check that reads them."""
+    The mean is the exact running mean (m * c + x) / (c + 1), taken one
+    reward at a time. fold is the one method that changes the
+    statistics: a run of k rewards to one arm folds in one call and
+    gives the same floats as k calls of one reward each. run computes
+    the same means and stores nothing; it returns the mean after each
+    reward, for the centralized block check, which commits only the
+    prefix of the run it keeps. Both carry the count as a float inside
+    their loops, which is cheaper than an int, and fold stores an int
+    back: below 2^53, float * int and float / int convert the int to
+    this same double, so every mean is unchanged."""
 
     __slots__ = ("means", "counts")
 
@@ -106,16 +108,8 @@ class ArmStats:
         self.means = [0.0] * n
         self.counts = [0] * n
 
-    def update(self, arm: int, reward: float) -> None:
-        """update_run of one reward, spelled out: the per-round loop
-        calls it, and a run of one costs three times as much."""
-        c = self.counts[arm]
-        self.means[arm] = (self.means[arm] * c + reward) / (c + 1)
-        self.counts[arm] = c + 1
-
     def fold(self, arm: int, rewards: Iterable[float]) -> None:
-        """update_run without the list of intermediate means: the same
-        float operations in the same order, so the same final mean."""
+        """Fold rewards into arm's mean and count, in order."""
         m = self.means[arm]
         c = float(self.counts[arm])
         for x in rewards:
@@ -124,16 +118,13 @@ class ArmStats:
         self.means[arm] = m
         self.counts[arm] = int(c)
 
-    def update_run(self, arm: int, rewards: Iterable[float]) -> list[float]:
-        """Fold rewards into arm's mean in order; returns the mean after
-        each of them."""
+    def run(self, arm: int, rewards: Iterable[float]) -> list[float]:
+        """The mean of arm after each of rewards, as fold would leave it
+        after folding them up to that one; stores nothing."""
         m = self.means[arm]
         c = float(self.counts[arm])
         # the numerator reads c before the denominator counts the reward
-        run = [m := (m * c + x) / (c := c + 1.0) for x in rewards]
-        self.means[arm] = m
-        self.counts[arm] = int(c)
-        return run
+        return [m := (m * c + x) / (c := c + 1.0) for x in rewards]
 
 
 class MarketEnv:

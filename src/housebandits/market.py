@@ -508,7 +508,8 @@ def written(*paths: str | Path | None):
     and moved over it once the block and every close succeed: a failed
     or interrupted block changes no path and leaves no file. A path that
     exists but is not a regular file (/dev/null, a FIFO) is written
-    directly. A system error raises ConfigInvalidError naming the output."""
+    directly. A system error, or a path the system cannot encode (a NUL
+    byte, a lone surrogate), raises ConfigInvalidError naming the output."""
     files, moves, path = [], [], None  # moves: (new file, resolved path, path)
     try:
         for path in filter(None, paths):
@@ -533,8 +534,9 @@ def written(*paths: str | Path | None):
         for temp, _, _ in moves:
             with contextlib.suppress(OSError):
                 os.unlink(temp)
-        if path is not None and isinstance(exc, OSError):
-            raise ConfigInvalidError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if path is not None and isinstance(exc, (OSError, ValueError)):
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigInvalidError(f"cannot write {path}: {reason}") from exc
         raise
 
 

@@ -256,9 +256,9 @@ def fast_path_check(instance, seed, horizon, u):
     folds into is the one it matched; a status round re-checks a mean
     that has not moved since. So the loop's flag is a check of every
     mean a fold produces. The fast path folds each exploration run with
-    ArmStats.fold; the check replays the run with ArmStats.update_run
-    on a copy of the statistics, which returns those means, and the
-    fold must end on the replay's last mean and count. The margin is
+    ArmStats.fold; the check first replays the run with ArmStats.run,
+    which returns those means and stores nothing, and the fold must end
+    on the replay's last mean and count. The margin is
     the largest standardized deviation |m - u| / sqrt(6 ln T / c) over
     those means m, c being the count after the fold: how near the
     episode came to leaving an interval, whose edge is 1. A span hands
@@ -271,22 +271,26 @@ def fast_path_check(instance, seed, horizon, u):
     span_folds = [0]
     explore_span = DecentralizedPlayer.explore_span
     fold = ArmStats.fold
-    update_run = ArmStats.update_run
+    replay = ArmStats.run
 
     def span(player, t, rewards):
         folding[0] = player.id
         last_round[0] = t + len(rewards) - 1
         span_folds[0] += min(player.n, len(rewards))
-        explore_span(player, t, rewards)
+        try:
+            explore_span(player, t, rewards)
+        finally:
+            folding[0] = None
 
     def recorded_fold(stats, arm, rewards):
-        replay = ArmStats(0)
-        replay.means, replay.counts = stats.means.copy(), stats.counts.copy()
-        run = update_run(replay, arm, rewards)
-        folds.append((folding[0], arm, stats.counts[arm], run))
+        if folding[0] is None:
+            other_fold(stats, arm, rewards)
+        count = stats.counts[arm]
+        run = replay(stats, arm, rewards)
+        folds.append((folding[0], arm, count, run))
         fold(stats, arm, rewards)
-        assert repr(stats.means[arm]) == repr(replay.means[arm])
-        assert stats.counts[arm] == replay.counts[arm]
+        assert repr(stats.means[arm]) == repr(run[-1])
+        assert stats.counts[arm] == count + len(run)
 
     def other_fold(stats, arm, rewards):
         raise AssertionError("a reward was folded outside explore_span")
@@ -296,8 +300,7 @@ def fast_path_check(instance, seed, horizon, u):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DecentralizedPlayer, "explore_span", span)
         mp.setattr(ArmStats, "fold", recorded_fold)
-        mp.setattr(ArmStats, "update_run", other_fold)
-        mp.setattr(ArmStats, "update", other_fold)
+        mp.setattr(ArmStats, "run", other_fold)
         episode = run_episode(config, seed)
     t1 = episode.stats["entry_round"]
     assert t1 is None or last_round[0] < t1

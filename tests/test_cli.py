@@ -24,7 +24,7 @@ from housebandits.cli import main, parse_checkpoints, parse_seeds
 from housebandits.errors import ConfigInvalidError, RuntimeFailure
 from housebandits.harness import ALGORITHMS, ExperimentConfig
 from housebandits.instances import MAX_PLAYERS
-from housebandits.market import instance_from_json_dict, is_json_int
+from housebandits.market import instance_from_json_dict, is_json_int, save_instance, written
 
 
 @pytest.fixture()
@@ -804,6 +804,74 @@ def mc_on_file(algo):
 )
 def test_bad_input_exits_2_without_traceback(payload, argv, instance_path, tmp_path, capsys):
     assert run_on_file(payload, argv, instance_path, tmp_path, capsys) == 2
+
+
+# characters a path cannot hand the system: a NUL byte, which no shell
+# argv carries but a caller of main can, and a lone surrogate
+UNENCODABLE = ["\0", "\ud800"]
+# every output flag, given {bad}; --snapshots goes beside a good trace
+BAD_OUTPUTS = [
+    ["run", "--instance", "{instance}", "--algo", "oracle-fixed", "--horizon", "20",
+     "--seeds", "0", "--trace", "{bad}"],
+    ["run", "--instance", "{instance}", "--algo", "decentralized-etc", "--horizon", "20",
+     "--seeds", "0", "--trace", "{out}", "--snapshots", "{bad}"],
+    ["mc", "--instance", "{instance}", "--algo", "oracle-fixed", "--horizon", "20",
+     "--seeds", "0,1", "--out", "{bad}"],
+    ["mechanisms", "--instance", "{instance}", "--out", "{bad}"],
+    ["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2", "--seed", "3", "--out", "{bad}"],
+]
+
+
+def run_on_bad_path(argv, char, instance_path, tmp_path, capsys) -> tuple[int, str, str]:
+    """Run argv with {bad} a path in tmp_path that holds char, {out} a
+    good path beside it and {instance} filled in; returns the exit code,
+    the bad path as the error output prints it (a lone surrogate
+    escaped, as by sys.stderr) and that output, which holds no
+    traceback."""
+    bad = str(tmp_path / f"o{char}ut")
+    code = main([a.format(instance=instance_path, out=tmp_path / "out", bad=bad) for a in argv])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, bad.encode("utf-8", "backslashreplace").decode("utf-8"), err
+
+
+@pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("argv", BAD_OUTPUTS,
+                         ids=["run-trace", "run-snapshots", "mc-out", "mechanisms-out", "gen-out"])
+def test_an_output_path_the_system_cannot_encode_exits_2(argv, char, instance_path, tmp_path,
+                                                          capsys):
+    """The writer refuses the path by name and leaves no file, not even
+    the good trace beside --snapshots."""
+    code, bad, err = run_on_bad_path(argv, char, instance_path, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {bad}")
+    assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
+
+
+@pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("argv,what", [
+    (["mechanisms", "--instance", "{bad}"], "instance"),
+    (["mc", "--config", "{bad}", "--instance", "{instance}", "--out", "{out}"], "config"),
+], ids=["instance", "config"])
+def test_an_input_path_the_system_cannot_encode_cannot_be_read(argv, what, char, instance_path,
+                                                               tmp_path, capsys):
+    code, bad, err = run_on_bad_path(argv, char, instance_path, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {what} {bad}: ")
+    assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
+
+
+@pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])
+def test_the_writer_refuses_a_path_the_system_cannot_encode(char, instance_path, tmp_path):
+    """As save_instance and harness.export reach it, in-process: a good
+    path before the bad one leaves no file either."""
+    bad = str(tmp_path / f"o{char}ut")
+    with pytest.raises(ConfigInvalidError, match="^cannot write "):
+        save_instance(instance_from_json_dict(json.loads(Path(instance_path).read_text())), bad)
+    with pytest.raises(ConfigInvalidError, match="^cannot write "):
+        with written(tmp_path / "good.csv", bad):
+            raise AssertionError("the block ran")
+    assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
 
 
 @pytest.mark.parametrize("payload", [ZERO_SQUARE_GAP, INFINITE_TERM_GAP],

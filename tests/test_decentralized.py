@@ -115,11 +115,11 @@ def stats_of(means, counts):
 class TestEstimates:
     def test_incremental_mean_matches_average(self):
         stats = ArmStats(2)
-        stats.update(0, 1.0)
+        stats.fold(0, (1.0,))
         assert stats.means[0] == 1.0 and stats.counts[0] == 1
-        stats.update(0, 0.5)
+        stats.fold(0, (0.5,))
         assert stats.means[0] == pytest.approx(0.75)
-        stats.update(0, 0.25)
+        stats.fold(0, (0.25,))
         assert stats.means[0] == pytest.approx(7 / 12)
         assert stats.counts == [3, 0]
 

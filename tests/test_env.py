@@ -159,23 +159,27 @@ def test_resolve_matches_at_most_one_player_per_arm(proposals):
 @given(st.floats(-1.0, 2.0), st.integers(0, 10**7),
        st.lists(st.sampled_from([0.0, 1.0]) | st.floats(-3.0, 4.0), max_size=20))
 def test_a_run_update_equals_one_update_per_reward(mean, count, rewards):
-    """Bit for bit, with the run returning each intermediate mean and
-    the fold ending on the last of them. Both carry their count as a
-    float, so the count they store back must be an int again: 5 == 5.0,
-    but a float count changes every snapshot that prints it. Means
-    compare by repr, which tells -0.0 from 0.0."""
-    run, folded, steps = ArmStats(2), ArmStats(2), ArmStats(2)
-    for stats in (run, folded, steps):
-        stats.means[1], stats.counts[1] = mean, count
-    means = []
-    for x in rewards:
-        steps.update(1, x)
-        means.append(steps.means[1])
-    assert repr(run.update_run(1, rewards)) == repr(means)
-    folded.fold(1, rewards)
+    """Bit for bit against the recurrence taken one reward at a time
+    with an int count: the run returns each intermediate mean and
+    stores nothing, and the fold ends on the last of them. Both carry
+    their count as a float, so the count the fold stores back must be
+    an int again: 5 == 5.0, but a float count changes every snapshot
+    that prints it. Means compare by repr, which tells -0.0 from 0.0."""
+    run, folded = ArmStats(2), ArmStats(2)
     for stats in (run, folded):
-        assert repr(stats.means) == repr(steps.means)
-        assert stats.counts == steps.counts
+        stats.means[1], stats.counts[1] = mean, count
+    means, m, c = [], mean, count
+    for x in rewards:
+        m = (m * c + x) / (c + 1)
+        c += 1
+        means.append(m)
+    assert repr(run.run(1, rewards)) == repr(means)
+    assert repr(run.means) == repr([0.0, mean])
+    assert run.counts == [0, count]
+    folded.fold(1, rewards)
+    assert repr(folded.means) == repr([0.0, m])
+    assert folded.counts == [0, c]
+    for stats in (run, folded):
         assert all(type(c) is int for c in stats.counts)
 
 

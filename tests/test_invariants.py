@@ -4,7 +4,8 @@ RuntimeFailure, ...) instead of asserting or raising a bare
 RuntimeError. No module keeps an import it never uses or a memo
 decorator, the harness never asks whether an episode is traced, the
 one fork in the package ends its child in os._exit, one method reads
-the environment's noise, and one function opens files for writing.
+the environment's noise, one method and one closure write a player's
+statistics, and one function opens files for writing.
 Every name the traced benchmark wraps is still defined where it looks."""
 
 from __future__ import annotations
@@ -250,6 +251,61 @@ def test_noise_check_sees_a_stray_read():
                      "    return env._chunk_pos, env._chunk\n")
     assert _noise_reads(tree) == [("MarketEnv._draw", 3), ("MarketEnv._draw", 3),
                                   ("MarketEnv.step", 6), ("peek", 8)]
+
+
+def _stats_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(scope, line) of every assignment, plain, augmented or annotated,
+    to an item or slice of an attribute named means or counts, also
+    inside a tuple or starred target, scope being the dotted names of
+    the enclosing classes and functions."""
+    found = []
+
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        return [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for target in targets(node):
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
+                        and sub.value.attr in ("means", "counts")):
+                    found.append((".".join(scope), sub.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_only_the_fold_and_the_held_stretch_write_statistics():
+    """Every per-arm mean comes from one recurrence: ArmStats.fold, and
+    hold_profile's keep, which commits the kept prefix of a run that
+    ArmStats.run computed, are the only writers of a mean or count."""
+    scopes = set()
+    for path in SOURCES:
+        scopes |= {f"{path.name}: {scope}"
+                   for scope, _ in _stats_writes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert scopes == {"env.py: ArmStats.fold", "centralized.py: hold_profile.keep"}
+
+
+def test_stats_write_check_sees_a_stray_write():
+    tree = ast.parse("class ArmStats:\n"
+                     "    def __init__(self, n):\n"
+                     "        self.means, self.counts = [0.0] * n, [0] * n\n"
+                     "    def fold(self, arm, m, c):\n"
+                     "        self.means[arm] = m\n"
+                     "        self.counts[arm] = c\n"
+                     "def stray(st, a, x):\n"
+                     "    st.counts[a] += 1\n"
+                     "    st.means[a], st.counts[a] = x, 1\n"
+                     "    st.means[:]: list = [x]\n"
+                     "    [*st.counts[:1]] = [0]\n"
+                     "    return st.means[a], st.counts\n")
+    assert _stats_writes(tree) == [("ArmStats.fold", 5), ("ArmStats.fold", 6), ("stray", 8),
+                                   ("stray", 9), ("stray", 9), ("stray", 10), ("stray", 11)]
 
 
 # os.open flags that let a descriptor write
