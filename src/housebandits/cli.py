@@ -103,9 +103,9 @@ def _refuse_overwrites(inputs: tuple[str | None, ...], outputs: tuple[str | None
     """Refuse an output path that names an input or another output,
     however spelled, before any file is opened for writing; a path of
     None is not given."""
-    given = [p for p in outputs if p]
+    given = [p for p in outputs if p is not None]
     for k, out in enumerate(given):
-        for other in [p for p in inputs if p] + given[:k]:
+        for other in [p for p in inputs if p is not None] + given[:k]:
             if _same_file(out, other):
                 raise ConfigInvalidError(f"output {out} would overwrite {other}")
 
@@ -139,7 +139,7 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
     checks the merged values; an output path that names the config, the
     instance or another output is refused."""
     merged: dict = {}
-    if args.config:
+    if args.config is not None:
         raw = _read_json(args.config, "config")
         if not isinstance(raw, dict):
             raise ConfigInvalidError(f"config {args.config} must hold a JSON object")
@@ -170,8 +170,6 @@ def build_experiment(args: argparse.Namespace, need_many_seeds: bool,
     instance_path = merged.pop("instance")
     if not isinstance(instance_path, str):
         raise ConfigInvalidError(f"instance path must be a string, got {instance_path!r}")
-    if "\0" in instance_path:
-        raise ConfigInvalidError(f"instance path {instance_path!r} holds a NUL byte")
     _refuse_overwrites((args.config, instance_path), outputs)
     instance_id = merged.setdefault("instance_id", Path(instance_path).stem)
     if not isinstance(instance_id, str):
@@ -191,7 +189,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_experiment(args, need_many_seeds=False, outputs=(args.trace, args.snapshots))
-    if args.snapshots and not algorithm_spec(config.algorithm).snapshots:
+    if args.snapshots is not None and not algorithm_spec(config.algorithm).snapshots:
         raise ConfigInvalidError(f"{config.algorithm} produces no player snapshots")
     # made before round 1, so a bad path fails before anything is played
     with written(args.trace, args.snapshots) as (trace, snapshots):
@@ -206,14 +204,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if episode.stats:
         print(f"stats: {json.dumps(episode.stats, sort_keys=True)}")
-    if args.trace:
+    if args.trace is not None:
         print(f"trace written to {args.trace}")
-    if args.snapshots:
+    if args.snapshots is not None:
         print(f"snapshots written to {args.snapshots}")
     return 0
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
+    if not args.out:  # ".csv" and ".json" would be hidden files
+        raise ConfigInvalidError("cannot write '': an empty prefix names no report")
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     config = build_experiment(args, need_many_seeds=True, outputs=(csv_path, json_path))
@@ -248,7 +248,7 @@ def cmd_mechanisms(args: argparse.Namespace) -> int:
             raise RuntimeFailure("exhaustive oracle disagrees with the mechanism output")
     else:
         print(f"exhaustive verification: skipped (n > {MAX_ORACLE_N})")
-    if args.out:
+    if args.out is not None:
         save_matching(matching, args.out)
         print(f"matching written to {args.out}")
     return 0

@@ -23,11 +23,14 @@ alone.
 Two jobs run on every usable CPU, one forked worker per CPU beyond the
 first, through one helper (_forked): Monte Carlo plays its seeds there
 (episodes share no mutable state) and merges the episodes back into
-seed order, and a long traced episode is replayed by every worker,
-each formatting the trace rows of its own window of rounds, which are
-appended in round order. Reports and traces are byte-identical to a
-one-process run; wrappers and counters installed in the calling process
-see only what it plays itself. The headline metric is cumulative
+seed order, and every episode is played through it as windows of
+rounds, one for an untraced or short traced episode, played in this
+process. A long traced episode is replayed by every worker, each
+formatting the trace rows of its own window, which are appended in
+round order, and each worker's whole episode must equal this
+process's. Reports and traces are byte-identical to a one-process run;
+wrappers and counters installed in the calling process see only what
+it plays itself. The headline metric is cumulative
 pseudo-regret per player, snapshotted by the episode's RegretLedger at
 log-spaced checkpoints and compared against per-player bound curves.
 """
@@ -45,7 +48,7 @@ import shutil
 import signal
 import tempfile
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -171,48 +174,43 @@ def run_episode(
     """Play one episode to the horizon and collect regret snapshots;
     with a text file as trace, write the per-round trace CSV to it.
 
-    A long trace is written on every usable CPU: rounds 1 .. T are cut
-    into w equal windows of at least _MIN_WINDOW_ROUNDS rounds (see
-    _forked), worker j = 1 .. w - 1 replays the episode and writes
-    window j's rows to a temporary file of its own, this process plays
-    window 0 straight into trace and then appends the workers' files in
-    window order. The file is byte-identical to a one-process trace; a
-    worker whose final regrets differ from this process's raises
-    DesyncError.
+    Every episode goes through _forked, once: rounds 1 .. T are cut into
+    w windows of at least _MIN_WINDOW_ROUNDS rounds each, w being the
+    usable CPUs for a long trace (fewer on a shorter one) and 1
+    otherwise. Worker j = 1 .. w - 1 replays the whole episode and
+    writes window j's rows to a temporary file of its own; this process
+    plays window 0 straight into trace and then appends the workers'
+    files in window order. The file is byte-identical to a one-process
+    trace; a worker whose episode differs from this process's in any
+    field raises DesyncError.
     """
     horizon = config.horizon
-    w = _usable_cpus() if trace is not None else 1
-    while w > 1 and w * _MIN_WINDOW_ROUNDS > horizon:
-        w -= 1
-    if w == 1:
-        return _play_window(config, seed, trace)
-    # ceilings, so that only window 0 starts at round 0 and writes the
-    # header, also when the horizon is shorter than w
-    cuts = [-(-horizon * j // w) for j in range(w + 1)]
+    w = max(1, min(_usable_cpus(), horizon // _MIN_WINDOW_ROUNDS)) if trace is not None else 1
+    cuts = [horizon * j // w for j in range(w + 1)]
     with contextlib.ExitStack() as stack:
         parts = [trace] + [stack.enter_context(tempfile.TemporaryFile(
             "w+", encoding="utf-8", newline="")) for _ in range(1, w)]
 
         def window(j):
             episode = _play_window(config, seed, parts[j], (cuts[j], cuts[j + 1]))
-            if j == 0:
-                return episode
-            parts[j].flush()  # a worker leaves through os._exit, which flushes nothing
-            return episode.final_pseudo, episode.final_realized
+            if j:
+                parts[j].flush()  # a worker leaves through os._exit, which flushes nothing
+            return episode
 
-        episode, *finals = _forked([lambda j=j: window(j) for j in range(w)])
-        for final in finals:
-            if final != (episode.final_pseudo, episode.final_realized):
-                raise DesyncError(f"a trace worker's final regrets {final} differ from "
-                                  f"{(episode.final_pseudo, episode.final_realized)}")
+        episode, *others = _forked([lambda j=j: window(j) for j in range(w)])
+        differ = sorted({f.name for other in others for f in fields(other)
+                         if getattr(other, f.name) != getattr(episode, f.name)})
+        if differ:
+            raise DesyncError(f"a trace worker's episode differs from this process's "
+                              f"in {', '.join(differ)}")
         for part in parts[1:]:
             part.seek(0)
             shutil.copyfileobj(part, trace)
     return episode
 
 
-def _play_window(config: ExperimentConfig, seed: int, trace: TextIO | None = None,
-                 rows: tuple[int, float] = (0, math.inf)) -> EpisodeTrace:
+def _play_window(config: ExperimentConfig, seed: int, trace: TextIO | None,
+                 rows: tuple[int, int]) -> EpisodeTrace:
     """Play one episode to the horizon; a trace gets the rows of rounds
     rows[0] < t <= rows[1], and the header when rows[0] is 0."""
     instance = config.instance

@@ -508,11 +508,14 @@ def written(*paths: str | Path | None):
     and moved over it once the block and every close succeed: a failed
     or interrupted block changes no path and leaves no file. A path that
     exists but is not a regular file (/dev/null, a FIFO) is written
-    directly. A system error, or a path the system cannot encode (a NUL
-    byte, a lone surrogate), raises ConfigInvalidError naming the output."""
+    directly. A system error, a path the system cannot encode (a NUL
+    byte, a lone surrogate) or an empty path raises ConfigInvalidError
+    naming the output."""
+    if "" in paths:  # realpath("") is the working directory
+        raise ConfigInvalidError("cannot write '': an empty path names no file")
     files, moves, path = [], [], None  # moves: (new file, resolved path, path)
     try:
-        for path in filter(None, paths):
+        for path in (p for p in paths if p is not None):
             direct = os.path.exists(path) and not os.path.isfile(path)
             target = path if direct else os.path.realpath(path)
             temp = target if direct else f"{target}.{os.urandom(4).hex()}.tmp"
@@ -522,7 +525,7 @@ def written(*paths: str | Path | None):
             raw = _Output(path, "w", opener=lambda *_: fd)
             files.append(io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8"))
         opened, path = iter(files), None  # an error of the block names no output
-        yield [next(opened) if p else None for p in paths]
+        yield [None if p is None else next(opened) for p in paths]
         for fh in files:
             fh.close()
         for temp, target, path in moves:

@@ -820,24 +820,30 @@ BAD_OUTPUTS = [
     ["mechanisms", "--instance", "{instance}", "--out", "{bad}"],
     ["gen", "--family", "sttcb", "--n", "3", "--delta", "0.2", "--seed", "3", "--out", "{bad}"],
 ]
+BAD_OUTPUT_IDS = ["run-trace", "run-snapshots", "mc-out", "mechanisms-out", "gen-out"]
 
 
 def run_on_bad_path(argv, char, instance_path, tmp_path, capsys) -> tuple[int, str, str]:
     """Run argv with {bad} a path in tmp_path that holds char, {out} a
-    good path beside it and {instance} filled in; returns the exit code,
-    the bad path as the error output prints it (a lone surrogate
-    escaped, as by sys.stderr) and that output, which holds no
-    traceback."""
+    good path beside it, {instance} filled in and {config} a config
+    file in tmp_path whose instance is {bad}; returns the exit code, the
+    bad path as the error output prints it (a lone surrogate escaped, as
+    by sys.stderr) and that output, which holds no traceback."""
     bad = str(tmp_path / f"o{char}ut")
-    code = main([a.format(instance=instance_path, out=tmp_path / "out", bad=bad) for a in argv])
+    config = tmp_path / "config.json"
+    if "{config}" in argv:
+        # json escapes both characters, and reads them back as they were
+        config.write_text(json.dumps({"instance": bad, "algorithm": "oracle-fixed",
+                                      "horizon": 20, "seeds": [0]}), encoding="utf-8")
+    code = main([a.format(instance=instance_path, out=tmp_path / "out", bad=bad, config=config)
+                 for a in argv])
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return code, bad.encode("utf-8", "backslashreplace").decode("utf-8"), err
 
 
 @pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])
-@pytest.mark.parametrize("argv", BAD_OUTPUTS,
-                         ids=["run-trace", "run-snapshots", "mc-out", "mechanisms-out", "gen-out"])
+@pytest.mark.parametrize("argv", BAD_OUTPUTS, ids=BAD_OUTPUT_IDS)
 def test_an_output_path_the_system_cannot_encode_exits_2(argv, char, instance_path, tmp_path,
                                                           capsys):
     """The writer refuses the path by name and leaves no file, not even
@@ -848,17 +854,58 @@ def test_an_output_path_the_system_cannot_encode_exits_2(argv, char, instance_pa
     assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
 
 
+@pytest.mark.parametrize("argv", BAD_OUTPUTS, ids=BAD_OUTPUT_IDS)
+def test_an_empty_output_path_exits_2(argv, instance_path, tmp_path, capsys, monkeypatch):
+    """An empty path is given, not absent: the writer refuses it before
+    any episode, and leaves no file, in the working directory (which
+    os.path.realpath("") names) or beside it, not even the good trace
+    beside --snapshots; an empty mc --out prefix, which would name
+    .csv and .json, likewise."""
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode was played")
+
+    monkeypatch.setattr(harness, "run_episode", no_episode)
+    monkeypatch.setattr("housebandits.cli.run_episode", no_episode)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = main([a.format(instance=instance_path, out=tmp_path / "out", bad="") for a in argv])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 2
+    assert err.startswith("error: cannot write '': ")
+    assert sorted(tmp_path.iterdir()) == sorted([Path(instance_path), work])
+    assert list(work.iterdir()) == []
+
+
+def test_an_empty_config_path_cannot_be_read(instance_path, tmp_path, capsys, monkeypatch):
+    """--config "" is given: it is read and refused, not ignored."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--config", "", "--instance", instance_path, "--algo", "oracle-fixed",
+                 "--horizon", "20", "--seeds", "0"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 2
+    assert err.startswith("error: cannot read config : ")
+    assert "''" in err
+    assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
+
+
 @pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])
 @pytest.mark.parametrize("argv,what", [
     (["mechanisms", "--instance", "{bad}"], "instance"),
+    (["run", "--instance", "{bad}", "--algo", "oracle-fixed", "--horizon", "20", "--seeds", "0"],
+     "instance"),
     (["mc", "--config", "{bad}", "--instance", "{instance}", "--out", "{out}"], "config"),
-], ids=["instance", "config"])
+    (["run", "--config", "{config}"], "instance"),
+], ids=["instance", "run-instance", "config", "config-instance"])
 def test_an_input_path_the_system_cannot_encode_cannot_be_read(argv, what, char, instance_path,
                                                                tmp_path, capsys):
     code, bad, err = run_on_bad_path(argv, char, instance_path, tmp_path, capsys)
     assert code == 2
     assert err.startswith(f"error: cannot read {what} {bad}: ")
-    assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
+    config = [tmp_path / "config.json"] if "{config}" in argv else []
+    assert sorted(tmp_path.iterdir()) == sorted([Path(instance_path)] + config)
 
 
 @pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])

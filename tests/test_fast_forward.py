@@ -319,14 +319,15 @@ def test_a_round_robin_block_across_a_refill_equals_its_rounds(family):
 
 WINDOW_HORIZON = 1000
 # checkpoints in each window of two and of three, and at their edges
-WINDOW_CHECKPOINTS = (1, 333, 334, 335, 500, 501, 667, 668, 999, 1000)
+WINDOW_CHECKPOINTS = (1, 333, 334, 335, 500, 501, 666, 667, 668, 999, 1000)
 
 
 def windowed(cfg, seed, cpus, trace, monkeypatch):
-    """run_episode with cpus usable CPUs and no minimum window, so that
-    every trace forks one worker per CPU beyond the first."""
+    """run_episode with cpus usable CPUs and a minimum window of one
+    round, so that a trace forks one worker per CPU beyond the first, up
+    to one window per round."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(harness, "_MIN_WINDOW_ROUNDS", 0)
+    monkeypatch.setattr(harness, "_MIN_WINDOW_ROUNDS", 1)
     return run_episode(cfg, seed, trace=trace)
 
 
@@ -355,7 +356,7 @@ def test_windowed_trace_into_a_file_is_byte_identical(algorithm, tmp_path, monke
     cfg = ExperimentConfig(INSTANCES["lower-bound"](), algorithm, WINDOW_HORIZON, (0,),
                            checkpoints=WINDOW_CHECKPOINTS)
     whole = io.StringIO()
-    harness._play_window(cfg, 0, whole)
+    windowed(cfg, 0, 1, whole, monkeypatch)
     for cpus in (2, 3):
         path = tmp_path / f"trace-{cpus}.csv"
         with open(path, "w", encoding="utf-8") as fh:
@@ -366,12 +367,12 @@ def test_windowed_trace_into_a_file_is_byte_identical(algorithm, tmp_path, monke
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_a_horizon_shorter_than_the_windows_leaves_some_empty(algorithm, monkeypatch):
-    """Three windows of two rounds: the last is empty, and the header is
-    written once."""
+def test_a_short_horizon_plays_one_window_per_round(algorithm, monkeypatch):
+    """Three CPUs on two rounds: two windows of one round each, and the
+    header is written once."""
     cfg = ExperimentConfig(INSTANCES["sttcb"](), algorithm, 2, (0,))
     whole = io.StringIO()
-    harness._play_window(cfg, 0, whole)
+    windowed(cfg, 0, 1, whole, monkeypatch)
     trace = io.StringIO()
     windowed(cfg, 0, 3, trace, monkeypatch)
     assert trace.getvalue() == whole.getvalue()
@@ -380,9 +381,9 @@ def test_a_horizon_shorter_than_the_windows_leaves_some_empty(algorithm, monkeyp
 
 
 def test_a_trace_forks_only_when_every_window_holds_the_minimum(monkeypatch):
-    """Two CPUs: a horizon of twice the minimum window forks one worker,
-    one round less plays in one process, and so does an untraced
-    episode."""
+    """Two CPUs: every episode calls _forked once; a horizon of twice
+    the minimum window forks one worker, one round less plays in one
+    process, and so does an untraced episode."""
     forks = []
     forked = harness._forked
 
@@ -398,7 +399,7 @@ def test_a_trace_forks_only_when_every_window_holds_the_minimum(monkeypatch):
         cfg = ExperimentConfig(inst, "oracle-fixed", horizon, (0,))
         run_episode(cfg, 0, trace=io.StringIO())
         run_episode(cfg, 0)
-    assert forks == [2]
+    assert forks == [1, 1, 2, 1]
     no_child_left()
 
 

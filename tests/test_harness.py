@@ -417,13 +417,13 @@ class TestTraceWorkers:
         parent = os.getpid()
         play = harness._play_window
 
-        def window(config, seed, trace=None, rows=(0, math.inf)):
+        def window(config, seed, trace, rows):
             episode = play(config, seed, trace, rows)
             return in_a_worker(episode, rows) if os.getpid() != parent else episode
 
         monkeypatch.setattr(harness, "_play_window", window)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(harness, "_MIN_WINDOW_ROUNDS", 0)
+        monkeypatch.setattr(harness, "_MIN_WINDOW_ROUNDS", 1)
         cfg = ExperimentConfig(swap_market(), "centralized-ucb", 100, (0,))
         return run_episode(cfg, 0, trace=io.StringIO())
 
@@ -441,9 +441,49 @@ class TestTraceWorkers:
             episode.final_pseudo = tuple(x + 1.0 for x in episode.final_pseudo)
             return episode
 
-        with pytest.raises(DesyncError, match="^a trace worker's final regrets"):
+        with pytest.raises(DesyncError, match="^a trace worker's episode differs .* in "
+                                              "final_pseudo$"):
             self.play_with_workers(monkeypatch, drift)
         no_child_left()
+
+    def test_a_worker_with_other_stats_alone_raises_desync(self, monkeypatch):
+        """Equal regrets do not pass for an equal episode."""
+        def drift(episode, rows):
+            episode.stats["core_match_rounds"] += 1
+            return episode
+
+        with pytest.raises(DesyncError, match="^a trace worker's episode differs .* in stats$"):
+            self.play_with_workers(monkeypatch, drift)
+        no_child_left()
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_without_fork_or_affinity_a_long_trace_plays_in_this_process(self, missing,
+                                                                          monkeypatch):
+        """Without os.fork or os.sched_getaffinity there is one usable
+        CPU, so a trace of two minimum windows is one window, played
+        here: _forked gets one job and nothing forks."""
+        monkeypatch.delattr(os, missing, raising=False)
+        assert harness._usable_cpus() == 1
+        jobs = []
+        forked = harness._forked
+
+        def counted(work):
+            jobs.append(len(work))
+            return forked(work)
+
+        def no_fork():
+            raise AssertionError("forked without a usable second CPU")
+
+        monkeypatch.setattr(harness, "_forked", counted)
+        if missing != "fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        cfg = ExperimentConfig(swap_market(), "oracle-fixed", 2 * harness._MIN_WINDOW_ROUNDS,
+                               (0,))
+        trace = io.StringIO()
+        episode = run_episode(cfg, 0, trace=trace)
+        assert jobs == [1]
+        assert episode.final_pseudo == (0.0, 0.0)
+        assert len(trace.getvalue().splitlines()) == 1 + 2 * cfg.horizon
 
     def test_a_worker_that_dies_names_its_exit_status(self, monkeypatch):
         with pytest.raises(RuntimeFailure, match="exited with status 7"):

@@ -6,7 +6,8 @@ decorator, the harness never asks whether an episode is traced, the
 one fork in the package ends its child in os._exit, one method reads
 the environment's noise, one method and one closure write a player's
 statistics, and one function opens files for writing.
-Every name the traced benchmark wraps is still defined where it looks."""
+Every name the traced benchmark wraps is still defined where it looks,
+and the code-line counter counts by its rule."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 import housebandits
+from code_lines import code_lines
 
 SOURCES = sorted(Path(housebandits.__file__).parent.glob("*.py"))
 
@@ -408,3 +410,36 @@ def test_every_traced_bench_name_is_defined_by_its_owner(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
     assert targets
     assert [t.name for t in targets if t.attr not in vars(t.owner)] == []
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring,
+two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method docstring,
+        two lines."""
+        text = """a string
+that is not a docstring"""
+        return (text,
+                os.sep)
+
+
+async def run():
+    \'\'\'Async function docstring.\'\'\'
+    "a string statement after the docstring"
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    """Code lines: import, class, def, text's two lines, return's two
+    lines, async def and the later string statement."""
+    assert code_lines(CODE_LINES_SAMPLE) == 9
+    assert code_lines("") == 0
+    assert code_lines('x = 1\n"""not a module docstring"""\n') == 2
