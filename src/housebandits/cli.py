@@ -39,7 +39,6 @@ from .market import (
     core_oracle_bruteforce,
     instance_from_json_dict,
     save_instance,
-    save_matching,
     written,
     yrmh_igyt,
 )
@@ -83,6 +82,8 @@ def parse_checkpoints(text: str) -> tuple[int, ...]:
 
 
 def _read_json(path: str, what: str):
+    if not path:  # the system's own error would name no path
+        raise ConfigInvalidError(f"cannot read {what} '': an empty path names no file")
     try:
         # ValueError: a path the system cannot encode (a NUL byte, a lone surrogate)
         fh = open(path, "r", encoding="utf-8")
@@ -237,19 +238,22 @@ def cmd_mechanisms(args: argparse.Namespace) -> int:
     _refuse_overwrites((args.instance,), (args.out,))
     instance = _read_instance(args.instance)
     matching = instance.core
-    print(f"core matching: {matching.to_json_list()}")
-    result = yrmh_igyt(instance.rankings)
-    print(f"serial mechanism: epochs={result.epochs} rounds={result.rounds}")
-    if instance.n <= MAX_ORACLE_N:
-        oracle = core_oracle_bruteforce(instance.utilities)
-        verified = oracle == matching
-        print(f"exhaustive verification: {'unique core confirmed' if verified else 'MISMATCH'}")
-        if not verified:
-            raise RuntimeFailure("exhaustive oracle disagrees with the mechanism output")
-    else:
-        print(f"exhaustive verification: skipped (n > {MAX_ORACLE_N})")
+    # made before the mechanisms run, so a bad path fails before anything is printed
+    with written(args.out) as (out,):
+        print(f"core matching: {matching.to_json_list()}")
+        result = yrmh_igyt(instance.rankings)
+        print(f"serial mechanism: epochs={result.epochs} rounds={result.rounds}")
+        if instance.n <= MAX_ORACLE_N:
+            oracle = core_oracle_bruteforce(instance.utilities)
+            verified = oracle == matching
+            print(f"exhaustive verification: {'unique core confirmed' if verified else 'MISMATCH'}")
+            if not verified:
+                raise RuntimeFailure("exhaustive oracle disagrees with the mechanism output")
+        else:
+            print(f"exhaustive verification: skipped (n > {MAX_ORACLE_N})")
+        if out is not None:
+            print(json.dumps(matching.to_json_list()), file=out)
     if args.out is not None:
-        save_matching(matching, args.out)
         print(f"matching written to {args.out}")
     return 0
 

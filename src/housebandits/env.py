@@ -21,18 +21,22 @@ vectors its rounds play and, per round, the position of its vector in
 the table (a round robin's n rows, or the one row that every round of
 a held profile, a committed stretch or the oracle repeats). step_block
 and RegretLedger.record_block check and price each row of the table
-once and expand the result by the index. The deterministic family
-resolves the same way with rows of -0.0 noise that draw nothing from
-the generator, so its rewards are the exact means. A caller that
-resolves a block speculatively keeps a prefix of it and hands the rest
-back with give_back, whose rows the next step or step_block reads
-again; since a block never spans two chunks, neither does a give-back.
+once and expand the result by the index. Each sampling family is one
+entry of the table _FAMILIES: its noise draw, which fills the chunk,
+and its reward rule, one expression that step applies to a float and
+step_block to an array. The deterministic family's rows are -0.0 noise
+that draws nothing from the generator, so its rewards are the exact
+means. A caller that resolves a block speculatively keeps a prefix of
+it and hands the rest back with give_back, whose rows the next step or
+step_block reads again; since a block never spans two chunks, neither
+does a give-back.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -47,6 +51,18 @@ ABSTAIN = None
 # "deterministic" (reward equals the mean exactly), a diagnostic mode for
 # no-noise episodes that is not a valid instance file family.
 SAMPLING_FAMILIES = REWARD_MODELS + ("deterministic",)
+
+# Each sampling family once, paired with SAMPLING_FAMILIES by position:
+# its noise draw (rng, shape -> noise rows) and its reward rule (mean,
+# noise -> reward), whose one expression gives the same floats for a
+# float, in MarketEnv.step, and elementwise for arrays, in step_block.
+# A Bernoulli reward is 1.0 when the uniform variate lies below the
+# mean; the deterministic family's -0.0 noise draws nothing from the
+# rng, and x + -0.0 == x bit for bit for every float x, -0.0 included.
+_FAMILIES = dict(zip(SAMPLING_FAMILIES, [
+    (lambda rng, shape: rng.standard_normal(shape), operator.add),
+    (lambda rng, shape: rng.random(shape), lambda mean, noise: (noise < mean) * 1.0),
+    (lambda rng, shape: np.full(shape, -0.0), operator.add)], strict=True))
 
 TRACE_COLUMNS = (
     "round",
@@ -130,10 +146,11 @@ class ArmStats:
 class MarketEnv:
     """Sequential episode driver: a seeded rng and its noise chunks.
 
-    Noise blocks are pregenerated in chunks purely for speed; the stream
-    equals one rng.standard_normal(n) (Gaussian) or rng.random(n)
-    (Bernoulli) draw per round. A Bernoulli reward is 1 when the uniform
-    variate lies below the mean; any other reward is mean + noise.
+    The family's entry of _FAMILIES, looked up once here, gives the
+    noise draw and the reward rule. Noise blocks are pregenerated in
+    chunks purely for speed; the stream equals one draw of n variates
+    per round (rng.standard_normal for Gaussian, rng.random for
+    Bernoulli).
     """
 
     def __init__(self, instance: MarketInstance, seed: int, family: str | None = None):
@@ -141,6 +158,7 @@ class MarketEnv:
         self.family = instance.reward_model if family is None else family
         if self.family not in SAMPLING_FAMILIES:
             raise EntryOutOfRangeError(f"unknown reward family {self.family!r}")
+        self._noise, self._reward = _FAMILIES[self.family]
         self.rng = np.random.default_rng(seed)
         self._u = instance.utilities.tolist()
         self._players = np.arange(instance.n)
@@ -149,19 +167,11 @@ class MarketEnv:
 
     def _draw(self, k: int) -> np.ndarray:
         """The next min(k, rows left in the noise chunk) noise rows, one
-        per round, after replacing a spent chunk with the next one. The
-        deterministic family's rows are -0.0, which added to a mean
-        gives that mean bit for bit (x + -0.0 == x for every float x,
-        -0.0 included), and draw nothing from the rng."""
+        per round, after replacing a spent chunk with the next one, which
+        the family's noise draw in _FAMILIES fills."""
         if self._chunk_pos == len(self._chunk):
             self._chunk = None  # free the spent chunk before building the next
-            shape = (_NOISE_CHUNK_ROUNDS, self.instance.n)
-            if self.family == "gaussian":
-                self._chunk = self.rng.standard_normal(shape)
-            elif self.family == "bernoulli":
-                self._chunk = self.rng.random(shape)
-            else:
-                self._chunk = np.full(shape, -0.0)
+            self._chunk = self._noise(self.rng, (_NOISE_CHUNK_ROUNDS, self.instance.n))
             self._chunk_pos = 0
         rows = self._chunk[self._chunk_pos:self._chunk_pos + k]
         self._chunk_pos += len(rows)
@@ -174,7 +184,7 @@ class MarketEnv:
         if len(proposals) != n:
             raise EntryOutOfRangeError(f"expected {n} proposal slots, got {len(proposals)}")
         noise_row = self._draw(1).tolist()[0]
-        bernoulli = self.family == "bernoulli"
+        reward = self._reward
         utilities = self._u
         matched: list[int | None] = [None] * n
         rewards = [0.0] * n
@@ -190,11 +200,7 @@ class MarketEnv:
             if len(apps) == 1:
                 i = apps[0]
                 matched[i] = arm
-                mean = utilities[i][arm]
-                if bernoulli:
-                    rewards[i] = 1.0 if noise_row[i] < mean else 0.0
-                else:
-                    rewards[i] = mean + noise_row[i]
+                rewards[i] = reward(utilities[i][arm], noise_row[i])
             elif len(apps) > 1:
                 for i in apps:
                     collided[i] = True
@@ -225,9 +231,7 @@ class MarketEnv:
         means = self.instance.utilities[self._players, rows]
         if m > 1:
             means = means[index[:len(noise)]]
-        if self.family == "bernoulli":
-            return (noise < means).astype(float)
-        return means + noise
+        return self._reward(means, noise)
 
     def give_back(self, k: int) -> None:
         """Unresolve the last k rounds of the latest step_block: the next

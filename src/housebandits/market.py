@@ -547,9 +547,3 @@ def save_instance(instance: MarketInstance, path: str | Path) -> None:
     with written(path) as (fh,):
         json.dump(instance.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def save_matching(matching: Matching, path: str | Path) -> None:
-    with written(path) as (fh,):
-        json.dump(matching.to_json_list(), fh)
-        fh.write("\n")

@@ -117,6 +117,22 @@ class TestMechanisms:
     def test_missing_instance_exits_2(self, tmp_path):
         assert main(["mechanisms", "--instance", str(tmp_path / "nope.json")]) == 2
 
+    def test_out_into_missing_directory_exits_2_before_any_mechanism(
+            self, instance_path, tmp_path, capsys, monkeypatch):
+        """The output is opened before the mechanisms run, as run and mc
+        open theirs before any episode: nothing is printed or written."""
+        def no_mechanism(*args, **kwargs):
+            raise AssertionError("a mechanism ran")
+
+        monkeypatch.setattr("housebandits.cli.yrmh_igyt", no_mechanism)
+        monkeypatch.setattr("housebandits.cli.core_oracle_bruteforce", no_mechanism)
+        out = tmp_path / "missing" / "m.json"
+        assert main(["mechanisms", "--instance", instance_path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
+
     def test_skips_the_oracle_past_its_limit(self, tmp_path, capsys):
         path = str(tmp_path / "nine.json")
         assert main(["gen", "--family", "random", "--n", "9", "--delta-floor", "0.01",
@@ -823,12 +839,14 @@ BAD_OUTPUTS = [
 BAD_OUTPUT_IDS = ["run-trace", "run-snapshots", "mc-out", "mechanisms-out", "gen-out"]
 
 
-def run_on_bad_path(argv, char, instance_path, tmp_path, capsys) -> tuple[int, str, str]:
+def run_on_bad_path(argv, char, instance_path, tmp_path,
+                    capsys) -> tuple[int, str, str, str]:
     """Run argv with {bad} a path in tmp_path that holds char, {out} a
     good path beside it, {instance} filled in and {config} a config
     file in tmp_path whose instance is {bad}; returns the exit code, the
     bad path as the error output prints it (a lone surrogate escaped, as
-    by sys.stderr) and that output, which holds no traceback."""
+    by sys.stderr), that output, which holds no traceback, and the
+    standard output."""
     bad = str(tmp_path / f"o{char}ut")
     config = tmp_path / "config.json"
     if "{config}" in argv:
@@ -837,27 +855,29 @@ def run_on_bad_path(argv, char, instance_path, tmp_path, capsys) -> tuple[int, s
                                       "horizon": 20, "seeds": [0]}), encoding="utf-8")
     code = main([a.format(instance=instance_path, out=tmp_path / "out", bad=bad, config=config)
                  for a in argv])
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    return code, bad.encode("utf-8", "backslashreplace").decode("utf-8"), err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, bad.encode("utf-8", "backslashreplace").decode("utf-8"), captured.err, captured.out
 
 
 @pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])
 @pytest.mark.parametrize("argv", BAD_OUTPUTS, ids=BAD_OUTPUT_IDS)
 def test_an_output_path_the_system_cannot_encode_exits_2(argv, char, instance_path, tmp_path,
                                                           capsys):
-    """The writer refuses the path by name and leaves no file, not even
-    the good trace beside --snapshots."""
-    code, bad, err = run_on_bad_path(argv, char, instance_path, tmp_path, capsys)
+    """The writer refuses the path by name before anything is printed,
+    and leaves no file, not even the good trace beside --snapshots."""
+    code, bad, err, out = run_on_bad_path(argv, char, instance_path, tmp_path, capsys)
     assert code == 2
     assert err.startswith(f"error: cannot write {bad}")
+    assert out == ""
     assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
 
 
 @pytest.mark.parametrize("argv", BAD_OUTPUTS, ids=BAD_OUTPUT_IDS)
 def test_an_empty_output_path_exits_2(argv, instance_path, tmp_path, capsys, monkeypatch):
     """An empty path is given, not absent: the writer refuses it before
-    any episode, and leaves no file, in the working directory (which
+    any episode or anything printed, and leaves no file, in the working
+    directory (which
     os.path.realpath("") names) or beside it, not even the good trace
     beside --snapshots; an empty mc --out prefix, which would name
     .csv and .json, likewise."""
@@ -870,10 +890,11 @@ def test_an_empty_output_path_exits_2(argv, instance_path, tmp_path, capsys, mon
     work.mkdir()
     monkeypatch.chdir(work)
     code = main([a.format(instance=instance_path, out=tmp_path / "out", bad="") for a in argv])
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
     assert code == 2
-    assert err.startswith("error: cannot write '': ")
+    assert captured.err.startswith("error: cannot write '': ")
+    assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == sorted([Path(instance_path), work])
     assert list(work.iterdir()) == []
 
@@ -886,9 +907,26 @@ def test_an_empty_config_path_cannot_be_read(instance_path, tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code == 2
-    assert err.startswith("error: cannot read config : ")
-    assert "''" in err
+    assert err.startswith("error: cannot read config '': an empty path names no file")
     assert sorted(tmp_path.iterdir()) == [Path(instance_path)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algo", "oracle-fixed", "--horizon", "20", "--seeds", "0"],
+    ["mc", "--algo", "oracle-fixed", "--horizon", "20", "--seeds", "0,1", "--out", "{out}"],
+    ["mechanisms"],
+    ["bounds", "--algo", "oracle-fixed", "--horizon", "20"],
+], ids=["run", "mc", "mechanisms", "bounds"])
+def test_an_empty_instance_path_cannot_be_read(argv, tmp_path, capsys, monkeypatch):
+    """--instance "" is refused by what it names, before any output."""
+    monkeypatch.chdir(tmp_path)
+    code = main(argv[:1] + ["--instance", ""] + [a.format(out=tmp_path / "r") for a in argv[1:]])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code == 2
+    assert captured.err == "error: cannot read instance '': an empty path names no file\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("char", UNENCODABLE, ids=["nul", "lone-surrogate"])
@@ -901,7 +939,7 @@ def test_an_empty_config_path_cannot_be_read(instance_path, tmp_path, capsys, mo
 ], ids=["instance", "run-instance", "config", "config-instance"])
 def test_an_input_path_the_system_cannot_encode_cannot_be_read(argv, what, char, instance_path,
                                                                tmp_path, capsys):
-    code, bad, err = run_on_bad_path(argv, char, instance_path, tmp_path, capsys)
+    code, bad, err, _ = run_on_bad_path(argv, char, instance_path, tmp_path, capsys)
     assert code == 2
     assert err.startswith(f"error: cannot read {what} {bad}: ")
     config = [tmp_path / "config.json"] if "{config}" in argv else []

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from housebandits.env import (
     _NOISE_CHUNK_ROUNDS,
     ABSTAIN,
+    SAMPLING_FAMILIES,
     TRACE_COLUMNS,
     ArmStats,
     MarketEnv,
@@ -297,24 +298,41 @@ def test_pseudo_regret_monotone_when_core_is_argmax():
 
 def test_env_step_equals_per_round_draws(tri):
     """Chunked noise pregeneration must reproduce one block of n draws
-    per round exactly, across a chunk refill."""
+    per round exactly, across a chunk refill, and each family name must
+    get its own noise and reward rule: a Gaussian reward is mean + a
+    standard normal variate, a Bernoulli one 1.0 exactly when a uniform
+    variate lies below the mean, and a deterministic one the mean bit
+    for bit, with nothing drawn from the rng. Every reward is a Python
+    float, whose repr the trace writes."""
     proposals = [[1, ABSTAIN, 1], [1, 0, 2], [ABSTAIN, ABSTAIN, 0], [2, 1, 0]]
     u = tri.utilities.tolist()
-    for family in ("gaussian", "bernoulli"):
+    families = ("gaussian", "bernoulli", "deterministic")
+    assert sorted(families) == sorted(SAMPLING_FAMILIES)
+    for family in families:
         env = MarketEnv(tri, seed=42, family=family)
         rng = np.random.default_rng(42)
         for t in range(_NOISE_CHUNK_ROUNDS + 100):
             props = proposals[t % 4]
             out = env.step(props)
-            noise = rng.standard_normal(3) if family == "gaussian" else rng.random(3)
+            if family == "gaussian":
+                noise = rng.standard_normal(3)
+            elif family == "bernoulli":
+                noise = rng.random(3)
             expected = [0.0] * 3
             for i, arm in enumerate(props):
                 if arm is not None and props.count(arm) == 1:
                     mean = u[i][arm]
-                    gaussian = family == "gaussian"
-                    expected[i] = mean + noise[i] if gaussian else float(noise[i] < mean)
-            assert list(out.rewards) == expected, (family, t)
+                    if family == "gaussian":
+                        expected[i] = mean + noise[i]
+                    elif family == "bernoulli":
+                        expected[i] = float(noise[i] < mean)
+                    else:
+                        expected[i] = mean
+            assert [r.hex() for r in out.rewards] == [r.hex() for r in expected], (family, t)
+            assert all(type(r) is float for r in out.rewards)
             assert out.collided == tuple(a is not None and props.count(a) > 1 for a in props)
+    # the deterministic episode drew nothing: its rng is still a fresh one
+    assert env.rng.bit_generator.state == np.random.default_rng(42).bit_generator.state
 
 
 def test_identical_seeds_reproduce_bit_identical_episodes(tri):

@@ -4,8 +4,10 @@ RuntimeFailure, ...) instead of asserting or raising a bare
 RuntimeError. No module keeps an import it never uses or a memo
 decorator, the harness never asks whether an episode is traced, the
 one fork in the package ends its child in os._exit, one method reads
-the environment's noise, one method and one closure write a player's
-statistics, and one function opens files for writing.
+the environment's noise, the environment looks its family up once, one
+method and one closure write a player's statistics, one function opens
+files for writing, and every private module-level name is read inside
+the package.
 Every name the traced benchmark wraps is still defined where it looks,
 and the code-line counter counts by its rule."""
 
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import housebandits
 from code_lines import code_lines
+from housebandits.env import SAMPLING_FAMILIES
 
 SOURCES = sorted(Path(housebandits.__file__).parent.glob("*.py"))
 
@@ -253,6 +256,116 @@ def test_noise_check_sees_a_stray_read():
                      "    return env._chunk_pos, env._chunk\n")
     assert _noise_reads(tree) == [("MarketEnv._draw", 3), ("MarketEnv._draw", 3),
                                   ("MarketEnv.step", 6), ("peek", 8)]
+
+
+def _family_uses(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(kind, scope, line) of every comparison that holds a sampling
+    family's name as a string constant (kind "compare") and every read
+    of an attribute named family (kind "read"), scope being the dotted
+    names of the enclosing classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Constant) and sub.value in SAMPLING_FAMILIES
+                for sub in ast.walk(node)):
+            found.append(("compare", ".".join(scope), node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr == "family"
+              and isinstance(node.ctx, ast.Load)):
+            found.append(("read", ".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_the_environment_looks_its_family_up_once():
+    """Each sampling family is one entry of env._FAMILIES, its noise
+    draw and its reward rule, so the per-round spec and the block path
+    pay by the same rule: no code in env.py branches on a family's
+    name, and only the constructor reads it, to look the entry up."""
+    path = Path(housebandits.__file__).parent / "env.py"
+    uses = _family_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert uses and {(kind, scope) for kind, scope, _ in uses} == {("read", "MarketEnv.__init__")}
+
+
+def test_family_check_sees_a_branch_on_a_name():
+    tree = ast.parse("class MarketEnv:\n"
+                     "    def __init__(self, family):\n"
+                     "        self.family = family\n"
+                     "        self.rule = RULES[self.family]\n"
+                     "    def step(self, mean, x):\n"
+                     "        if self.family == 'bernoulli':\n"
+                     "            return float(x < mean)\n"
+                     "        return mean + x\n"
+                     "def draw(rng, family, shape):\n"
+                     "    if family in ('gaussian', 'deterministic'):\n"
+                     "        return rng.standard_normal(shape)\n"
+                     "    return rng.random(shape) if 'bernoulli' != family else None\n"
+                     "def names(env):\n"
+                     "    return env.family, SAMPLING_FAMILIES == ('gauss',)\n")
+    assert _family_uses(tree) == [("compare", "MarketEnv.step", 6), ("compare", "draw", 10),
+                                  ("compare", "draw", 12), ("read", "MarketEnv.__init__", 4),
+                                  ("read", "MarketEnv.step", 6), ("read", "names", 14)]
+
+
+def _unread_private_names(modules: dict[str, ast.Module]) -> list[str]:
+    """module: name for every name a module's top-level statement
+    defines (def, class or assignment) that starts with one underscore
+    and that no other top-level statement of any module reads, by name
+    or as an attribute."""
+    defined = []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                    [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            defined += [(module, name, stmt) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    reads = {}  # name -> the top-level statements that read it
+    for tree in modules.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.id, set()).add(id(stmt))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.attr, set()).add(id(stmt))
+    return [f"{module}: {name}" for module, name, stmt in defined
+            if not reads.get(name, set()) - {id(stmt)}]
+
+
+def test_every_private_name_is_read_inside_the_package():
+    """A module-level _name that only tests read exists only for tests,
+    and goes."""
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _unread_private_names(modules) == []
+
+
+def test_private_name_check_sees_a_name_only_tests_read():
+    modules = {
+        "a.py": ast.parse("_USED = 1\n"
+                          "_ONLY_TESTS, _PAIRED = 2, 3\n"
+                          "_TYPED: int = 4\n"
+                          "def _recursive(k):\n"
+                          "    return _recursive(k - 1) if k else _USED\n"
+                          "class _Box:\n"
+                          "    _slot = 0\n"
+                          "def public():\n"
+                          "    _local = _PAIRED\n"
+                          "    return _local\n"
+                          "__all__ = ['public']\n"),
+        "b.py": ast.parse("from . import a\n"
+                          "box = a._Box(a._TYPED)\n"
+                          "a._ONLY_TESTS = 5\n"),
+    }
+    assert _unread_private_names(modules) == ["a.py: _ONLY_TESTS", "a.py: _recursive"]
 
 
 def _stats_writes(tree: ast.Module) -> list[tuple[str, int]]:
