@@ -12,10 +12,12 @@ Randomness: an episode owns a single seeded generator, and each round
 consumes one block of n variates, element i belonging to player i. The
 variate feeding (player, round) therefore never depends on resolution
 order, and an identical (instance, proposals, seed) triple reproduces
-an episode bit for bit. MarketEnv pregenerates the blocks of 4096 rounds
-as one array, which yields the exact same stream as drawing one block
-per round: step reads one row of it, and step_block, which resolves a
-run of collision-free rounds at once, reads a slice of consecutive rows.
+an episode bit for bit. MarketEnv pregenerates the blocks of
+CHUNK_ROUNDS rounds as one array, which yields the exact same stream as
+drawing one block per round: step reads one row of it, and step_block,
+which resolves a run of collision-free rounds at once, reads a slice of
+consecutive rows of it, so a chunk is also the most rounds one block
+resolves.
 A block is a pair (rows, index): a table of the distinct proposal
 vectors its rounds play and, per round, the position of its vector in
 the table (a round robin's n rows, or the one row that every round of
@@ -75,7 +77,11 @@ TRACE_COLUMNS = (
     "realized_regret_cum",
 )
 
-_NOISE_CHUNK_ROUNDS = 4096
+# rounds of noise drawn at once, and so the most rounds one step_block
+# resolves; a speed constant only, since the rng draws one stream
+# whatever the chunk size. A short episode draws up to a chunk of noise
+# past its horizon.
+CHUNK_ROUNDS = 1024
 # rounds of a recorded block whose trace lines are formatted and written
 # at once
 _TRACE_SLICE_ROUNDS = 32
@@ -171,7 +177,7 @@ class MarketEnv:
         the family's noise draw in _FAMILIES fills."""
         if self._chunk_pos == len(self._chunk):
             self._chunk = None  # free the spent chunk before building the next
-            self._chunk = self._noise(self.rng, (_NOISE_CHUNK_ROUNDS, self.instance.n))
+            self._chunk = self._noise(self.rng, (CHUNK_ROUNDS, self.instance.n))
             self._chunk_pos = 0
         rows = self._chunk[self._chunk_pos:self._chunk_pos + k]
         self._chunk_pos += len(rows)

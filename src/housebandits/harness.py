@@ -5,7 +5,7 @@ An episode is a sequential round loop, which stays the executable spec.
 An episode of the decentralized protocol or the oracle fast-forwards
 the spans whose proposals are fixed in advance (each exploration
 block's round robin, closing round included, play after every player
-has committed, the oracle's whole horizon) in pieces of whole rounds. A
+has committed, the oracle's whole horizon) in blocks of whole rounds. A
 centralized episode, once a round submits the same ranking profile as
 the round before, plays blocks on the guess that the profile holds and
 keeps each block's rounds up to the first that would submit another
@@ -64,7 +64,7 @@ from .decentralized import (
     entry_round_bound,
     explore_arm,
 )
-from .env import SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
+from .env import CHUNK_ROUNDS, SAMPLING_FAMILIES, ArmStats, MarketEnv, RegretLedger
 from .errors import ConfigInvalidError, DesyncError, RuntimeFailure
 from .market import MarketInstance, gap_term, is_json_int, written
 
@@ -261,14 +261,12 @@ _MIN_WINDOW_ROUNDS = 8192
 
 # whether runners fast-forward; the tests clear it to play the spec loop
 _FAST_FORWARD = True
-# rounds per fast-forward piece; bounds the arrays a piece allocates
-_PIECE_ROUNDS = 1024
 # rounds of a centralized block right after the profile first repeats;
-# each block that holds doubles the next, up to _PIECE_ROUNDS
+# each block that holds doubles the next, up to env.CHUNK_ROUNDS
 _BLOCK_ROUNDS = 16
 
 
-def _blocks(env, ledger, t, stop, rows, keep, size, extra=()):
+def _blocks(env, ledger, t, stop, rows, keep, size=CHUNK_ROUNDS, extra=()):
     """Play rounds t .. stop - 1 in blocks of collision-free rounds,
     round s proposing row s mod m of the m x n table rows. A block of
     at most size rounds from round start goes to env.step_block and
@@ -277,10 +275,12 @@ def _blocks(env, ledger, t, stop, rows, keep, size, extra=()):
     allocates no index. keep(start, rewards) folds into the players the
     leading rounds they keep and returns how many. The rest are given
     back, the kept rounds recorded with the extra trace values, and
-    size doubles up to _PIECE_ROUNDS while blocks are kept whole.
+    size doubles up to the noise chunk while blocks are kept whole.
+    step_block resolves no more rounds than the chunk has left, so the
+    chunk is the one bound on a block and on the arrays it allocates.
     Returns the first round not played."""
     m = len(rows)
-    ring = np.arange(m + _PIECE_ROUNDS) % m
+    ring = np.arange(m + CHUNK_ROUNDS) % m
     while t < stop:
         index = ring[t % m:][:min(size, stop - t)]
         rewards = env.step_block(rows, index)
@@ -291,7 +291,7 @@ def _blocks(env, ledger, t, stop, rows, keep, size, extra=()):
             t += kept
         if kept < len(rewards):
             break
-        size = min(2 * size, _PIECE_ROUNDS)
+        size = min(2 * size, CHUNK_ROUNDS)
     return t
 
 
@@ -302,7 +302,7 @@ def _keep_all(start, rewards):
 def _run_oracle_fixed(instance, env, ledger, horizon):
     proposals = list(instance.core.assignment)
     if _FAST_FORWARD:
-        _blocks(env, ledger, 1, horizon + 1, np.array([proposals]), _keep_all, _PIECE_ROUNDS)
+        _blocks(env, ledger, 1, horizon + 1, np.array([proposals]), _keep_all)
         return {}, None
     for _ in range(horizon):
         ledger.record(env.step(proposals))
@@ -364,13 +364,12 @@ def _run_decentralized(instance, env, ledger, horizon):
     while t <= horizon:
         if _FAST_FORWARD and lead.stage == EXPLORE:
             # the rest of the block's round robin, closing round included
-            t = _blocks(env, ledger, t, min(t + lead.stage_left, horizon + 1), cycle, explore,
-                        _PIECE_ROUNDS)
+            t = _blocks(env, ledger, t, min(t + lead.stage_left, horizon + 1), cycle, explore)
             continue
         if _FAST_FORWARD and all(p.committed is not None for p in players):
             # every player pulls its committed arm until the horizon
             _blocks(env, ledger, t, horizon + 1, np.array([[p.committed for p in players]]),
-                    _keep_all, _PIECE_ROUNDS)
+                    _keep_all)
             for p in players:
                 p.hold_commitment(horizon)
             break

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from housebandits.env import (
-    _NOISE_CHUNK_ROUNDS,
     ABSTAIN,
+    CHUNK_ROUNDS,
     SAMPLING_FAMILIES,
     TRACE_COLUMNS,
     ArmStats,
@@ -311,7 +311,7 @@ def test_env_step_equals_per_round_draws(tri):
     for family in families:
         env = MarketEnv(tri, seed=42, family=family)
         rng = np.random.default_rng(42)
-        for t in range(_NOISE_CHUNK_ROUNDS + 100):
+        for t in range(CHUNK_ROUNDS + 100):
             props = proposals[t % 4]
             out = env.step(props)
             if family == "gaussian":

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from housebandits import decentralized, harness
+from housebandits import env as env_module
 from housebandits.decentralized import EXPLORE, DecentralizedPlayer, PlayerView, explore_arm
-from housebandits.env import ArmStats, MarketEnv, RegretLedger
+from housebandits.env import CHUNK_ROUNDS, ArmStats, MarketEnv, RegretLedger
 from housebandits.errors import DesyncError, RuntimeFailure
 from housebandits.harness import ExperimentConfig, run_episode
 from housebandits.instances import lower_bound_instance, random_instance, sttcb_instance
@@ -249,10 +251,13 @@ def test_block_record_fills_the_same_snapshots_as_rounds():
     assert (by_block.pseudo, by_block.realized) == (by_round.pseudo, by_round.realized)
 
 
-# (rounds drawn, rounds kept) of each block: one that ends at a noise-chunk
-# refill, one cut short by the refill and partly given back, one that ends
-# the chunk and one drawn from the next
-REFILL_BLOCKS = ((4090, 4090), (16, 4), (64, 64), (64, 64))
+# (rounds drawn, rounds kept) of each block: one that ends 6 rounds before
+# a noise-chunk refill, one cut short by the refill and partly given back,
+# one that ends the chunk and one drawn from the next
+REFILL_BLOCKS = ((CHUNK_ROUNDS - 6, CHUNK_ROUNDS - 6), (16, 4), (64, 64), (64, 64))
+# a checkpoint in the first block, at its last round, at the chunk's last
+# round and in the next chunk
+REFILL_CHECKPOINTS = (1, 100, CHUNK_ROUNDS - 6, CHUNK_ROUNDS, CHUNK_ROUNDS + 4)
 
 
 def play_blocks(inst, family, rows, spelled_out):
@@ -264,7 +269,7 @@ def play_blocks(inst, family, rows, spelled_out):
     env = MarketEnv(inst, 0, family)
     trace = io.StringIO()
     ledger = RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",),
-                          checkpoints=(1, 100, 4090, 4096, 4100))
+                          checkpoints=REFILL_CHECKPOINTS)
     drawn = []
     t = 1
     for size, keep in REFILL_BLOCKS:
@@ -288,14 +293,14 @@ def test_a_repeated_proposal_block_equals_its_rows_spelled_out(family):
     inst = INSTANCES["lower-bound"]()
     n = inst.n
     one_row = play_blocks(inst, family, np.array([inst.core.assignment]), False)
-    assert [len(d) for d in one_row[0]] == [8 * n * k for k in (4090, 6, 2, 64)]
+    assert [len(d) for d in one_row[0]] == [8 * n * k for k in (CHUNK_ROUNDS - 6, 6, 2, 64)]
     assert one_row == play_blocks(inst, family, np.array([inst.core.assignment]), True)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_round_robin_block_across_a_refill_equals_its_rounds(family):
     """The n-row round robin over REFILL_BLOCKS: its second block
-    crosses the 4,096-round refill, so step_block returns the prefix
+    crosses the noise chunk's refill, so step_block returns the prefix
     left in the chunk, and recording the kept rounds as (rows,
     index[:kept]) gives the sums, snapshots and trace rows of one step
     and record per round, and of the rounds spelled out."""
@@ -303,16 +308,41 @@ def test_a_round_robin_block_across_a_refill_equals_its_rounds(family):
     n = inst.n
     rows = round_robin(n, 0, 0)[0]
     blocks = play_blocks(inst, family, rows, False)
-    assert [len(d) for d in blocks[0]] == [8 * n * k for k in (4090, 6, 2, 64)]
+    assert [len(d) for d in blocks[0]] == [8 * n * k for k in (CHUNK_ROUNDS - 6, 6, 2, 64)]
     assert blocks == play_blocks(inst, family, rows, True)
     env = MarketEnv(inst, 0, family)
     trace = io.StringIO()
     ledger = RegretLedger(inst, trace=trace, extra_columns=("matching_is_core",),
-                          checkpoints=(1, 100, 4090, 4096, 4100))
-    for t in range(1, 1 + 4090 + 4 + 2 + 64):  # the rounds the blocks keep
+                          checkpoints=REFILL_CHECKPOINTS)
+    for t in range(1, 1 + CHUNK_ROUNDS - 6 + 4 + 2 + 64):  # the rounds the blocks keep
         ledger.record(env.step(rows[t % n].tolist()), (1,))
     assert blocks[1:] == (ledger.pseudo, ledger.realized, ledger.snapshots,
                           trace.getvalue().splitlines())
+
+
+CHUNK_HORIZON = 3000
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("name", ["sttcb", "lower-bound"])
+def test_the_noise_chunk_size_is_a_speed_constant_only(name, algorithm, monkeypatch):
+    """The rng draws one stream whatever the chunk size, and a block
+    that reaches the chunk's end goes on in the next one, so chunks of
+    7 rounds (shorter than a round robin, so blocks end mid-cycle) and
+    of 4,096 rounds give the default chunk's traced episode and trace
+    CSV on every family. About 4 s on a 2-vCPU box, within 5 s."""
+    cfg = ExperimentConfig(INSTANCES[name](), algorithm, CHUNK_HORIZON, (1,),
+                           checkpoints=(1, 7, 8, 1000, 1024, 1025, 2999, CHUNK_HORIZON))
+    for family in FAMILIES:
+        cfg = replace(cfg, reward_family=family)
+        default = play(cfg, 1, True)
+        for rounds in (7, 4096):
+            monkeypatch.setattr(env_module, "CHUNK_ROUNDS", rounds)
+            assert len(MarketEnv(cfg.instance, 1, family)._draw(5000)) == rounds
+            episode, text = play(cfg, 1, True)
+            assert episode == default[0], (family, rounds)
+            assert text.splitlines() == default[1].splitlines(), (family, rounds)
+        monkeypatch.undo()
 
 
 # --- trace windows on forked workers --------------------------------------------
@@ -625,14 +655,15 @@ def test_given_back_rounds_draw_the_same_noise_again(family):
     draw, and a give-back past the chunk's start is refused."""
     inst = INSTANCES["lower-bound"]()
     core = list(inst.core.assignment)
-    rows, index = np.array([core]), np.zeros(4090, dtype=int)
+    rows, index = np.array([core]), np.zeros(CHUNK_ROUNDS - 6, dtype=int)
     env, loop = MarketEnv(inst, 0, family), MarketEnv(inst, 0, family)
-    assert len(env.step_block(rows, index)) == 4090
+    assert len(env.step_block(rows, index)) == CHUNK_ROUNDS - 6
     assert len(env.step_block(rows, index[:16])) == 6
     env.give_back(4)
+    # CHUNK_ROUNDS - 4 rows of the chunk stay drawn
     with pytest.raises(RuntimeFailure):
-        env.give_back(4093)
-    for _ in range(4092):
+        env.give_back(CHUNK_ROUNDS - 3)
+    for _ in range(CHUNK_ROUNDS - 4):
         loop.step(core)
     for _ in range(10):
         assert env.step(core).rewards == loop.step(core).rewards
@@ -656,3 +687,27 @@ def test_centralized_paths_agree_on_small_markets(instance, family, seed, horizo
     checkpoints of all its rounds, its last one included."""
     for cps in (None, tuple(range(1, horizon + 1))):
         assert_same_episode(*both_paths(instance, "centralized-ucb", horizon, seed, family, cps))
+
+
+PREFIX_HORIZON = 30_000
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("name", INSTANCES)
+def test_a_centralized_episode_is_a_prefix_of_a_longer_one(name, family):
+    """centralized-ucb never reads the horizon, so its episode to T is
+    the first T rounds of a longer one: the final pseudo-regret at
+    T = 777 and T = 5,000 equals, bit for bit, the T = 30,000 episode's
+    checkpoint at that round. Catches a fast path whose blocks read the
+    horizon in a way that moves a float. About 4 s for all six cases on
+    a 2-vCPU box, within 6 s."""
+    short = (777, 5000)
+    inst = INSTANCES[name]()
+    for seed in (0, 1, 2):
+        long = run_episode(ExperimentConfig(inst, "centralized-ucb", PREFIX_HORIZON, (seed,),
+                                            reward_family=family, checkpoints=short), seed)
+        for horizon, at in zip(short, long.checkpoint_pseudo):
+            cfg = ExperimentConfig(inst, "centralized-ucb", horizon, (seed,),
+                                   reward_family=family, checkpoints=(horizon,))
+            final = run_episode(cfg, seed).final_pseudo
+            assert [x.hex() for x in final] == [x.hex() for x in at], (seed, horizon)

@@ -187,7 +187,7 @@ class TestEpisodes:
             monkeypatch.setattr(harness, "_FAST_FORWARD", fast)
             peak(2_000)  # first-call allocations inside numpy are not the trace's
             small, large = peak(2_000), peak(12_000)
-            # interpreter free lists and the 4096-round noise chunk stay;
+            # interpreter free lists and the noise chunk stay;
             # the rows (6x more at 12,000) must not
             assert large < 1.5 * small, (fast, small, large)
             peaks[fast] = large

@@ -216,23 +216,25 @@ def test_fork_check_sees_a_stray_fork():
     assert _fork_sites(tree) == [(3, True), (10, False), (14, False), (17, False)]
 
 
-def _noise_reads(tree: ast.Module) -> list[tuple[str, int]]:
-    """(scope, line) of every read of an attribute named rng or _chunk,
-    scope being the dotted names of the enclosing classes and
-    functions."""
-    found = []
-
-    def visit(node, scope):
+def _scoped(tree: ast.AST):
+    """(scope, node) for every node of tree, scope being the dotted
+    names of the classes and functions that enclose it (a class or
+    function's own name included)."""
+    stack = [((), tree)]
+    while stack:
+        scope, node = stack.pop()
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        elif (isinstance(node, ast.Attribute) and node.attr in ("rng", "_chunk")
-              and isinstance(node.ctx, ast.Load)):
-            found.append((".".join(scope), node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+        yield ".".join(scope), node
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
 
-    visit(tree, ())
-    return sorted(found)
+
+def _noise_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(scope, line) of every read of an attribute named rng or
+    _chunk."""
+    return sorted((scope, node.lineno) for scope, node in _scoped(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("rng", "_chunk")
+                  and isinstance(node.ctx, ast.Load))
 
 
 def test_only_the_draw_method_reads_the_noise():
@@ -261,24 +263,16 @@ def test_noise_check_sees_a_stray_read():
 def _family_uses(tree: ast.Module) -> list[tuple[str, str, int]]:
     """(kind, scope, line) of every comparison that holds a sampling
     family's name as a string constant (kind "compare") and every read
-    of an attribute named family (kind "read"), scope being the dotted
-    names of the enclosing classes and functions."""
+    of an attribute named family (kind "read")."""
     found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = scope + (node.name,)
-        elif isinstance(node, ast.Compare) and any(
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Compare) and any(
                 isinstance(sub, ast.Constant) and sub.value in SAMPLING_FAMILIES
                 for sub in ast.walk(node)):
-            found.append(("compare", ".".join(scope), node.lineno))
+            found.append(("compare", scope, node.lineno))
         elif (isinstance(node, ast.Attribute) and node.attr == "family"
               and isinstance(node.ctx, ast.Load)):
-            found.append(("read", ".".join(scope), node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, ())
+            found.append(("read", scope, node.lineno))
     return sorted(found)
 
 
@@ -371,27 +365,14 @@ def test_private_name_check_sees_a_name_only_tests_read():
 def _stats_writes(tree: ast.Module) -> list[tuple[str, int]]:
     """(scope, line) of every assignment, plain, augmented or annotated,
     to an item or slice of an attribute named means or counts, also
-    inside a tuple or starred target, scope being the dotted names of
-    the enclosing classes and functions."""
+    inside a tuple or starred target."""
     found = []
-
-    def targets(node):
-        if isinstance(node, ast.Assign):
-            return node.targets
-        return [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = scope + (node.name,)
-        for target in targets(node):
-            for sub in ast.walk(target):
-                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
-                        and sub.value.attr in ("means", "counts")):
-                    found.append((".".join(scope), sub.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, ())
+    for scope, node in _scoped(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        found += [(scope, sub.lineno) for target in targets for sub in ast.walk(target)
+                  if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
+                  and sub.value.attr in ("means", "counts")]
     return sorted(found)
 
 
@@ -456,20 +437,9 @@ def _opens_for_writing(call: ast.Call) -> bool:
 
 
 def _write_opens(tree: ast.Module) -> list[tuple[str, int]]:
-    """(scope, line) of every call that opens a file for writing, scope
-    being the dotted names of the enclosing classes and functions."""
-    found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = scope + (node.name,)
-        elif isinstance(node, ast.Call) and _opens_for_writing(node):
-            found.append((".".join(scope), node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, ())
-    return sorted(found)
+    """(scope, line) of every call that opens a file for writing."""
+    return sorted((scope, node.lineno) for scope, node in _scoped(tree)
+                  if isinstance(node, ast.Call) and _opens_for_writing(node))
 
 
 def test_only_the_writer_opens_a_file_for_writing():
